@@ -213,13 +213,12 @@ def _cmd_witt(args) -> str:
         if not args.n:
             raise InputError("witt periodic needs --n")
         comparison = witt.ray_class_algebra_witt_iso_check(args.n, args.bound)
-        # the lattice ring defaults to the size-n group ring as in the
-        # comparison; pass --ring Z for scalar coefficients
-        if args.ring is None:
-            lattice_ring = witt.binomial_quotient_ring(args.n) if args.n > 1 else witt.INTEGERS
-        else:
-            lattice_ring = _parse_ring(args.ring)
-        lattice = witt.periodic_witt_lattice(args.n, lattice_ring, args.bound)
+        # the lattice ring defaults to the size-n group ring of the
+        # comparison, whose lattice is reused; pass --ring Z for scalar
+        # coefficients
+        lattice = comparison.lattice
+        if args.ring is not None and ring != lattice.ring:
+            lattice = witt.periodic_witt_lattice(args.n, ring, args.bound)
         data = {
             "lattice_basis": [list(r) for r in lattice.basis],
             "class_reps": list(lattice.class_reps),

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import quadfield as qf
 from .config import monoid_bound, residue_bound
 from .errors import BoundExceededError, DensityRequiredError, InputError
-from .intlinalg import divisors, factor
+from .intlinalg import divisors, factor, is_prime
 from .quadfield import QuadField, QuadIdeal, QuadInt
 
 
@@ -150,13 +150,27 @@ class PrimeSupport:
             return p not in self.primes
         return p in self.primes
 
+    @cached_property
+    def _listed_primes(self) -> tuple[int, ...]:
+        """The listed entries that are prime; the others can never match a
+        prime factor, so they have no effect."""
+        return tuple(p for p in sorted(self.primes) if is_prime(p))
+
     def supports_int(self, n: int) -> bool:
-        """Is the rational ideal (n) supported at P?"""
-        if n == 1:
-            return True
+        """Is the rational ideal (n) supported at P?
+
+        Decided by division by the listed primes; n is never factored.
+        """
         if self.mode == "all":
             return True
-        return all(self.allows_prime(p) for p in factor(n).primes())
+        if n <= 0:
+            raise InputError(_NOT_AN_IDEAL)
+        if self.mode == "all-except":
+            return all(n % p for p in self._listed_primes)
+        for p in self._listed_primes:
+            while n % p == 0:
+                n //= p
+        return n == 1
 
     def __str__(self):
         if self.mode == "all":
@@ -177,6 +191,13 @@ class PrimeSupport:
 
 
 ALL_PRIMES = PrimeSupport()
+
+_NOT_AN_IDEAL = "a rational ideal must be a positive integer"
+
+
+def _check_rational_ideal(a) -> None:
+    if not isinstance(a, int) or a < 1:
+        raise InputError(_NOT_AN_IDEAL)
 
 
 def _require_rational(f: Cycle):
@@ -201,6 +222,8 @@ def f_equiv(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     """
     _require_all_support(f, support)
     if f.field is None:
+        _check_rational_ideal(a)
+        _check_rational_ideal(b)
         if not (support.supports_int(a) and support.supports_int(b)):
             raise InputError("ideal not supported at P")
         return _q_label(a, f, support) == _q_label(b, f, support)
@@ -231,6 +254,8 @@ def f_equiv_generator(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> boo
     at the real places dividing f."""
     _require_all_support(f, support)
     if f.field is None:
+        _check_rational_ideal(a)
+        _check_rational_ideal(b)
         if not (support.supports_int(a) and support.supports_int(b)):
             raise InputError("ideal not supported at P")
         n = f.finite
@@ -301,43 +326,48 @@ class RayClassGroup:
 
     def _init_rational(self):
         n = self.cycle.finite
-        signs = (1,) if self.cycle.infinity else (1, -1)
-        seen: dict[int, int] = {}
-        orbits: list[tuple[int, ...]] = []
-        for r in range(1, n + 1):
-            rr = r % n
-            if gcd(rr, n) != 1 or rr in seen:
-                continue
-            orbit = sorted({(s * rr) % n for s in signs})
-            for x in orbit:
-                seen[x] = len(orbits)
-            orbits.append(tuple(orbit))
-        if not orbits:  # n = 1
+        # orbits of the unit residues, smallest first; without the real
+        # place the sign folds r with n - r
+        if n == 1:
             orbits = [(0,)]
-            seen = {0: 0}
-        self._orbit_of = seen
-        self._orbits = orbits
-        full_size = len(orbits)
-        if self.support.mode in ("all", "all-except"):
-            achievable = list(range(full_size))
+        elif self.cycle.infinity:
+            orbits = [(r,) for r in range(1, n) if gcd(r, n) == 1]
         else:
-            gens = [seen[p % n] for p in sorted(self.support.primes) if gcd(p, n) == 1]
-            achievable = _subgroup_closure(gens, lambda i, j: seen[(self._orbits[i][0] * self._orbits[j][0]) % n], seen[1 % n])
-        self._achievable = achievable
-        self._index_of_orbit = {o: k for k, o in enumerate(achievable)}
-        self.reps = [self._smallest_supported_rep(self._orbits[o], n) for o in achievable]
-        self.is_full = len(achievable) == full_size
+            orbits = [(r, n - r) if 2 * r < n else (r,) for r in range(1, n // 2 + 1) if gcd(r, n) == 1]
+        orbit_of: list[int | None] = [None] * n
+        for k, orbit in enumerate(orbits):
+            for x in orbit:
+                orbit_of[x] = k
+        if self.support.mode == "explicit":
+            gens = [orbit_of[p % n] for p in self.support._listed_primes if gcd(p, n) == 1]
+            achievable = _subgroup_closure(gens, lambda i, j: orbit_of[orbits[i][0] * orbits[j][0] % n], orbit_of[1 % n])
+            index = {o: k for k, o in enumerate(achievable)}
+            class_of = [None if o is None else index.get(o) for o in orbit_of]
+        else:
+            achievable = list(range(len(orbits)))
+            class_of = orbit_of
+        # class index per residue mod n; None for the non-units and for the
+        # classes that P does not reach
+        self._class_of = class_of
+        self._heads = [orbits[o][0] for o in achievable]
+        self.reps = [self._smallest_supported_rep(orbits[o], n) for o in achievable]
+        self.is_full = len(achievable) == len(orbits)
 
     def _smallest_supported_rep(self, orbit: tuple[int, ...], n: int) -> int:
+        """The smallest supported positive integer with residue in the orbit.
+
+        The residues are searched together, in increasing order: under an
+        explicit support some residues of a reachable orbit have no
+        supported integer at all (-1 mod 7 is no power of 2).
+        """
         if n == 1:
             return 1
-        best = None
-        for r in orbit:
-            m = r if r else n
-            while not self.support.supports_int(m):
-                m += n
-            best = m if best is None else min(best, m)
-        return best
+        candidates = sorted(orbit)  # units mod n > 1, so in 1..n-1
+        while True:
+            for m in candidates:
+                if self.support.supports_int(m):
+                    return m
+            candidates = [m + n for m in candidates]
 
     # -- quadratic construction
 
@@ -436,10 +466,10 @@ class RayClassGroup:
         n = self.cycle.finite
         if gcd(a, n) != 1:
             raise InputError(f"{a} is not coprime to the conductor {n}")
-        orbit = self._orbit_of[a % n]
-        if orbit not in self._index_of_orbit:
+        k = self._class_of[a % n]
+        if k is None:
             raise InputError(f"class of {a} is not supported at P")
-        return self._index_of_orbit[orbit]
+        return k
 
     def class_of_ideal(self, ideal) -> int:
         if self.cycle.field is None:
@@ -450,22 +480,15 @@ class RayClassGroup:
     def table(self):
         if self._table is None:
             n = self.cycle.finite
-            ach = self._achievable
-            self._table = tuple(
-                tuple(
-                    self._index_of_orbit[self._orbit_of[(self._orbits[o1][0] * self._orbits[o2][0]) % n]]
-                    for o2 in ach
-                )
-                for o1 in ach
-            )
+            heads, class_of = self._heads, self._class_of
+            self._table = tuple(tuple(class_of[h1 * h2 % n] for h2 in heads) for h1 in heads)
             _check_group_table(self._table)
         return self._table
 
     def mul(self, i: int, j: int) -> int:
         if self.cycle.field is None:
             n = self.cycle.finite
-            o1, o2 = self._achievable[i], self._achievable[j]
-            return self._index_of_orbit[self._orbit_of[(self._orbits[o1][0] * self._orbits[o2][0]) % n]]
+            return self._class_of[self._heads[i] * self._heads[j] % n]
         return self._table[i][j]
 
     @property
@@ -511,12 +534,12 @@ def _subgroup_closure(gens: list[int], mul, identity: int) -> list[int]:
 
 def _check_group_table(table):
     n = len(table)
-    for i in range(n):
-        if sorted(table[i]) != list(range(n)):
+    everything = set(range(n))
+    for row in table:
+        if len(row) != n or set(row) != everything:
             raise InputError("ray class table row is not a permutation")
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                raise InputError("ray class table is not abelian")
+    if list(zip(*table)) != [tuple(row) for row in table]:
+        raise InputError("ray class table is not abelian")
 
 
 _RCG_CACHE: dict[tuple, RayClassGroup] = {}
@@ -561,7 +584,9 @@ class DRMonoid:
         self.divisors = divs
         self.class_groups = {d: ray_class_group(cycle.cofactor(d), support) for d in divs}
         self.elements: list[DRClass] = []
+        offsets = {}  # index of the first element with each divisor
         for d in divs:
+            offsets[d] = len(self.elements)
             for u in range(self.class_groups[d].order):
                 self.elements.append(DRClass(d, u))
         if len(self.elements) > monoid_bound():
@@ -570,23 +595,22 @@ class DRMonoid:
         self.reps = [self._rep_of(e) for e in self.elements]
         self._mul_cache: dict[tuple[int, int], int] = {}
         if cycle.field is None:
-            self._res_index = self._build_residue_index()
+            self._res_index = self._build_residue_index(offsets)
 
-    def _build_residue_index(self) -> list[int | None]:
+    def _build_residue_index(self, offsets: dict[int, int]) -> list[int | None]:
         """Class index per residue (rational cycles): the class of a
-        supported ideal depends only on its residue mod the finite part."""
+        supported ideal depends only on its residue mod the finite part.
+
+        The residues with gcd d against n are d*c for the units c mod n/d,
+        whose classes the cofactor group lists; the other residues (gcd
+        part or class not supported at P) stay None.
+        """
         n = self.cycle.finite
         out: list[int | None] = [None] * n
-        for r in range(n):
-            d = gcd(r, n) if r else n
-            if d not in self.class_groups:
-                continue  # gcd part not supported at P
-            cl = self.class_groups[d]
-            cof = (r // d) % max(n // d, 1)
-            orbit = cl._orbit_of.get(cof % max(n // d, 1))
-            if orbit is None or orbit not in cl._index_of_orbit:
-                continue
-            out[r] = self._index[DRClass(d, cl._index_of_orbit[orbit])]
+        for d, base in offsets.items():
+            for c, u in enumerate(self.class_groups[d]._class_of):
+                if u is not None:
+                    out[d * c] = base + u
         return out
 
     def _rep_of(self, e: DRClass):
@@ -606,6 +630,7 @@ class DRMonoid:
     def class_of_ideal(self, ideal) -> int:
         """The monoid class of a P-supported ideal."""
         if self.cycle.field is None:
+            _check_rational_ideal(ideal)
             if self.support.mode != "all" and not self.support.supports_int(ideal):
                 raise InputError(f"ideal ({ideal}) is not supported at P")
             k = self._res_index[ideal % self.cycle.finite]

@@ -17,7 +17,7 @@ Frobenius-twisted) equality constraints before the bounded sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
@@ -539,6 +539,7 @@ class RayClassWittComparison:
     lattice_rank: int
     image_rank: int
     index: int | None
+    lattice: PeriodicWittLattice = dc_field(compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -581,7 +582,7 @@ def ray_class_algebra_witt_iso_check(n: int, bound: int = 64) -> RayClassWittCom
             IntMatrix.from_rows(lat_rows, nvars),
         )
     return RayClassWittComparison(
-        n, bound, injective, contained, equal, lattice.stable, lattice.rank, len(image_h), index
+        n, bound, injective, contained, equal, lattice.stable, lattice.rank, len(image_h), index, lattice
     )
 
 

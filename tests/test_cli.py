@@ -2,6 +2,7 @@ import io
 import json
 import sys
 
+import pytest
 
 from lambda_forge.cli import main
 
@@ -62,6 +63,40 @@ def test_exit_codes():
     assert code == 0  # the table itself is fine on explicit supports
     code, _ = run_cli(["ray-class", "--cycle", "6*inf", "--support", "bogus"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["f-equiv", "--cycle", "4", "--a", "0", "--b", "4", "--json"],
+        ["f-equiv", "--cycle", "4", "--a", "0", "--b", "4", "--support", "all-except:3", "--json"],
+        ["dr-mul", "--cycle", "4*inf", "--a", "0", "--b", "-2", "--json"],
+        ["dr-mul", "--cycle", "4*inf", "--a", "2", "--b", "-2", "--json"],
+    ],
+)
+def test_non_ideals_rejected(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: a rational ideal must be a positive integer\n"
+
+
+def test_witt_periodic_solves_each_lattice_once(monkeypatch):
+    from lambda_forge import witt
+
+    solves = []
+    solve = witt.periodic_witt_lattice
+
+    def counted_solve(n, ring, bound):
+        solves.append(ring)
+        return solve(n, ring, bound)
+
+    monkeypatch.setattr(witt, "periodic_witt_lattice", counted_solve)
+    assert run_cli(["witt", "periodic", "--n", "2", "--bound", "16", "--json"])[0] == 0
+    assert solves == [witt.binomial_quotient_ring(2)]
+    solves.clear()
+    assert run_cli(["witt", "periodic", "--n", "2", "--bound", "16", "--ring", "Z", "--json"])[0] == 0
+    assert solves == [witt.binomial_quotient_ring(2), witt.INTEGERS]
 
 
 def test_unknown_flag_rejected():

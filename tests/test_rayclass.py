@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lambda_forge.errors import DensityRequiredError, InputError
+from lambda_forge.intlinalg import factor
 from lambda_forge.quadfield import (
     QuadField,
     QuadInt,
@@ -27,6 +28,7 @@ from lambda_forge.rayclass import (
     free_dr_set,
     ray_class_group,
 )
+from lambda_forge.rayclass import _check_group_table
 
 GAUSS = QuadField(-1)
 EISEN = QuadField(-3)
@@ -61,6 +63,50 @@ def test_support_parsing():
     assert not e.chebotarev_dense
     assert PrimeSupport.parse("explicit:2,3!").chebotarev_dense
     assert not s.supports_int(6) and s.supports_int(35)
+
+
+SUPPORTS = ("all", "all-except:2", "all-except:2,3", "explicit:5,7", "explicit:2,3!", "all-except:4", "explicit:1,4,6")
+
+
+@pytest.mark.parametrize("text", SUPPORTS)
+def test_supports_int_matches_factorization(text):
+    # membership is decided by division; the factorization is the oracle
+    s = PrimeSupport.parse(text)
+    for n in range(1, 5001):
+        assert s.supports_int(n) == all(s.allows_prime(p) for p in factor(n).primes()), n
+    for n in (0, -1, -12):
+        if s.mode == "all":
+            assert s.supports_int(n)
+        else:
+            with pytest.raises(InputError):
+                s.supports_int(n)
+
+
+def test_group_table_check_rejects_broken_tables():
+    _check_group_table(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    _check_group_table(())
+    with pytest.raises(InputError, match="permutation"):
+        _check_group_table(((0, 1, 2), (1, 1, 0), (2, 0, 1)))
+    with pytest.raises(InputError, match="permutation"):
+        _check_group_table(((0, 1, 2), (1, 2), (2, 0, 1)))
+    with pytest.raises(InputError, match="permutation"):
+        _check_group_table(((0, 1, 2), (1, 2, 0, 1), (2, 0, 1)))
+    with pytest.raises(InputError, match="abelian"):
+        _check_group_table(((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+
+
+@pytest.mark.parametrize("support", ["all", "all-except:3"])
+@pytest.mark.parametrize("bad", [0, -2, 2.0])
+def test_rational_ideals_must_be_positive_integers(support, bad):
+    sup = PrimeSupport.parse(support)
+    f = Cycle.parse("4*inf")
+    for route in (f_equiv, f_equiv_generator):
+        with pytest.raises(InputError, match="positive integer"):
+            route(bad, 4, f, sup)
+        with pytest.raises(InputError, match="positive integer"):
+            route(4, bad, f, sup)
+    with pytest.raises(InputError, match="positive integer"):
+        dr_monoid(f, sup).class_of_ideal(bad)
 
 
 def test_f_equiv_examples():
@@ -133,6 +179,16 @@ def test_explicit_support_subgroup():
     assert not cl.is_full and cl.order < 4
     with pytest.raises(InputError):
         cl.class_of_int(5)  # 5 is not supported
+
+
+def test_explicit_support_reps_exist():
+    # -1 mod 7 is no power of 2: the orbit {1, 6} is represented by 1 alone
+    cl = ray_class_group(Cycle.parse("7"), PrimeSupport.parse("explicit:2"))
+    assert cl.is_full and cl.reps == [1, 2, 4]
+    # a listed entry that is not prime generates nothing
+    cl = ray_class_group(Cycle.parse("5*inf"), PrimeSupport.parse("explicit:4"))
+    assert cl.order == 1 and cl.reps == [1]
+    assert dr_monoid(Cycle.parse("5*inf"), PrimeSupport.parse("explicit:4")).size == 1
 
 
 def test_dr_monoid_examples():
