@@ -14,7 +14,7 @@ import sys
 
 from . import lambdapoly, modelcheck, rayclass, witt
 from .errors import BoundExceededError, DensityRequiredError, InputError, ModelRefusedError
-from .quadfield import QuadField
+from .quadfield import QuadField, QuadIdeal
 from .rayclass import Cycle, PrimeSupport
 
 
@@ -23,11 +23,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _field_of(text: str) -> QuadField | None:
     if text in ("Q", "q"):
         return None
     if text.startswith("d:"):
-        return QuadField(int(text[2:]))
+        return QuadField(_int(text[2:], "the radicand"))
     raise InputError(f"unknown field {text!r}; use Q or d:-1")
 
 
@@ -44,6 +51,13 @@ def _parse_cycle(args) -> Cycle:
     return Cycle.parse(args.cycle, _field_of(args.field))
 
 
+def _parse_ideals(args, field: QuadField | None) -> tuple:
+    """The --a and --b ideals: positive integers over Q, triples otherwise."""
+    if field is None:
+        return _int(args.a, "--a"), _int(args.b, "--b")
+    return QuadIdeal.parse(field, args.a), QuadIdeal.parse(field, args.b)
+
+
 def _cmd_dr_table(args) -> str:
     dr = rayclass.dr_monoid(_parse_cycle(args), PrimeSupport.parse(args.support))
     data = dr.to_json()
@@ -57,13 +71,8 @@ def _cmd_dr_table(args) -> str:
 def _cmd_dr_mul(args) -> str:
     field = _field_of(args.field)
     dr = rayclass.dr_monoid(_parse_cycle(args), PrimeSupport.parse(args.support))
-    if field is None:
-        ia, ib = dr.class_of_ideal(int(args.a)), dr.class_of_ideal(int(args.b))
-    else:
-        from .quadfield import QuadIdeal
-
-        ia = dr.class_of_ideal(QuadIdeal.parse(field, args.a))
-        ib = dr.class_of_ideal(QuadIdeal.parse(field, args.b))
+    a, b = _parse_ideals(args, field)
+    ia, ib = dr.class_of_ideal(a), dr.class_of_ideal(b)
     k = dr.mul(ia, ib)
     data = {"a_class": ia, "b_class": ib, "product_class": k, "product_rep": str(dr.reps[k])}
     return _emit(args, data, f"[{args.a}]*[{args.b}] = class {k} (representative {dr.reps[k]})")
@@ -73,12 +82,7 @@ def _cmd_f_equiv(args) -> str:
     field = _field_of(args.field)
     cyc = _parse_cycle(args)
     sup = PrimeSupport.parse(args.support)
-    if field is None:
-        a, b = int(args.a), int(args.b)
-    else:
-        from .quadfield import QuadIdeal
-
-        a, b = QuadIdeal.parse(field, args.a), QuadIdeal.parse(field, args.b)
+    a, b = _parse_ideals(args, field)
     r1 = rayclass.f_equiv(a, b, cyc, sup)
     r2 = rayclass.f_equiv_generator(a, b, cyc, sup)
     if r1 != r2:
@@ -103,7 +107,11 @@ def _cmd_model_check(args) -> str:
     from .intlinalg import divisors
 
     with open(args.input) as fh:
-        s = modelcheck.FiniteIdSet.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{args.input} is not valid JSON: {exc}") from None
+    s = modelcheck.FiniteIdSet.from_json(data)
     r = modelcheck.compute_r(s)
     conductors = {
         str(d): str(modelcheck.conductor(s, modelcheck._subset_image(s, d))) for d in divisors(r)
@@ -122,7 +130,9 @@ def _cmd_model_check(args) -> str:
 
 def _cmd_chebyshev(args) -> str:
     p = lambdapoly.chebyshev_psi(args.n)
-    if args.mod:
+    if args.mod is not None:
+        if args.mod < 1:
+            raise InputError("--mod must be a positive integer")
         p = p.mod_coeffs(args.mod)
     data = {"n": args.n, "coefficients": list(p.coeffs)}
     return _emit(args, data, str(p))
@@ -130,6 +140,8 @@ def _cmd_chebyshev(args) -> str:
 
 def _cmd_periodic_locus(args) -> str:
     if args.family == "chebyshev":
+        if args.n is None:
+            raise InputError("the chebyshev family needs --n")
         rep = lambdapoly.chebyshev_image_lattice(args.n)
         data = rep.to_json()
         text = f"Q = {rep.generator}; cokernel order {rep.cokernel_order}"
@@ -157,9 +169,9 @@ def _parse_ring(text: str) -> witt.CoeffRing:
 
 def _parse_trunc(text: str) -> witt.TruncationSet:
     if text.startswith("div:"):
-        return witt.TruncationSet.divisors_of(int(text[4:]))
+        return witt.TruncationSet.divisors_of(_int(text[4:], "the truncation bound"))
     if text.startswith("upto:"):
-        return witt.TruncationSet.upto(int(text[5:]))
+        return witt.TruncationSet.upto(_int(text[5:], "the truncation bound"))
     raise InputError("truncation must look like div:6 or upto:8")
 
 
@@ -171,9 +183,9 @@ def _parse_components(ring: witt.CoeffRing, text: str, trunc: witt.TruncationSet
     out = {}
     for a, part in zip(idx, parts):
         if ring.rank == 1:
-            out[a] = (int(part),)
+            out[a] = (_int(part, "a component"),)
         else:
-            vec = tuple(int(x) for x in part.split(","))
+            vec = tuple(_int(x, "a component entry") for x in part.split(","))
             if len(vec) != ring.rank:
                 raise InputError("component has wrong length for the ring")
             out[a] = vec

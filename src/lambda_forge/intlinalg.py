@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InputError
 
@@ -183,9 +183,16 @@ class IntMatrix:
         return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
-def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], ncols: int):
+def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], ncols: int, width: int | None = None) -> bool:
     """Fold one vector into a row-echelon basis, reducing columns in
-    ascending order so leading-column structure is preserved."""
+    ascending order so leading-column structure is preserved.
+
+    Pivots are sought in the first ``ncols`` columns; row operations span
+    ``width`` columns (default ``ncols``).  Returns False when ``vec``
+    reduces to zero on its first ``ncols`` columns (``vec`` then holds the
+    reduced row), True when it joins the basis.
+    """
+    width = ncols if width is None else width
     j = next((k for k in range(ncols) if vec[k]), None)
     while j is not None:
         if j in pivots:
@@ -194,13 +201,13 @@ def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], n
             a, c = b[j], vec[j]
             if c % a == 0:
                 q = c // a
-                for k in range(j, ncols):
+                for k in range(j, width):
                     vec[k] -= q * b[k]
             else:
                 x, y, g = xgcd(a, c)
                 ag, cg = a // g, c // g
-                bnew = [x * b[k] + y * vec[k] for k in range(ncols)]
-                vnew = [-cg * b[k] + ag * vec[k] for k in range(ncols)]
+                bnew = [x * b[k] + y * vec[k] for k in range(width)]
+                vnew = [-cg * b[k] + ag * vec[k] for k in range(width)]
                 basis[bi] = bnew
                 vec[:] = vnew
             j = next((k for k in range(j, ncols) if vec[k]), None)
@@ -212,10 +219,11 @@ def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], n
                 where += 1
             basis.insert(where, vec)
             pivots.insert(where, j)
-            return
+            return True
+    return False
 
 
-def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
+def hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Row-style HNF of the lattice spanned by ``rows``; zero rows dropped.
     Pivots positive, entries above each pivot reduced into [0, pivot)."""
     basis: list[list[int]] = []  # kept in echelon order
@@ -241,34 +249,36 @@ def hnf(m: IntMatrix) -> IntMatrix:
     The zero matrix maps to the zero matrix (row count preserved); otherwise
     zero rows are dropped.
     """
-    basis = _hnf_rows(m.row_list(), m.cols)
+    basis = hnf_rows(m.row_list(), m.cols)
     if not basis:
         return IntMatrix(m.rows, m.cols, (0,) * (m.rows * m.cols))
     return IntMatrix.from_rows(basis, m.cols)
 
 
-def hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """HNF as a plain list of nonzero rows (convenience for internal use)."""
-    return _hnf_rows(rows, ncols)
+def _pivot(row: list[int], ncols: int) -> int:
+    return next(k for k in range(ncols) if row[k])
+
+
+def hnf_coords(vec: list[int], hnf_basis: list[list[int]], ncols: int) -> list[int] | None:
+    """Integer coordinates of ``vec`` in the given HNF basis, or None when
+    ``vec`` lies outside the lattice."""
+    v = list(vec)
+    out = []
+    for row in hnf_basis:
+        j = _pivot(row, ncols)
+        q, rem = divmod(v[j], row[j])
+        if rem:
+            return None
+        out.append(q)
+        if q:
+            for k in range(j, ncols):
+                v[k] -= q * row[k]
+    return None if any(v) else out
 
 
 def in_row_span(vec: list[int], hnf_basis: list[list[int]], ncols: int) -> bool:
     """Integer membership of ``vec`` in the lattice with the given HNF basis."""
-    v = list(vec)
-    pivots = [next(k for k in range(ncols) if row[k]) for row in hnf_basis]
-    for row, j in zip(hnf_basis, pivots):
-        if v[j] == 0:
-            continue
-        if v[j] % row[j] != 0:
-            return False
-        q = v[j] // row[j]
-        for k in range(j, ncols):
-            v[k] -= q * row[k]
-    return not any(v)
-
-
-def lattice_rank(rows: list[list[int]], ncols: int) -> int:
-    return len(_hnf_rows(rows, ncols))
+    return hnf_coords(vec, hnf_basis, ncols) is not None
 
 
 def lattice_index(sub: IntMatrix, sup: IntMatrix) -> int | str:
@@ -280,19 +290,15 @@ def lattice_index(sub: IntMatrix, sup: IntMatrix) -> int | str:
     if sub.cols != sup.cols:
         raise InputError("ambient dimensions differ")
     n = sub.cols
-    hs = _hnf_rows(sub.row_list(), n)
-    hp = _hnf_rows(sup.row_list(), n)
+    hs = hnf_rows(sub.row_list(), n)
+    hp = hnf_rows(sup.row_list(), n)
     for row in hs:
         if not in_row_span(row, hp, n):
             raise InputError("sub lattice is not contained in sup lattice")
     if len(hs) != len(hp):
         return "infinite"
-    num = 1
-    for row, piv in zip(hs, [next(k for k in range(n) if r[k]) for r in hs]):
-        num *= row[piv]
-    den = 1
-    for row, piv in zip(hp, [next(k for k in range(n) if r[k]) for r in hp]):
-        den *= row[piv]
+    num = prod(row[_pivot(row, n)] for row in hs)
+    den = prod(row[_pivot(row, n)] for row in hp)
     assert num % den == 0
     return num // den
 
@@ -304,42 +310,14 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     transform rows that end on zero rows of the HNF part.
     """
     m = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    # run the elimination keyed on the first ncols columns; a row whose
-    # matrix part vanishes contributes its transform part to the kernel
     basis: list[list[int]] = []
     pivots: list[int] = []
     kernel: list[list[int]] = []
-    width = ncols + m
-    for vec in aug:
-        j = next((k for k in range(ncols) if vec[k]), None)
-        while j is not None:
-            if j in pivots:
-                bi = pivots.index(j)
-                b = basis[bi]
-                a, c = b[j], vec[j]
-                if c % a == 0:
-                    q = c // a
-                    for k in range(j, width):
-                        vec[k] -= q * b[k]
-                else:
-                    x, y, g = xgcd(a, c)
-                    ag, cg = a // g, c // g
-                    bnew = [x * b[k] + y * vec[k] for k in range(width)]
-                    vnew = [-cg * b[k] + ag * vec[k] for k in range(width)]
-                    basis[bi] = bnew
-                    vec[:] = vnew
-                j = next((k for k in range(j, ncols) if vec[k]), None)
-            else:
-                where = 0
-                while where < len(pivots) and pivots[where] < j:
-                    where += 1
-                basis.insert(where, vec)
-                pivots.insert(where, j)
-                break
-        else:
+    for i, row in enumerate(rows):
+        vec = list(row) + [1 if j == i else 0 for j in range(m)]
+        if not _add_to_echelon(basis, pivots, vec, ncols, ncols + m):
             kernel.append(vec[ncols:])
-    return _hnf_rows(kernel, m)
+    return hnf_rows(kernel, m)
 
 
 def smith_invariants(rows: list[list[int]], ncols: int) -> list[int]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InputError
-from .intlinalg import IntMatrix, divisors, hnf_rows, lattice_index, smith_invariants
+from .intlinalg import IntMatrix, divisors, hnf_coords, hnf_rows, lattice_index, smith_invariants
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_equiv
 
 
@@ -105,32 +105,29 @@ class IntPoly:
             out = out * inner + IntPoly.const(c)
         return out
 
-    def eval_int(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def mod_coeffs(self, p: int) -> "IntPoly":
         return IntPoly(_trim(tuple(c % p for c in self.coeffs)))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if not c:
-                continue
-            term = "" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            mag = abs(c)
-            body = str(mag) if (i == 0 or mag != 1) else ""
-            piece = body + ("*" if body and term else "") + term
-            if not parts:
-                parts.append(("-" if c < 0 else "") + piece)
-            else:
-                parts.append((" - " if c < 0 else " + ") + piece)
-        return "".join(parts)
+        return _format_terms(((i, self[i]) for i in range(self.degree, -1, -1)), "y")
+
+
+def _format_terms(terms, var: str) -> str:
+    """Text of a sum of (exponent, coefficient) terms, highest first;
+    zero terms are skipped and the empty sum is "0"."""
+    parts = []
+    for k, c in terms:
+        if not c:
+            continue
+        term = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        mag = abs(c)
+        body = str(mag) if (k == 0 or mag != 1) else ""
+        piece = body + ("*" if body and term else "") + term
+        if not parts:
+            parts.append(("-" if c < 0 else "") + piece)
+        else:
+            parts.append((" - " if c < 0 else " + ") + piece)
+    return "".join(parts) or "0"
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -294,27 +291,7 @@ class LaurentPoly:
         return self.coeffs == o.coeffs or self.coeffs == tuple(-c for c in o.coeffs)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            k = self.low + i
-            term = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            mag = abs(c)
-            body = str(mag) if (k == 0 or mag != 1) else ""
-            piece = body + ("*" if body and term else "") + term
-            if not parts:
-                parts.append(("-" if c < 0 else "") + piece)
-            else:
-                parts.append((" - " if c < 0 else " + ") + piece)
-        return "".join(parts)
-
-
-def laurent_from_poly(p: IntPoly) -> LaurentPoly:
-    return LaurentPoly.of(0, p.coeffs)
+        return _format_terms(((self.low + i, self.coeffs[i]) for i in range(len(self.coeffs) - 1, -1, -1)), "x")
 
 
 def substitute_x_plus_xinv(p: IntPoly) -> LaurentPoly:
@@ -453,10 +430,10 @@ def _gm_scan_chunk(f: Cycle, support: PrimeSupport, bound: int, a_from: int, a_t
     return m
 
 
-def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES, scan_mult: int = 4, jobs: int = 1) -> int:
+def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES, jobs: int = 1) -> int:
     """The exponent m with the toric periodic locus cut out by x^m - 1: the
-    gcd of |a - b| over f-equivalent exponent pairs within the scan bound,
-    with stabilization at twice the bound asserted.
+    gcd of |a - b| over f-equivalent exponent pairs within the scan bound
+    4*n, with stabilization at twice the bound asserted.
 
     jobs > 1 shards the scan range across processes; chunk results merge
     by gcd.
@@ -478,7 +455,7 @@ def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES, scan_mult
                 m = gcd(m, fut.result())
         return m
 
-    bound = scan_mult * max(f.finite, 1)
+    bound = 4 * max(f.finite, 1)
     m1 = scan(bound)
     m2 = scan(2 * bound)
     if m1 != m2:
@@ -686,11 +663,6 @@ def _sigma_invariant_basis(n: int) -> list[list[int]]:
     return rows
 
 
-def toric_periodic_report(f: Cycle, support: PrimeSupport = ALL_PRIMES) -> PeriodicLocusReport:
-    m = gm_periodic_exponent(f, support)
-    return PeriodicLocusReport(f, "toric", m, None, None)
-
-
 def torsion_locus_contains_periodic(family: str, n: int, bound: int) -> bool:
     """The periodic generator divides the torsion generator, and pulling
     back along any operation of exponent up to the bound respects the
@@ -767,7 +739,9 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
         for g2 in gens:
             sq_rows.append(list((g1 * g2).coeffs))
     # coordinates of the square in the basis of the ideal lattice
-    coords = [_coords_in_hnf(r, i_basis, a) for r in hnf_rows(sq_rows, a)]
+    coords = [hnf_coords(r, i_basis, a) for r in hnf_rows(sq_rows, a)]
+    if None in coords:
+        raise AssertionError("the square of the augmentation ideal leaves the ideal")
     invs = smith_invariants(coords, len(i_basis))
     order = 1
     for d in invs:
@@ -777,17 +751,3 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
     if order != a:
         raise AssertionError("cotangent quotient has unexpected order")
     return sum(1 for d in invs if d % q == 0)
-
-
-def _coords_in_hnf(vec: list[int], basis: list[list[int]], ncols: int) -> list[int]:
-    v = list(vec)
-    out = []
-    pivots = [next(k for k in range(ncols) if row[k]) for row in basis]
-    for row, j in zip(basis, pivots):
-        c = v[j] // row[j]
-        assert v[j] % row[j] == 0
-        out.append(c)
-        for k in range(ncols):
-            v[k] -= c * row[k]
-    assert not any(v), "vector outside the lattice"
-    return out

@@ -16,7 +16,7 @@ action.  A local variant handles a single prime with explicit inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
 from .intlinalg import divisors, factor
@@ -117,12 +117,13 @@ class FiniteIdSet:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteIdSet":
-        return FiniteIdSet.make(
-            int(data["size"]),
-            int(data["m"]),
-            {int(u): list(map(int, p)) for u, p in data["galois"].items()},
-            {int(p): list(map(int, f)) for p, f in data["special"].items()},
-        )
+        try:
+            size, m = int(data["size"]), int(data["m"])
+            galois = {int(u): list(map(int, p)) for u, p in data["galois"].items()}
+            special = {int(p): list(map(int, f)) for p, f in data["special"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed set data ({type(exc).__name__}: {exc})") from None
+        return FiniteIdSet.make(size, m, galois, special)
 
 
 def mu_n_data(n: int) -> FiniteIdSet:
@@ -164,16 +165,20 @@ def compute_r(s: FiniteIdSet) -> int:
     outside the special primes (their maps are bijective by construction)."""
     r = 1
     for p, f in s.special:
-        img = frozenset(range(s.size))
-        i = 0
-        while True:
-            nxt = frozenset(f[x] for x in img)
-            if nxt == img:
-                break
-            img = nxt
-            i += 1
-        r *= p**i
+        r *= p ** _stable_core(f, s.size)[1]
     return r
+
+
+def _stable_core(f: tuple[int, ...], size: int) -> tuple[frozenset[int], int]:
+    """The stable image of the self-map f of range(size), and the number of
+    applications of f it takes to reach it."""
+    img = frozenset(range(size))
+    steps = 0
+    while True:
+        nxt = frozenset(f[x] for x in img)
+        if nxt == img:
+            return img, steps
+        img, steps = nxt, steps + 1
 
 
 def conductor(s: FiniteIdSet, subset: frozenset[int] | None = None) -> Cycle:
@@ -216,13 +221,7 @@ def has_integral_model(s: FiniteIdSet) -> bool:
     stable core of psi_p, and psi_p acts there as the Frobenius coset."""
     gal = s.galois_map
     for p, f in s.special:
-        # stable core of psi_p
-        img = frozenset(range(s.size))
-        while True:
-            nxt = frozenset(f[x] for x in img)
-            if nxt == img:
-                break
-            img = nxt
+        img, _ = _stable_core(f, s.size)
         # inertia at p inside (Z/m)*: units congruent to 1 away from p
         mp = s.m
         while mp % p == 0:
@@ -249,17 +248,17 @@ def model_cycle_bound(s: FiniteIdSet) -> Cycle:
     return out
 
 
-def decide_model(s: FiniteIdSet, f: Cycle, cross_check: bool = True) -> bool:
+def decide_model(s: FiniteIdSet, f: Cycle) -> bool:
     """Does the action extend to the ray class monoid of conductor f?
 
     True iff an integral model exists at all (local conditions) and the
-    lcm criterion divides f.  When the verdict is positive and cross_check
-    is set, the direct factorization test must agree (asserted).
+    lcm criterion divides f.  A positive verdict is cross-checked against
+    the direct factorization test (they must agree).
     """
     if f.field is not None:
         raise InputError("model decisions run over the rationals")
     verdict = has_integral_model(s) and model_cycle_bound(s).divides(f)
-    if verdict and cross_check:
+    if verdict:
         if not factors_through_dr(s, f):
             raise AssertionError("lcm criterion and direct factorization disagree")
     return verdict
@@ -279,7 +278,7 @@ def factors_through_dr(s: FiniteIdSet, f: Cycle) -> bool:
     n = f.finite
     dr = dr_monoid(f, ALL_PRIMES)
     m = s.m
-    L_mod = _lcm(m, n)
+    L_mod = lcm(m, n)
     gens: set[tuple[tuple[int, ...], int]] = set()
     for w in range(1, L_mod + 1):
         if gcd(w, L_mod) == 1:
@@ -305,26 +304,21 @@ def factors_through_dr(s: FiniteIdSet, f: Cycle) -> bool:
     return all(len(v) == 1 for v in by_class.values())
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def minimal_cycle(s: FiniteIdSet, search_check: bool = True) -> Cycle:
+def minimal_cycle(s: FiniteIdSet) -> Cycle:
     """The least cycle at which a model exists.
 
-    Computed by the lcm formula and, when search_check is set, re-derived
-    by exhaustive search over the divisor cycles (the two must agree, and
-    the decide set must be exactly the multiples of the answer).
+    Computed by the lcm formula and re-derived by exhaustive search over
+    the divisor cycles (the two must agree, and the decide set must be
+    exactly the multiples of the answer).
     """
     if not has_integral_model(s):
         raise ModelRefusedError("no integral model exists at any cycle")
     f0 = model_cycle_bound(s)
     assert decide_model(s, f0)
-    if search_check:
-        for g in divisor_cycles(f0):
-            ok = decide_model(s, g)
-            if ok != f0.divides(g):
-                raise AssertionError("lcm formula disagrees with divisor-cycle search")
+    for g in divisor_cycles(f0):
+        ok = decide_model(s, g)
+        if ok != f0.divides(g):
+            raise AssertionError("lcm formula disagrees with divisor-cycle search")
     return f0
 
 
@@ -382,8 +376,7 @@ class LocalIdSet:
 
     @property
     def identity(self) -> int:
-        g = len(self.group)
-        return next(i for i in range(g) if all(self.group[i][j] == j for j in range(g)))
+        return _find_identity(self.group)
 
 
 def _is_subgroup(table, subset) -> bool:
@@ -392,7 +385,8 @@ def _is_subgroup(table, subset) -> bool:
 
 def _is_normal(table, subset) -> bool:
     g = len(table)
-    inv = [next(j for j in range(g) if table[i][j] == _find_identity(table)) for i in range(g)]
+    e = _find_identity(table)
+    inv = [next(j for j in range(g) if table[i][j] == e) for i in range(g)]
     return all(table[table[x][i]][inv[x]] in subset for x in range(g) for i in subset)
 
 
@@ -411,12 +405,7 @@ def _is_coset(table, subgroup, coset) -> bool:
 def local_unramified_core(s: LocalIdSet) -> tuple[frozenset[int], list[frozenset[int]]]:
     """The stable core of psi and the level decomposition: level 0 is the
     core, level i the points whose image first reaches level i-1."""
-    img = frozenset(range(s.size))
-    while True:
-        nxt = frozenset(s.psi[x] for x in img)
-        if nxt == img:
-            break
-        img = nxt
+    img, _ = _stable_core(s.psi, s.size)
     levels = [img]
     placed = set(img)
     while len(placed) < s.size:

@@ -131,7 +131,9 @@ class QuadInt:
         return f"{self.a}{'+' if self.b > 0 else ''}{bw}"
 
 
-def _units(field: QuadField) -> list[QuadInt]:
+def unit_group(field: QuadField) -> list[QuadInt]:
+    """All roots of unity in the field: order 4 for d=-1, 6 for d=-3,
+    2 otherwise."""
     if field.d == -1:
         i = field.omega()
         return [field.one(), i, -field.one(), -i]
@@ -139,12 +141,6 @@ def _units(field: QuadField) -> list[QuadInt]:
         w = field.omega()  # primitive sixth root of unity
         return [field.one(), w, w * w, -field.one(), -w, -(w * w)]
     return [field.one(), -field.one()]
-
-
-def unit_group(field: QuadField) -> list[QuadInt]:
-    """All roots of unity in the field: order 4 for d=-1, 6 for d=-3,
-    2 otherwise."""
-    return _units(field)
 
 
 @dataclass(frozen=True, eq=True)
@@ -172,9 +168,6 @@ class QuadIdeal:
     def basis(self) -> tuple[QuadInt, QuadInt]:
         f = self.field
         return QuadInt(f, self.a * self.c, 0), QuadInt(f, self.b * self.c, self.c)
-
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0 and self.c == 1
 
     def contains(self, x: QuadInt) -> bool:
         if x.b % self.c != 0:
@@ -331,8 +324,6 @@ def primes_above(p: int, field: QuadField) -> list[tuple[QuadIdeal, int, int]]:
     roots = [b for b in range(p) if (b * b + t * b + n) % p == 0]
     if not roots:
         return [(ideal_from_int(field, p), 1, 2)]
-    if len(roots) == 1 or roots[0] == roots[-1] or (len(roots) == 2 and roots[0] == roots[1]):
-        pass
     ideals = []
     for b in sorted(set(roots)):
         ideals.append(ideal_from_module(field, [QuadInt(field, p, 0), QuadInt(field, b, 1), QuadInt(field, 0, p), QuadInt(field, b, 1) * field.omega()]))
@@ -448,12 +439,6 @@ class ClassGroup:
     def order(self) -> int:
         return len(self.reps)
 
-    def class_of(self, ideal: QuadIdeal) -> int:
-        for k, rep in enumerate(self.reps):
-            if is_principal(ideal_mul(ideal, rep.conj())) is not None:
-                return k
-        raise InputError("ideal matched no class (corrupt class group)")
-
 
 @lru_cache(maxsize=None)
 def class_group(field: QuadField) -> ClassGroup:
@@ -462,7 +447,6 @@ def class_group(field: QuadField) -> ClassGroup:
     multiplication plus principality reduction."""
     forms = reduced_forms(field.disc)
     reps = [form_to_ideal(field, f) for f in forms]
-    one = ideal_from_int(field, 1)
     idx0 = next(k for k, r in enumerate(reps) if is_principal(r) is not None)
     # put the principal class first for a deterministic identity slot
     reps[0], reps[idx0] = reps[idx0], reps[0]
@@ -477,21 +461,23 @@ def class_group(field: QuadField) -> ClassGroup:
             row.append(k)
         table.append(tuple(row))
     cg = ClassGroup(field, tuple(reps), tuple(table))
-    _check_abelian_group(cg.table)
-    assert one == one
+    check_group_table(cg.table)
     return cg
 
 
-def _check_abelian_group(table: tuple[tuple[int, ...], ...]):
+def check_group_table(table):
+    """An abelian group table with its identity in slot 0: every row is a
+    permutation of the indices, the table is symmetric, and row 0 is the
+    identity row."""
     n = len(table)
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            raise InputError("identity fails in group table")
-        if sorted(table[i]) != list(range(n)):
-            raise InputError("row is not a permutation; inverses fail")
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                raise InputError("group table is not abelian")
+    everything = set(range(n))
+    for row in table:
+        if len(row) != n or set(row) != everything:
+            raise InputError("group table row is not a permutation")
+    if list(zip(*table)) != [tuple(row) for row in table]:
+        raise InputError("group table is not abelian")
+    if n and tuple(table[0]) != tuple(range(n)):
+        raise InputError("group table has no identity in slot 0")
 
 
 # ---------------------------------------------------------------------------

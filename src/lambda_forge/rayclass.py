@@ -18,16 +18,17 @@ Ray class groups are built by enumeration and quotient; the closed formulas
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm, prod
 
 from . import quadfield as qf
 from .config import monoid_bound, residue_bound
 from .errors import BoundExceededError, DensityRequiredError, InputError
-from .intlinalg import divisors, factor, is_prime
-from .quadfield import QuadField, QuadIdeal, QuadInt
+from .intlinalg import divisors, factor, is_prime, xgcd
+from .quadfield import QuadField, QuadIdeal, QuadInt, check_group_table
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +57,6 @@ class Cycle:
                 raise InputError("quadratic cycle needs an ideal of its own field")
             if self.infinity:
                 raise InputError("imaginary quadratic cycles have no real places")
-
-    def is_rational(self) -> bool:
-        return self.field is None
 
     def norm(self) -> int:
         return self.finite if self.field is None else self.finite.norm()
@@ -105,7 +103,7 @@ def cycle_gcd(x: Cycle, y: Cycle) -> Cycle:
 def cycle_lcm(x: Cycle, y: Cycle) -> Cycle:
     if x.field is not None or y.field is not None:
         raise InputError("cycle lcm implemented over Q only")
-    return Cycle(None, x.finite * y.finite // gcd(x.finite, y.finite), x.infinity or y.infinity)
+    return Cycle(None, lcm(x.finite, y.finite), x.infinity or y.infinity)
 
 
 def divisor_cycles(f: Cycle) -> list[Cycle]:
@@ -317,10 +315,10 @@ class RayClassGroup:
         if cycle.field is None:
             self._init_rational()
             if self.order <= 128:  # larger tables materialize lazily
-                _check_group_table(self.table)
+                check_group_table(self.table)
         else:
             self._init_quadratic()
-            _check_group_table(self.table)
+            check_group_table(self.table)
 
     # -- rational construction
 
@@ -350,24 +348,11 @@ class RayClassGroup:
         # classes that P does not reach
         self._class_of = class_of
         self._heads = [orbits[o][0] for o in achievable]
-        self.reps = [self._smallest_supported_rep(orbits[o], n) for o in achievable]
+        # the orbit's residues are searched together: under an explicit
+        # support some residues of a reachable orbit have no supported
+        # integer at all (-1 mod 7 is no power of 2)
+        self.reps = [_smallest_supported(orbits[o], n, self.support) for o in achievable]
         self.is_full = len(achievable) == len(orbits)
-
-    def _smallest_supported_rep(self, orbit: tuple[int, ...], n: int) -> int:
-        """The smallest supported positive integer with residue in the orbit.
-
-        The residues are searched together, in increasing order: under an
-        explicit support some residues of a reachable orbit have no
-        supported integer at all (-1 mod 7 is no power of 2).
-        """
-        if n == 1:
-            return 1
-        candidates = sorted(orbit)  # units mod n > 1, so in 1..n-1
-        while True:
-            for m in candidates:
-                if self.support.supports_int(m):
-                    return m
-            candidates = [m + n for m in candidates]
 
     # -- quadratic construction
 
@@ -482,7 +467,7 @@ class RayClassGroup:
             n = self.cycle.finite
             heads, class_of = self._heads, self._class_of
             self._table = tuple(tuple(class_of[h1 * h2 % n] for h2 in heads) for h1 in heads)
-            _check_group_table(self._table)
+            check_group_table(self._table)
         return self._table
 
     def mul(self, i: int, j: int) -> int:
@@ -532,14 +517,42 @@ def _subgroup_closure(gens: list[int], mul, identity: int) -> list[int]:
     return sorted(out)
 
 
-def _check_group_table(table):
-    n = len(table)
-    everything = set(range(n))
-    for row in table:
-        if len(row) != n or set(row) != everything:
-            raise InputError("ray class table row is not a permutation")
-    if list(zip(*table)) != [tuple(row) for row in table]:
-        raise InputError("ray class table is not abelian")
+def _smallest_supported(residues, n: int, support: PrimeSupport, skip: int | None = None) -> int:
+    """The smallest P-supported positive integer other than ``skip`` whose
+    residue mod n lies in ``residues`` (sorted, each in range(n)).
+
+    Dense supports step through the residues' positive representatives
+    together.  Under an explicit support the supported integers are the
+    products of the listed primes, walked in increasing order; a search
+    that no such product can end refuses with DensityRequiredError.
+    """
+    if support.mode != "explicit":
+        base = 0
+        while True:
+            for r in residues:
+                m = base + r
+                if m and m != skip and support.supports_int(m):
+                    return m
+            base += n
+    targets = set(residues)
+    primes = support._listed_primes
+    reachable = _subgroup_closure([p % n for p in primes], lambda x, y: x * y % n, 1 % n)
+    if targets.isdisjoint(reachable):
+        raise DensityRequiredError(f"no supported integer reaches these residues mod {n}: the support is not dense")
+    # with skip a supported integer in the class, a second one exists iff
+    # some listed q is coprime to c = n / gcd(skip, n): skip * q^ord_c(q)
+    # is one; otherwise every listed p has the same valuation in each
+    if skip is not None and all(n // gcd(skip, n) % p == 0 for p in primes):
+        raise DensityRequiredError(f"{skip} is the only supported integer in its class mod {n}: the support is not dense")
+    heap = [1]
+    while True:
+        m = heapq.heappop(heap)
+        if m % n in targets and m != skip:
+            return m
+        for p in primes:  # each product once: m * p for p up to m's least prime
+            heapq.heappush(heap, m * p)
+            if m % p == 0:
+                break
 
 
 _RCG_CACHE: dict[tuple, RayClassGroup] = {}
@@ -704,10 +717,7 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     if not support.chebotarev_dense:
         raise DensityRequiredError("residue description requires a Chebotarev dense support")
     n = cycle.finite
-    n_p = 1
-    for p, e in factor(n).factors:
-        if support.allows_prime(p):
-            n_p *= p**e
+    n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
     n_cop = n // n_p
     dr = dr_monoid(cycle, support)
     mapping = []
@@ -757,158 +767,98 @@ def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     return _pushout_check_quadratic(cycle, dr)
 
 
-def _pushout_check_rational(cycle: Cycle, support: PrimeSupport, dr: DRMonoid) -> bool:
-    n = cycle.finite
-    n_p = 1
-    for p, e in factor(n).factors:
-        if support.allows_prime(p):
-            n_p *= p**e
-    n_cop = n // n_p
-    cl = ray_class_group(cycle, support)
-    units = [a for a in range(n_p) if gcd(a, n_p) == 1] or [0]
-    # G -> Cl(f): g maps to the class of a positive P-supported integer
-    # congruent to g at the P-part and to 1 away from it
-    def lift(a: int) -> int:
-        m = _crt_lift(a, n_p, 1, n_cop)
-        while not support.supports_int(m) :
-            m += n_p * n_cop if n_p * n_cop > 1 else 1
-        return m
+def _pushout_matches(dr: DRMonoid, cl: RayClassGroup, n_res: int, unit_classes, act, res_mul, lifts) -> bool:
+    """Is the canonical map from the pushout onto DR a monoid isomorphism?
 
-    g_to_cl = {g: cl.class_of_int(lift(g)) for g in units}
-    # orbits of g.(a, b) = (g a, g^{-1} b)
-    cl_inv = {}
-    for g, c in g_to_cl.items():
-        cl_inv[g] = next(x for x in range(cl.order) if cl.mul(c, x) == cl.identity)
-    pairs = [(a, b) for a in range(n_p) for b in range(cl.order)]
+    The pushout is the set of pairs (residue a, ray class b) modulo
+    g.(a, b) = (g a, g^(-1) b) for the units g.  ``unit_classes[k]`` is the
+    ray class of unit k, ``act(k, a)`` the residue of unit k times residue a,
+    ``res_mul`` multiplies residues and ``lifts(a)`` gives two ideals with
+    residue a.  The orbit of (a, b) maps to [lift(a)] * [rep(b)]; it must
+    not depend on the lift or the orbit member, and must be bijective and
+    multiplicative.
+    """
+    ident = cl.identity
+    cl_inv = [next(x for x in range(cl.order) if cl.mul(c, x) == ident) for c in unit_classes]
     orbit_of: dict[tuple[int, int], int] = {}
     orbits = []
-    for pair in pairs:
+    for pair in ((a, b) for a in range(n_res) for b in range(cl.order)):
         if pair in orbit_of:
             continue
-        orb = sorted({((g * pair[0]) % n_p, cl.mul(cl_inv[g], pair[1])) for g in units})
+        orb = sorted({(act(k, pair[0]), cl.mul(inv, pair[1])) for k, inv in enumerate(cl_inv)})
         for x in orb:
             orbit_of[x] = len(orbits)
         orbits.append(orb)
     if len(orbits) != dr.size:
         return False
-    # the comparison map: orbit of (a, b) -> [lift(a)] * iota(b)
-    image = {}
-    for k, orb in enumerate(orbits):
+    image = []
+    for orb in orbits:
         vals = set()
         for a, b in orb:
-            m = _supported_lift(a, n_p, n_cop, support)
-            m2 = _supported_lift(a, n_p, n_cop, support, skip=m)  # second lift
-            ib = dr.class_of_ideal(lift_to_support(cl, b, support))
-            vals.add(dr.mul(dr.class_of_ideal(m), ib))
-            vals.add(dr.mul(dr.class_of_ideal(m2), ib))
+            ib = dr.class_of_ideal(cl.reps[b])
+            for ideal in lifts(a):
+                vals.add(dr.mul(dr.class_of_ideal(ideal), ib))
         if len(vals) != 1:
             return False  # map not well defined: the proposition would fail
-        image[k] = vals.pop()
-    if sorted(image.values()) != list(range(dr.size)):
+        image.append(vals.pop())
+    if sorted(image) != list(range(dr.size)):
         return False
-    # multiplicativity
     for k1, o1 in enumerate(orbits):
         for k2, o2 in enumerate(orbits):
-            a1, b1 = o1[0]
-            a2, b2 = o2[0]
-            prod = orbit_of[((a1 * a2) % n_p, cl.mul(b1, b2))]
-            if dr.mul(image[k1], image[k2]) != image[prod]:
+            (a1, b1), (a2, b2) = o1[0], o2[0]
+            if dr.mul(image[k1], image[k2]) != image[orbit_of[(res_mul(a1, a2), cl.mul(b1, b2))]]:
                 return False
     return True
 
 
-def _crt_lift(a: int, m: int, b: int, n: int) -> int:
-    """Positive x with x = a (mod m), x = b (mod n); gcd(m, n) = 1."""
-    if n == 1:
-        x = a % m
-        return x if x else m
-    if m == 1:
-        x = b % n
-        return x if x else n
-    from .intlinalg import xgcd
+def _pushout_check_rational(cycle: Cycle, support: PrimeSupport, dr: DRMonoid) -> bool:
+    n = cycle.finite
+    n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
+    n_cop = n // n_p
+    cl = ray_class_group(cycle, support)
+    units = [a for a in range(n_p) if gcd(a, n_p) == 1]
+    # residue a at the P-part lifts to P-supported integers congruent to a
+    # there and to 1 away from it
+    u, v, _ = xgcd(n_p, n_cop)
+    lift_residue = lambda a: (a * v * n_cop + u * n_p) % n
 
-    u, v, g = xgcd(m, n)
-    assert g == 1
-    x = (a * v * n + b * u * m) % (m * n)
-    return x if x else m * n
+    def lifts(a: int) -> tuple[int, int]:
+        residue = (lift_residue(a),)
+        m = _smallest_supported(residue, n, support)
+        return m, _smallest_supported(residue, n, support, skip=m)
 
-
-def _supported_lift(a: int, n_p: int, n_cop: int, support: PrimeSupport, skip: int | None = None) -> int:
-    m = _crt_lift(a, n_p, 1, n_cop)
-    step = max(n_p * n_cop, 1)
-    while not support.supports_int(m) or m == skip:
-        m += step
-    return m
-
-
-def lift_to_support(cl: RayClassGroup, class_index: int, support: PrimeSupport) -> int:
-    """A P-supported integer ideal in the given ray class (the canonical
-    representatives are chosen P-supported at construction)."""
-    return cl.reps[class_index]
+    unit_classes = [cl.class_of_int(_smallest_supported((lift_residue(g),), n, support)) for g in units]
+    return _pushout_matches(
+        dr, cl, n_p, unit_classes, lambda k, a: units[k] * a % n_p, lambda a1, a2: a1 * a2 % n_p, lifts
+    )
 
 
 def _pushout_check_quadratic(cycle: Cycle, dr: DRMonoid) -> bool:
     field = cycle.field
     fid = cycle.finite
-    ru_all = fid.residues()
-    ru_units = qf.residue_units(fid)
+    residues = fid.residues()  # already reduced
+    index = {r: i for i, r in enumerate(residues)}
+    units = qf.residue_units(fid).elements
     cl = ray_class_group(cycle)
-    unit_elems = [ru_units.elements[k] for k in range(ru_units.order)]
-    # G -> Cl(f); lifts must be nonzero elements (f = (1) reduces 1 to 0)
-    def unit_lift(u: QuadInt) -> QuadInt:
-        return u if not u.is_zero() else u + QuadInt(field, fid.a * fid.c, 0)
+    # lifts must be nonzero elements (f = (1) reduces 1 to 0): shifting by
+    # the rational generator of f gives a nonzero element of the residue
+    shift = QuadInt(field, fid.a * fid.c, 0)
 
-    g_to_cl = {}
-    for k, u in enumerate(ru_units.elements):
-        g_to_cl[k] = cl.class_of_ideal(qf.principal_ideal(unit_lift(u)))
-    cl_inv = {k: next(x for x in range(cl.order) if cl.mul(c, x) == cl.identity) for k, c in g_to_cl.items()}
-    res_index = {fid.reduce(r): i for i, r in enumerate(ru_all)}
-    pairs = [(i, b) for i in range(len(ru_all)) for b in range(cl.order)]
-    orbit_of = {}
-    orbits = []
-    for pair in pairs:
-        if pair in orbit_of:
-            continue
-        orb = set()
-        for k, u in enumerate(ru_units.elements):
-            ra = res_index[fid.reduce(ru_all[pair[0]] * u)]
-            orb.add((ra, cl.mul(cl_inv[k], pair[1])))
-        orb = sorted(orb)
-        for x in orb:
-            orbit_of[x] = len(orbits)
-        orbits.append(orb)
-    if len(orbits) != dr.size:
-        return False
-    def lift_residue(i: int) -> QuadIdeal:
-        # the map is on element residues: the lift must be a PRINCIPAL ideal
-        r = ru_all[i]
-        if r.is_zero():
-            r = QuadInt(field, fid.a * fid.c, 0)  # the rational generator of f
-        return qf.principal_ideal(r)
-    def lift_residue2(i: int) -> QuadIdeal:
-        # an independent second lift, to check the map ignores the choice
-        r = ru_all[i] + QuadInt(field, fid.a * fid.c, 0)
-        return qf.principal_ideal(r)
+    def lifts(i: int) -> tuple[QuadIdeal, QuadIdeal]:
+        # the map is on element residues: the lifts must be PRINCIPAL ideals
+        r = residues[i]
+        return qf.principal_ideal(r + shift if r.is_zero() else r), qf.principal_ideal(r + shift)
 
-    image = {}
-    for k, orb in enumerate(orbits):
-        vals = set()
-        for i, b in orb:
-            ib = dr.class_of_ideal(cl.reps[b])
-            vals.add(dr.mul(dr.class_of_ideal(lift_residue(i)), ib))
-            vals.add(dr.mul(dr.class_of_ideal(lift_residue2(i)), ib))
-        if len(vals) != 1:
-            return False
-        image[k] = vals.pop()
-    if sorted(image.values()) != list(range(dr.size)):
-        return False
-    for k1, o1 in enumerate(orbits):
-        for k2, o2 in enumerate(orbits):
-            (i1, b1), (i2, b2) = o1[0], o2[0]
-            prod = orbit_of[(res_index[fid.reduce(ru_all[i1] * ru_all[i2])], cl.mul(b1, b2))]
-            if dr.mul(image[k1], image[k2]) != image[prod]:
-                return False
-    return True
+    unit_classes = [cl.class_of_ideal(qf.principal_ideal(u + shift if u.is_zero() else u)) for u in units]
+    return _pushout_matches(
+        dr,
+        cl,
+        len(residues),
+        unit_classes,
+        lambda k, i: index[fid.reduce(residues[i] * units[k])],
+        lambda i, j: index[fid.reduce(residues[i] * residues[j])],
+        lifts,
+    )
 
 
 def dr_canonical_map(f_big: Cycle, f_small: Cycle, support: PrimeSupport = ALL_PRIMES) -> list[int]:

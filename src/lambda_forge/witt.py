@@ -118,9 +118,6 @@ class CoeffRing:
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(x - y for x, y in zip(a, b))
 
-    def neg(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
-
     def scale(self, k, a: tuple) -> tuple:
         return tuple(k * x for x in a)
 
@@ -169,15 +166,9 @@ class CoeffRing:
         if self.kind == "integers" or self.frob == "identity":
             return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         self._check_power_descends(p)
-        rows = []
-        img = self._power_image(p)
-        cur = self.one()
-        for i in range(r):
-            rows.append(list(cur))
-            cur = self.mul(cur, img)
-        # rows hold images of x^0..x^(r-1), built multiplicatively, which
-        # is coherent because the descent check certifies a ring map
-        return rows
+        # rows built multiplicatively, which is coherent because the
+        # descent check certifies a ring map
+        return _power_matrix(self, p)
 
     def _check_power_descends(self, p: int):
         checked = _POWER_DESCENT_CHECKED.setdefault(self, set())
@@ -435,18 +426,22 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
             m //= p
         return v
 
-    # equality constraints from unbounded congruence families
-    eq_rows: list[list[int]] = []
-
-    def add_equality(c_to: int, c_from: int, frob: list[list[int]]):
-        # y[c_to][j] - sum_i frob[i][j] * y[c_from][i] = 0 per coordinate j
+    def relation_rows(c_to: int, c_from: int, frob: list[list[int]]) -> list[list[int]]:
+        # y[c_to][j] - sum_i frob[i][j] * y[c_from][i], one row per coordinate j
+        rows = []
         for j in range(r):
             row = [0] * nvars
             row[c_to * r + j] += 1
             for i in range(r):
                 row[c_from * r + i] -= frob[i][j]
-            if any(row):
-                eq_rows.append(row)
+            rows.append(row)
+        return rows
+
+    # equality constraints from unbounded congruence families
+    eq_rows: list[list[int]] = []
+
+    def add_equality(c_to: int, c_from: int, frob: list[list[int]]):
+        eq_rows.extend(row for row in relation_rows(c_to, c_from, frob) if any(row))
 
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     for u in units:
@@ -471,12 +466,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
     cong_rows: list[list[int]] = []
     moduli: list[int] = []
     for c_to, c_from, p, e in cong:
-        frob = ring.frob_matrix(p)
-        for j in range(r):
-            row = [0] * nvars
-            row[c_to * r + j] += 1
-            for i in range(r):
-                row[c_from * r + i] -= frob[i][j]
+        for row in relation_rows(c_to, c_from, ring.frob_matrix(p)):
             cong_rows.append(row)
             moduli.append(p**e)
 

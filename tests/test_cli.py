@@ -169,3 +169,26 @@ def test_jobs_sharding():
 def test_frob_flag_validation():
     code, _ = run_cli(["witt", "check", "--ring", "x^4-1", "--frob", "id", "--ghost", "0;0;0;0", "--trunc", "div:4"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, input_text",
+    [
+        (["f-equiv", "--cycle", "4", "--a", "x", "--b", "1"], None),
+        (["f-equiv", "--field", "d:abc", "--cycle", "[2, 1+w, 1]", "--a", "[2, 1+w, 1]", "--b", "[2, 1+w, 1]"], None),
+        (["witt", "convert", "--ghost", "1,a,3,4", "--trunc", "div:6"], None),
+        (["model-check", "--input"], '{"size": 2, "m": '),
+        (["model-check", "--input"], '{"size": 2}'),
+        (["chebyshev", "--n", "5", "--mod", "0"], None),
+        (["periodic-locus", "--family", "chebyshev"], None),
+    ],
+)
+def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):
+    if input_text is not None:
+        path = tmp_path / "s.json"
+        path.write_text(input_text)
+        argv = argv + [str(path)]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from lambda_forge.intlinalg import (
     divisors,
     factor,
     hnf,
+    hnf_coords,
     hnf_rows,
     in_row_span,
     is_prime,
@@ -117,6 +118,34 @@ def test_left_kernel():
     assert k == [[2, -1, 0]]
     for row in k:
         assert [sum(row[i] * m for i, m in enumerate(col)) for col in zip(*[[1, 1], [2, 2], [0, 3]])] == [0, 0]
+
+
+MATRICES = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_left_kernel_and_coords_random(rows, mults):
+    m, n = len(rows), len(rows[0])
+    kernel = left_kernel([r[:] for r in rows], n)
+    for x in kernel:
+        assert all(sum(x[i] * rows[i][j] for i in range(m)) == 0 for j in range(n))
+    basis = hnf_rows([r[:] for r in rows], n)
+    assert len(kernel) == m - len(basis)
+    assert set(smith_invariants(kernel, m)) <= {0, 1}  # saturated
+    # coordinates rebuild every vector of the span
+    for vec in rows + [[sum(c * r[j] for c, r in zip(mults, rows)) for j in range(n)]]:
+        coords = hnf_coords(vec, basis, n)
+        assert [sum(c * b[j] for c, b in zip(coords, basis)) for j in range(n)] == vec
+    # and refuse a unit vector at a column without a pivot of 1, if any
+    pivots = {next(k for k in range(n) if b[k]): b for b in basis}
+    outside = [j for j in range(n) if j not in pivots or pivots[j][j] > 1]
+    if outside:
+        assert hnf_coords([1 if k == outside[0] else 0 for k in range(n)], basis, n) is None
 
 
 def test_smith_invariants():

@@ -1,4 +1,7 @@
+import contextlib
+import heapq
 import random
+import signal
 
 import pytest
 
@@ -7,6 +10,7 @@ from lambda_forge.intlinalg import factor
 from lambda_forge.quadfield import (
     QuadField,
     QuadInt,
+    check_group_table,
     ideal_from_int,
     ideals_of_norm_up_to,
     principal_ideal,
@@ -28,7 +32,7 @@ from lambda_forge.rayclass import (
     free_dr_set,
     ray_class_group,
 )
-from lambda_forge.rayclass import _check_group_table
+from lambda_forge.rayclass import _smallest_supported
 
 GAUSS = QuadField(-1)
 EISEN = QuadField(-3)
@@ -83,16 +87,16 @@ def test_supports_int_matches_factorization(text):
 
 
 def test_group_table_check_rejects_broken_tables():
-    _check_group_table(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-    _check_group_table(())
+    check_group_table(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    check_group_table(())
     with pytest.raises(InputError, match="permutation"):
-        _check_group_table(((0, 1, 2), (1, 1, 0), (2, 0, 1)))
+        check_group_table(((0, 1, 2), (1, 1, 0), (2, 0, 1)))
     with pytest.raises(InputError, match="permutation"):
-        _check_group_table(((0, 1, 2), (1, 2), (2, 0, 1)))
+        check_group_table(((0, 1, 2), (1, 2), (2, 0, 1)))
     with pytest.raises(InputError, match="permutation"):
-        _check_group_table(((0, 1, 2), (1, 2, 0, 1), (2, 0, 1)))
+        check_group_table(((0, 1, 2), (1, 2, 0, 1), (2, 0, 1)))
     with pytest.raises(InputError, match="abelian"):
-        _check_group_table(((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+        check_group_table(((0, 1, 2), (2, 0, 1), (1, 2, 0)))
 
 
 @pytest.mark.parametrize("support", ["all", "all-except:3"])
@@ -189,6 +193,78 @@ def test_explicit_support_reps_exist():
     cl = ray_class_group(Cycle.parse("5*inf"), PrimeSupport.parse("explicit:4"))
     assert cl.order == 1 and cl.reps == [1]
     assert dr_monoid(Cycle.parse("5*inf"), PrimeSupport.parse("explicit:4")).size == 1
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging when the body runs past the limit."""
+
+    def fail(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _products_below(primes, bound):
+    """The products of the primes below the bound, in increasing order."""
+    heap, seen, out = [1], {1}, []
+    while heap and heap[0] < bound:
+        m = heapq.heappop(heap)
+        out.append(m)
+        for p in primes:
+            if m * p not in seen:
+                seen.add(m * p)
+                heapq.heappush(heap, m * p)
+    return out
+
+
+@pytest.mark.parametrize("primes", [(2,), (3,), (5,), (2, 3), (3, 5), (5, 7), ()])
+def test_smallest_supported_explicit_oracle(primes):
+    # differential against brute force over the products below a bound:
+    # an answer is a product in the class with no smaller one (other than
+    # the skipped one), and a refusal means none exists below the bound
+    support = PrimeSupport("explicit", frozenset(primes))
+    products = _products_below(primes, 10**7)
+    with time_limit(20):
+        for n in range(1, 31):
+            for r in range(n):
+                in_class = [m for m in products if m % n == r]
+                try:
+                    first = _smallest_supported((r,), n, support)
+                except DensityRequiredError:
+                    assert not in_class, (n, r)
+                    continue
+                assert support.supports_int(first) and first % n == r
+                assert not [m for m in in_class if m < first], (n, r)
+                try:
+                    second = _smallest_supported((r,), n, support, skip=first)
+                except DensityRequiredError:
+                    assert in_class in ([], [first]), (n, r)
+                    continue
+                assert support.supports_int(second) and second % n == r and second != first
+                assert not [m for m in in_class if m < second and m != first], (n, r)
+
+
+def test_explicit_support_searches_finish():
+    # the residue search walks the powers of 5, never the multiples of 29
+    sup = PrimeSupport.parse("explicit:5")
+    with time_limit(20):
+        cl = ray_class_group(Cycle.parse("29*inf"), sup)
+    powers = [pow(5, k) for k in range(28)]
+    reached = sorted({p % 29 for p in powers})
+    assert cl.reps == [next(p for p in powers if p % 29 == r) for r in reached]
+    assert cl.order == len(reached) and not cl.is_full
+    # a dense assertion that fails: no power of 3 is 2 mod 3, and 1 is the
+    # only product of 2 and 3 that is 1 mod 12
+    for cycle, text in (("15*inf", "explicit:3!"), ("12*inf", "explicit:2,3!")):
+        with time_limit(20), pytest.raises(DensityRequiredError):
+            dr_pushout_check(Cycle.parse(cycle), PrimeSupport.parse(text))
 
 
 def test_dr_monoid_examples():
