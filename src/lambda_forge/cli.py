@@ -148,7 +148,7 @@ def _cmd_periodic_locus(args) -> str:
         return _emit(args, data, text)
     if args.family == "toric":
         cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
-        m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse(args.support), jobs=args.jobs)
+        m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse(args.support))
         rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)
         data = rep.to_json()
         return _emit(args, data, f"periodic locus is the {rep.generator}-torsion", None)
@@ -249,7 +249,6 @@ def _cmd_cotangent(args) -> str:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="lambda-forge", description=__doc__)
-    p.add_argument("--jobs", type=int, default=1, help="shard embarrassingly parallel scans")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -1,10 +1,13 @@
 """Size bounds.
 
 LAMBDA_FORGE_BOUND in the environment overrides both defaults (a single
-global scale is enough at desk scale).
+global scale is enough at desk scale).  It must be an integer >= 1;
+anything else is an InputError.
 """
 
 import os
+
+from .errors import InputError
 
 
 def _env_bound() -> int | None:
@@ -12,9 +15,12 @@ def _env_bound() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        return None
+        bound = 0  # rejected below, with the values under 1
+    if bound < 1:
+        raise InputError(f"LAMBDA_FORGE_BOUND must be an integer >= 1, got {raw!r}")
+    return bound
 
 
 def residue_bound() -> int:

@@ -299,7 +299,8 @@ def lattice_index(sub: IntMatrix, sup: IntMatrix) -> int | str:
         return "infinite"
     num = prod(row[_pivot(row, n)] for row in hs)
     den = prod(row[_pivot(row, n)] for row in hp)
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("sublattice pivot product does not divide the lattice's")
     return num // den
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InputError
+from .errors import DensityRequiredError, InputError
 from .intlinalg import IntMatrix, divisors, hnf_coords, hnf_rows, lattice_index, smith_invariants
-from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_equiv
+from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,8 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
             continue
         scaled = a.scale(b.lead() ** k)
         out = poly_divmod(scaled, b)
-        assert out is not None
+        if out is None:
+            raise AssertionError("pseudo-division by the leading power failed")
         a, b = b, out[1].primitive()
     return a.primitive()
 
@@ -195,7 +196,8 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     """f with every repeated factor taken once (monic input, monic output)."""
     g = poly_gcd(f, f.derivative())
     out = poly_divmod(f, g)
-    assert out is not None and out[1].is_zero()
+    if out is None or not out[1].is_zero():
+        raise AssertionError("gcd with the derivative does not divide the polynomial")
     return out[0].primitive()
 
 
@@ -407,60 +409,34 @@ def frobenius_lift_check(family: str, p: int) -> bool:
 # Toric periodic loci
 
 
-def _gm_scan_chunk(f: Cycle, support: PrimeSupport, bound: int, a_from: int, a_to: int) -> int:
-    n = f.finite
-    m = 0
-    for a in range(a_from, a_to):
-        if not support.supports_int(a):
-            continue
-        # structural candidates first, each confirmed by the relation
-        candidates = set()
-        for k in range(-((a + bound) // max(n, 1)) - 1, (bound // max(n, 1)) + 2):
-            for s in (1, -1):
-                b = s * a + k * n
-                if 1 <= b <= bound:
-                    candidates.add(b)
-        for b in sorted(candidates):
-            if not support.supports_int(b):
-                continue
-            if a != b and f_equiv(a, b, f, support):
-                m = gcd(m, abs(a - b))
-        if m == 1:
-            return 1
-    return m
-
-
-def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES, jobs: int = 1) -> int:
+def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES) -> int:
     """The exponent m with the toric periodic locus cut out by x^m - 1: the
-    gcd of |a - b| over f-equivalent exponent pairs within the scan bound
-    4*n, with stabilization at twice the bound asserted.
+    gcd of |a - b| over f-equivalent supported exponents a, b within the
+    scan bound 4*n, required to stabilize at twice the bound.
 
-    jobs > 1 shards the scan range across processes; chunk results merge
-    by gcd.
+    One pass labels each exponent once: over the pairs of one class the gcd
+    of |a - b| is the gcd of each member's distance to the class's first
+    member.  A scan that does not stabilize refuses under an explicit
+    support and is a broken invariant under a dense one.
     """
     if f.field is not None:
         raise InputError("the toric line lives over the rationals")
-
-    def scan(bound: int) -> int:
-        if jobs <= 1:
-            return _gm_scan_chunk(f, support, bound, 1, bound + 1)
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, (bound + jobs - 1) // jobs)
-        spans = [(lo, min(lo + step, bound + 1)) for lo in range(1, bound + 1, step)]
-        m = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_gm_scan_chunk, f, support, bound, lo, hi) for lo, hi in spans]
-            for fut in futures:
-                m = gcd(m, fut.result())
-        return m
-
-    bound = 4 * max(f.finite, 1)
-    m1 = scan(bound)
-    m2 = scan(2 * bound)
-    if m1 != m2:
-        raise AssertionError("periodic exponent scan did not stabilize")
-    return m1
+    bound = 4 * f.finite
+    first: dict[tuple, int] = {}
+    m = m_bound = 0
+    for a in range(1, 2 * bound + 1):
+        if not support.supports_int(a):
+            continue
+        m = gcd(m, a - first.setdefault(f_label(a, f, support), a))
+        if a <= bound:
+            m_bound = m
+            if m == 1:  # the gcd only shrinks, so the doubled scan ends at 1 too
+                return 1
+        elif m != m_bound:
+            if support.mode == "explicit":
+                raise DensityRequiredError(f"the periodic exponent scan for {f} does not stabilize: the support is not dense")
+            raise AssertionError("periodic exponent scan did not stabilize")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +450,8 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
         if d == n:
             continue
         out = poly_divmod(num, cyclotomic_polynomial(d))
-        assert out is not None and out[1].is_zero()
+        if out is None or not out[1].is_zero():
+            raise AssertionError("a cyclotomic factor does not divide x^n - 1")
         num = out[0]
     return num
 
@@ -505,7 +482,8 @@ def chebyshev_generator_product_oracle(n: int) -> IntPoly:
 
     def red(p: IntPoly) -> IntPoly:
         out = poly_divmod(p, phi)
-        assert out is not None
+        if out is None:
+            raise AssertionError("reduction by a monic cyclotomic polynomial failed")
         return out[1]
 
     # zeta^i + zeta^(-i) as a residue polynomial

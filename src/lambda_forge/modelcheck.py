@@ -204,7 +204,8 @@ def conductor(s: FiniteIdSet, subset: frozenset[int] | None = None) -> Cycle:
         if acts_trivially(kernel):
             n0 = n
             break
-    assert n0 is not None  # n = m has trivial kernel
+    if n0 is None:  # n = m has trivial kernel
+        raise AssertionError("the kernel at level m acts nontrivially")
     minus_coset = [u for u in gal if u % n0 == (-1) % n0]
     infinity = not acts_trivially(minus_coset)
     return Cycle(None, n0, infinity)
@@ -314,7 +315,8 @@ def minimal_cycle(s: FiniteIdSet) -> Cycle:
     if not has_integral_model(s):
         raise ModelRefusedError("no integral model exists at any cycle")
     f0 = model_cycle_bound(s)
-    assert decide_model(s, f0)
+    if not decide_model(s, f0):
+        raise AssertionError("no model at the cycle bound")
     for g in divisor_cycles(f0):
         ok = decide_model(s, g)
         if ok != f0.divides(g):
@@ -440,8 +442,8 @@ def local_retraction(s: LocalIdSet) -> tuple[int, ...]:
                 z = inv[z]
             ret[x] = z
     ret = tuple(ret)
-    for x in core:
-        assert ret[x] == x
+    if any(ret[x] != x for x in core):
+        raise AssertionError("the retraction moves a point of the core")
     return ret
 
 
@@ -522,5 +524,6 @@ def local_quotient_monoid(group: tuple[tuple[int, ...], ...], inertia: frozenset
 
     table = tuple(tuple(index[mul(e1, e2)] for e2 in elements) for e1 in elements)
     mon = LocalQuotientMonoid(n, group, tuple(cosets), tuple(elements), table)
-    assert mon.size == n * g + len(cosets)
+    if mon.size != n * g + len(cosets):
+        raise AssertionError("local quotient monoid has the wrong size")
     return mon

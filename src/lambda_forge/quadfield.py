@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .config import residue_bound
 from .errors import BoundExceededError, InputError
 from .intlinalg import factor, hnf_rows, is_prime
 
@@ -222,7 +223,8 @@ def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
         raise InputError("module has rank < 2, not an ideal")
     # basis = [(V, B'), (0, A')]: module Z*(B' + V w) + Z*A'
     (v, bq), (z, aq) = basis
-    assert z == 0
+    if z != 0:
+        raise AssertionError("echelon basis is not upper triangular")
     if aq % v != 0 or bq % v != 0:
         raise InputError("module is not closed under multiplication by w")
     c, a, b = v, aq // v, (bq // v) % (aq // v)
@@ -358,7 +360,8 @@ def ideal_factor(x: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
     for q, v in out:
         for _ in range(v):
             rebuilt = ideal_mul(rebuilt, q)
-    assert rebuilt == x, "ideal factorization failed to rebuild"
+    if rebuilt != x:
+        raise AssertionError("ideal factorization failed to rebuild")
     return out
 
 
@@ -425,7 +428,8 @@ def form_to_ideal(field: QuadField, form: tuple[int, int, int]) -> QuadIdeal:
         # sqrt(d) = w, and B is even
         b = (-B // 2) % A
     ideal = QuadIdeal(field, A, b, 1)
-    assert ideal.norm() == A
+    if ideal.norm() != A:
+        raise AssertionError("ideal from a form has the wrong norm")
     return ideal
 
 
@@ -506,8 +510,9 @@ class ResidueUnitGroup:
         return len(self.elements)
 
 
-def residue_units(modulus: QuadIdeal, bound: int = 10**6) -> ResidueUnitGroup:
+def residue_units(modulus: QuadIdeal) -> ResidueUnitGroup:
     """All residues mod f coprime to f, by exhaustive enumeration."""
+    bound = residue_bound()
     if modulus.norm() > bound:
         raise BoundExceededError(f"norm {modulus.norm()} exceeds residue bound {bound}")
     field = modulus.field

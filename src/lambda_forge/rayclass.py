@@ -213,19 +213,23 @@ def _require_all_support(f: Cycle, support: PrimeSupport):
 
 
 def f_equiv(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
-    """Definition route: equal gcd with f_fin and equal cofactor ray class.
+    """Definition route: equal gcd with f_fin and equal cofactor ray class,
+    i.e. equal ``f_label``."""
+    return f_label(a, f, support) == f_label(b, f, support)
 
-    The per-ideal label (gcd part, cofactor class) is memoized; equivalence
-    is equality of labels.
+
+def f_label(a, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> tuple:
+    """The f-equivalence label of the ideal a: its gcd with f_fin and the
+    ray class of the cofactor in the cofactor conductor's group.  Two
+    ideals are f-equivalent iff their labels are equal.  Memoized.
     """
     _require_all_support(f, support)
     if f.field is None:
         _check_rational_ideal(a)
-        _check_rational_ideal(b)
-        if not (support.supports_int(a) and support.supports_int(b)):
+        if not support.supports_int(a):
             raise InputError("ideal not supported at P")
-        return _q_label(a, f, support) == _q_label(b, f, support)
-    return _quad_label_of(a, f) == _quad_label_of(b, f)
+        return _q_label(a, f, support)
+    return _quad_label_of(a, f)
 
 
 @lru_cache(maxsize=1 << 20)

@@ -33,7 +33,7 @@ from .intlinalg import (
     left_kernel,
     )
 from .lambdapoly import IntPoly, cyclotomic_polynomial, poly_divmod
-from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_equiv
+from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -337,12 +337,12 @@ def dwork_check(g: GhostVector) -> bool:
 
 def is_f_periodic(g: GhostVector, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     """Componentwise equality across the equivalence classes met by the
-    window."""
-    idx = g.trunc.sorted()
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            if f_equiv(a, b, f, support) and g.component(a) != g.component(b):
-                return False
+    window: each component equals that of its class's first member."""
+    first: dict[tuple, int] = {}
+    for a in g.trunc.sorted():
+        b = first.setdefault(f_label(a, f, support), a)
+        if g.component(a) != g.component(b):
+            return False
     return True
 
 

@@ -136,8 +136,17 @@ def test_periodic_locus_commands():
     assert code == 0
     data = json.loads(out)
     assert data["cokernel_order"] == 2 and data["Q"][-1] == 1
-    code, out = run_cli(["periodic-locus", "--family", "toric", "--cycle", "12", "--json"])
-    assert json.loads(out)["exponent"] == 2
+    for cycle in ("12", "10"):
+        code, out = run_cli(["periodic-locus", "--family", "toric", "--cycle", cycle, "--json"])
+        assert code == 0 and json.loads(out)["exponent"] == 2
+
+
+@pytest.mark.parametrize("cycle, support", [("5", "explicit:5!"), ("16", "explicit:3")])
+def test_unstable_toric_scan_refused(cycle, support, capsys):
+    code, out = run_cli(["periodic-locus", "--family", "toric", "--cycle", cycle, "--support", support, "--json"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 def test_cotangent_command():
@@ -160,10 +169,17 @@ def test_bound_refusal_exit_2(monkeypatch):
     assert code == 0
 
 
-def test_jobs_sharding():
-    code, out = run_cli(["--jobs", "2", "periodic-locus", "--family", "toric", "--cycle", "10", "--json"])
-    assert code == 0
-    assert json.loads(out)["exponent"] == 2
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_bound_rejected(value, monkeypatch, capsys):
+    import lambda_forge.rayclass as rc
+
+    monkeypatch.setattr(rc, "_DR_CACHE", {})
+    monkeypatch.setattr(rc, "_RCG_CACHE", {})
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", value)
+    code, out = run_cli(["dr-table", "--cycle", "12*inf"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_frob_flag_validation():
@@ -181,6 +197,8 @@ def test_frob_flag_validation():
         (["model-check", "--input"], '{"size": 2}'),
         (["chebyshev", "--n", "5", "--mod", "0"], None),
         (["periodic-locus", "--family", "chebyshev"], None),
+        (["--jobs", "2", "periodic-locus", "--family", "toric", "--cycle", "10"], None),
+        (["periodic-locus", "--family", "toric", "--cycle", "10", "--jobs", "2"], None),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

@@ -1,7 +1,9 @@
 
+from math import gcd
+
 import pytest
 
-from lambda_forge.errors import InputError
+from lambda_forge.errors import DensityRequiredError, InputError
 from lambda_forge.intlinalg import divisors
 from lambda_forge.lambdapoly import (
     GroupRingElt,
@@ -26,7 +28,7 @@ from lambda_forge.lambdapoly import (
     toric_psi,
     torsion_locus_contains_periodic,
 )
-from lambda_forge.rayclass import Cycle
+from lambda_forge.rayclass import Cycle, PrimeSupport, f_equiv
 
 
 def test_intpoly_arithmetic():
@@ -160,7 +162,51 @@ def test_gm_periodic_exponent():
     for n in (1, 2, 3, 5, 8, 12):
         assert gm_periodic_exponent(Cycle(None, n, True)) == n
     assert gm_periodic_exponent(Cycle.parse("12")) == 2
+    assert gm_periodic_exponent(Cycle.parse("10")) == 2
     assert gm_periodic_exponent(Cycle.parse("9")) == 1
+
+
+def _pairwise_exponent(f: Cycle, support: PrimeSupport) -> int:
+    """Reference scan: the gcd of b - a over f-equivalent supported pairs
+    a < b, by f_equiv, within [1, 4n] and within [1, 8n]; the two must
+    agree.  Each b meets the a < b in increasing order up to the first
+    equivalent one: for a later a' ~ b, b - a' = (b - a) - (a' - a), and
+    a' ~ a was counted when b was a'."""
+    bound = 4 * f.finite
+    supported = [a for a in range(1, 2 * bound + 1) if support.supports_int(a)]
+    m = m_bound = 0
+    for j, b in enumerate(supported):
+        for a in supported[:j]:
+            if f_equiv(a, b, f, support):
+                m = gcd(m, b - a)
+                break
+        if b <= bound:
+            m_bound = m
+    if m != m_bound:
+        if support.mode == "explicit":
+            raise DensityRequiredError("scan did not stabilize")
+        raise AssertionError("scan did not stabilize")
+    return m
+
+
+def _outcome(scan, f: Cycle, support: PrimeSupport):
+    try:
+        return scan(f, support)
+    except (DensityRequiredError, AssertionError) as exc:
+        return type(exc).__name__
+
+
+def test_gm_periodic_exponent_matches_pairwise_scan():
+    outcomes = set()
+    for text in ("all", "all-except:2", "explicit:2,3!", "explicit:5!"):
+        support = PrimeSupport.parse(text)
+        for n in range(1, 61):
+            for inf in (False, True):
+                f = Cycle(None, n, inf)
+                got = _outcome(gm_periodic_exponent, f, support)
+                assert got == _outcome(_pairwise_exponent, f, support), (text, n, inf)
+                outcomes.add(type(got))
+    assert outcomes == {int, str}  # both answers and refusals were compared
 
 
 def test_ray_class_algebra_maps():

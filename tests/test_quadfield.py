@@ -151,9 +151,10 @@ def test_residue_units_examples():
     assert residue_units(ideal_from_int(GAUSS, 2)).order == 2
 
 
-def test_residue_units_bound():
+def test_residue_units_bound(monkeypatch):
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "10")
     with pytest.raises(BoundExceededError):
-        residue_units(ideal_from_int(GAUSS, 7), bound=10)
+        residue_units(ideal_from_int(GAUSS, 7))
 
 
 def test_ideal_serialization():

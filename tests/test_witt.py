@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lambda_forge.errors import InputError, ModelRefusedError
 from lambda_forge.lambdapoly import IntPoly
-from lambda_forge.rayclass import Cycle, dr_monoid
+from lambda_forge.rayclass import Cycle, dr_monoid, f_equiv
 from lambda_forge.witt import (
     INTEGERS,
     CoeffRing,
@@ -171,17 +171,40 @@ def test_teichmuller_multiplicative():
         assert t1.component(a)[0] * t2.component(a)[0] == t12.component(a)[0]
 
 
+def _pairwise_periodic(g: GhostVector, f: Cycle) -> bool:
+    """Reference: equal components on every f-equivalent pair."""
+    idx = g.trunc.sorted()
+    return all(g.component(a) == g.component(b) for i, a in enumerate(idx) for b in idx[i + 1 :] if f_equiv(a, b, f))
+
+
 def test_is_f_periodic_examples():
     T = TruncationSet.upto(8)
     const = GhostVector.make(INTEGERS, T, {a: (7,) for a in T.sorted()})
-    for f in ("1", "2*inf", "5", "3*inf"):
-        assert is_f_periodic(const, Cycle.parse(f))
     ring = binomial_quotient_ring(4)
     gx = GhostVector.make(ring, T, {a: ring.pow(ring.gen(), a) for a in T.sorted()})
-    assert is_f_periodic(gx, Cycle.parse("4*inf"))
     alt = GhostVector.make(INTEGERS, TruncationSet.upto(4), {1: (1,), 2: (2,), 3: (1,), 4: (2,)})
-    assert not is_f_periodic(alt, Cycle.parse("3*inf"))
-    assert is_f_periodic(alt, Cycle.parse("2*inf"))
+    cases = [(const, f, True) for f in ("1", "2*inf", "5", "3*inf")]
+    cases += [(gx, "4*inf", True), (alt, "3*inf", False), (alt, "2*inf", True)]
+    for g, f, expected in cases:
+        assert is_f_periodic(g, Cycle.parse(f)) == _pairwise_periodic(g, Cycle.parse(f)) == expected
+
+
+def test_is_f_periodic_matches_pairwise_random():
+    rng = random.Random(77)
+    verdicts = set()
+    for _ in range(300):
+        T = rng.choice((TruncationSet.upto, TruncationSet.divisors_of))(rng.randrange(1, 41))
+        f = Cycle(None, rng.randrange(1, 13), rng.random() < 0.5)
+        dr = dr_monoid(f)
+        # constant on classes, then perhaps one component moved
+        values = [rng.randrange(-2, 3) for _ in range(dr.size)]
+        comp = {a: (values[dr.class_of_ideal(a)],) for a in T.sorted()}
+        if rng.random() < 0.5:
+            comp[rng.choice(T.sorted())] = (rng.randrange(-2, 3),)
+        g = GhostVector.make(INTEGERS, T, comp)
+        verdicts.add(is_f_periodic(g, f))
+        assert is_f_periodic(g, f) == _pairwise_periodic(g, f)
+    assert verdicts == {True, False}
 
 
 def test_frobenius_congruence():
