@@ -57,6 +57,17 @@ class Cycle:
                 raise InputError("quadratic cycle needs an ideal of its own field")
             if self.infinity:
                 raise InputError("imaginary quadratic cycles have no real places")
+        # every label lookup hashes its cycle and support, so each keeps its
+        # field-tuple hash
+        object.__setattr__(self, "_hash", hash((self.field, self.finite, self.infinity)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: hashes of None and of strings
+        # differ between processes
+        return type(self), (self.field, self.finite, self.infinity)
 
     def norm(self) -> int:
         return self.finite if self.field is None else self.finite.norm()
@@ -134,6 +145,13 @@ class PrimeSupport:
             raise InputError(f"unknown support mode {self.mode!r}")
         if self.mode == "all" and self.primes:
             raise InputError("mode \"all\" takes no prime list")
+        object.__setattr__(self, "_hash", hash((self.mode, self.primes, self.density_override)))
+
+    def __hash__(self):  # kept at construction, as on Cycle
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.mode, self.primes, self.density_override)
 
     @property
     def chebotarev_dense(self) -> bool:

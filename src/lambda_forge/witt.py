@@ -5,8 +5,9 @@ lattices compared against the cyclic group ring.
 
 The coefficient rings are the integers and monic binomial quotients
 Z[x]/(x^k - 1) (or any monic quotient carrying validated lifts).  Elements
-are coefficient tuples; everything is exact, with rationals appearing only
-in the inverse ghost transform.
+are coefficient tuples; everything is exact.  The inverse ghost transform
+runs in integers over one common denominator per coordinate, so rationals
+appear only in its output.
 
 The membership test realizes the maximal-subring definition through the
 classical congruences g_{pn} = frob_p(g_n) mod p^(v_p(n)+1); for the
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
 from .intlinalg import (
@@ -38,6 +40,14 @@ from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
 
 def _primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
+
+
+def _valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        v += 1
+        m //= p
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +104,7 @@ class CoeffRing:
             # which fails for any modulus of degree > 1
             raise InputError("identity lifts are only valid over the integers")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return 1 if self.kind == "integers" else self.modulus.degree
 
@@ -132,8 +142,8 @@ class CoeffRing:
         return self._reduce(out)
 
     def _reduce(self, coeffs: list) -> tuple:
-        h = self.modulus
-        d = h.degree
+        h = self.modulus.coeffs
+        d = len(h) - 1
         for i in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[i]
             if c:
@@ -143,6 +153,10 @@ class CoeffRing:
         return tuple(coeffs[:d])
 
     def pow(self, a: tuple, k: int) -> tuple:
+        if k < 0:
+            raise InputError("negative powers are not defined in the coefficient ring")
+        if self.rank == 1 and k:
+            return (a[0] ** k,)
         out = self.one()
         base = a
         while k:
@@ -159,26 +173,24 @@ class CoeffRing:
         coeffs[p] = 1
         return self._reduce(coeffs)
 
-    def frob_matrix(self, p: int) -> list[list[int]]:
+    def frob_matrix(self, p: int) -> tuple[tuple[int, ...], ...]:
         """The lift at p as an integer matrix acting on coefficient columns
-        (row i = image of the basis monomial x^i)."""
-        r = self.rank
-        if self.kind == "integers" or self.frob == "identity":
-            return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        self._check_power_descends(p)
-        # rows built multiplicatively, which is coherent because the
-        # descent check certifies a ring map
-        return _power_matrix(self, p)
+        (row i = image of the basis monomial x^i); built once per prime."""
+        rows = self._frob_matrices.get(p)
+        if rows is None:
+            if self.kind != "integers":
+                comp = self.modulus.compose(_tuple_to_poly(self._power_image(p)))
+                out = poly_divmod(comp, self.modulus)
+                if out is None or not out[1].is_zero():
+                    raise InputError(f"x -> x^{p} does not descend to this quotient")
+            # rows built multiplicatively, which is coherent because the
+            # descent check certifies a ring map
+            rows = self._frob_matrices[p] = _power_matrix(self, p)
+        return rows
 
-    def _check_power_descends(self, p: int):
-        checked = _POWER_DESCENT_CHECKED.setdefault(self, set())
-        if p in checked:
-            return
-        comp = self.modulus.compose(_tuple_to_poly(self._power_image(p)))
-        out = poly_divmod(comp, self.modulus)
-        if out is None or not out[1].is_zero():
-            raise InputError(f"x -> x^{p} does not descend to this quotient")
-        checked.add(p)
+    @cached_property
+    def _frob_matrices(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
 
     def apply_frob(self, p: int, a: tuple) -> tuple:
         if self.kind == "integers" or self.frob == "identity":
@@ -205,8 +217,6 @@ class CoeffRing:
         return f"Z[x]/({self.modulus})".replace("y", "x")
 
 
-_POWER_DESCENT_CHECKED: dict["CoeffRing", set[int]] = {}
-
 INTEGERS = CoeffRing("integers")
 
 
@@ -225,6 +235,12 @@ def _tuple_to_poly(t: tuple) -> IntPoly:
 
 @dataclass(frozen=True)
 class TruncationSet:
+    """A finite divisor-closed set of positive indices.
+
+    The sorted order, the index map and the divisor and congruence steps
+    of the transforms are computed once per set, on first use.
+    """
+
     members: frozenset[int]
 
     def __post_init__(self):
@@ -243,70 +259,140 @@ class TruncationSet:
     def upto(b: int) -> "TruncationSet":
         return TruncationSet(frozenset(range(1, b + 1)))
 
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Member -> its position in ``order``."""
+        return {a: i for i, a in enumerate(self.order)}
+
+    @cached_property
+    def proper_divisors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per member n, in ``order``: (index of d, n // d) for each divisor
+        d < n, ascending in d."""
+        index = self.index
+        return tuple(tuple((index[d], n // d) for d in divisors(n)[:-1]) for n in self.order)
+
+    @cached_property
+    def dwork_steps(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(p, index of n, index of p*n, p^(v_p(n)+1)) for each prime p and
+        member n with p*n a member, by p and then n.  Such a p is itself a
+        member, since the set is divisor closed."""
+        index = self.index
+        steps = []
+        for p in self.order:
+            if not is_prime(p):
+                continue
+            for i, n in enumerate(self.order):
+                if p * n in index:
+                    steps.append((p, i, index[p * n], p ** (_valuation(n, p) + 1)))
+        return tuple(steps)
+
     def sorted(self) -> list[int]:
-        return sorted(self.members)
+        return list(self.order)
+
+
+def _aligned(trunc: TruncationSet, values: dict[int, tuple]) -> tuple[tuple, ...]:
+    """The values of a member-keyed dict in the order of the members."""
+    missing = trunc.members - values.keys()
+    if missing or len(values) != len(trunc.members):
+        which = f"no component for member {min(missing)}" if missing else "components for non-members"
+        raise InputError(f"{which} of the truncation set")
+    return tuple(values[a] for a in trunc.order)
+
+
+def _check_components(ring: CoeffRing, trunc: TruncationSet, components: tuple) -> None:
+    if len(components) != len(trunc.members):
+        raise InputError(f"expected {len(trunc.members)} components, one per truncation member, got {len(components)}")
+    for comp in components:
+        if not isinstance(comp, tuple) or len(comp) != ring.rank or any(type(x) not in (int, Fraction) for x in comp):
+            raise InputError(f"each component must be a tuple of {ring.rank} integers or fractions, got {comp!r}")
 
 
 @dataclass(frozen=True)
 class GhostVector:
     ring: CoeffRing
     trunc: TruncationSet
-    components: tuple[tuple, ...]  # aligned with trunc.sorted()
+    components: tuple[tuple, ...]  # aligned with trunc.order
+
+    def __post_init__(self):
+        _check_components(self.ring, self.trunc, self.components)
 
     def component(self, a: int) -> tuple:
-        return self.components[self.trunc.sorted().index(a)]
+        return self.components[self.trunc.index[a]]
 
     @staticmethod
     def make(ring: CoeffRing, trunc: TruncationSet, comp: dict[int, tuple]) -> "GhostVector":
-        return GhostVector(ring, trunc, tuple(comp[a] for a in trunc.sorted()))
+        return GhostVector(ring, trunc, _aligned(trunc, comp))
 
 
 @dataclass(frozen=True)
 class WittCoords:
     ring: CoeffRing
     trunc: TruncationSet
-    coords: tuple[tuple, ...]
+    coords: tuple[tuple, ...]  # aligned with trunc.order
+
+    def __post_init__(self):
+        _check_components(self.ring, self.trunc, self.coords)
 
     def coord(self, d: int) -> tuple:
-        return self.coords[self.trunc.sorted().index(d)]
+        return self.coords[self.trunc.index[d]]
 
     @staticmethod
     def make(ring: CoeffRing, trunc: TruncationSet, coords: dict[int, tuple]) -> "WittCoords":
-        return WittCoords(ring, trunc, tuple(coords[d] for d in trunc.sorted()))
+        return WittCoords(ring, trunc, _aligned(trunc, coords))
 
 
 def ghost_from_witt(w: WittCoords) -> GhostVector:
     """g_n = sum over d | n of d * w_d^(n/d)."""
     ring = w.ring
+    order = w.trunc.order
     out = {}
-    for n in w.trunc.sorted():
+    for i, (n, steps) in enumerate(zip(order, w.trunc.proper_divisors)):
         acc = ring.zero()
-        for d in divisors(n):
-            acc = ring.add(acc, ring.scale(d, ring.pow(w.coord(d), n // d)))
-        out[n] = acc
+        for j, k in steps:
+            acc = ring.add(acc, ring.scale(order[j], ring.pow(w.coords[j], k)))
+        out[n] = ring.add(acc, ring.scale(n, w.coords[i]))
     return GhostVector.make(ring, w.trunc, out)
 
 
 def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
-    """Invert the ghost map over the rationals; flags say which coordinates
-    came out integral.  Non-integrality is data, not an error."""
+    """Invert the ghost map; flags say which coordinates came out integral.
+    Non-integrality is data, not an error.
+
+    The recurrence n * w_n = g_n - sum over d | n, d < n of d * w_d^(n/d)
+    runs in integers: each w_n is an integer tuple over one common
+    denominator, reduced by the gcd of both.  Rationals are formed only
+    for the output entries that are not integers.
+    """
     ring = g.ring
-    coords: dict[int, tuple] = {}
-    flags: dict[int, bool] = {}
-    for n in g.trunc.sorted():
-        acc = tuple(Fraction(c) for c in g.component(n))
-        for d in divisors(n):
-            if d == n:
-                continue
-            term = ring.scale(d, ring.pow(coords[d], n // d))
-            acc = tuple(a - b for a, b in zip(acc, term))
-        val = tuple(a / n for a in acc)
-        flags[n] = all(x.denominator == 1 for x in val)
-        coords[n] = val
-    int_coords = {
-        n: tuple(int(x) if x.denominator == 1 else x for x in v) for n, v in coords.items()
-    }
-    return WittCoords.make(ring, g.trunc, int_coords), flags
+    order = g.trunc.order
+    nums: list[tuple] = []
+    dens: list[int] = []
+    coords = {}
+    flags = {}
+    for n, comp, steps in zip(order, g.components, g.trunc.proper_divisors):
+        den = lcm(*(x.denominator for x in comp))
+        acc = [x.numerator * (den // x.denominator) for x in comp]
+        for j, k in steps:
+            dk = dens[j] ** k
+            top = lcm(den, dk)
+            a, b = top // den, order[j] * (top // dk)
+            acc = [a * x - b * y for x, y in zip(acc, ring.pow(nums[j], k))]
+            den = top
+        den *= n
+        c = gcd(den, *acc)
+        if c > 1:
+            den //= c
+            acc = [x // c for x in acc]
+        num = tuple(acc)
+        nums.append(num)
+        dens.append(den)
+        flags[n] = den == 1
+        coords[n] = num if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in num)
+    return WittCoords.make(ring, g.trunc, coords), flags
 
 
 def teichmuller(ring: CoeffRing, r: tuple, trunc: TruncationSet) -> WittCoords:
@@ -319,19 +405,11 @@ def dwork_check(g: GhostVector) -> bool:
     """Membership in the Witt subring: for every prime p and index n with
     p*n in the window, g_{pn} = frob_p(g_n) mod p^(v_p(n)+1)."""
     ring = g.ring
-    top = max(g.trunc.members)
-    for p in _primes_upto(top):
-        for n in g.trunc.sorted():
-            if p * n not in g.trunc.members:
-                continue
-            v = 0
-            m = n
-            while m % p == 0:
-                v += 1
-                m //= p
-            diff = ring.sub(g.component(p * n), ring.apply_frob(p, g.component(n)))
-            if not ring.divisible(diff, p ** (v + 1)):
-                return False
+    comps = g.components
+    for p, i, ipn, modulus in g.trunc.dwork_steps:
+        diff = ring.sub(comps[ipn], ring.apply_frob(p, comps[i]))
+        if not ring.divisible(diff, modulus):
+            return False
     return True
 
 
@@ -419,14 +497,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
     def cls_of(a: int) -> int:
         return dr.class_of_ideal(a)
 
-    def vp(m: int, p: int) -> int:
-        v = 0
-        while m % p == 0:
-            v += 1
-            m //= p
-        return v
-
-    def relation_rows(c_to: int, c_from: int, frob: list[list[int]]) -> list[list[int]]:
+    def relation_rows(c_to: int, c_from: int, frob: tuple[tuple[int, ...], ...]) -> list[list[int]]:
         # y[c_to][j] - sum_i frob[i][j] * y[c_from][i], one row per coordinate j
         rows = []
         for j in range(r):
@@ -440,7 +511,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
     # equality constraints from unbounded congruence families
     eq_rows: list[list[int]] = []
 
-    def add_equality(c_to: int, c_from: int, frob: list[list[int]]):
+    def add_equality(c_to: int, c_from: int, frob: tuple[tuple[int, ...], ...]):
         eq_rows.extend(row for row in relation_rows(c_to, c_from, frob) if any(row))
 
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
@@ -451,7 +522,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
                 a = dr.reps[c]
                 add_equality(cls_of(u * a), c, frob)
     for p in factor(n).primes():
-        ep = vp(n, p)
+        ep = _valuation(n, p)
         frob = ring.frob_matrix(p)
         for c in range(ncls):
             a = dr.reps[c]
@@ -459,16 +530,17 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
                 add_equality(cls_of(p * a), c, frob)
 
     # bounded congruences: y[pm] = frob_p(y[m]) mod p^(v_p(m)+1)
-    cong: dict[tuple[int, int, int, int], None] = {}
-    for p in _primes_upto(bound):
-        for m in range(1, bound // p + 1):
-            cong[(cls_of(p * m), cls_of(m), p, vp(m, p) + 1)] = None
     cong_rows: list[list[int]] = []
     moduli: list[int] = []
-    for c_to, c_from, p, e in cong:
-        for row in relation_rows(c_to, c_from, ring.frob_matrix(p)):
-            cong_rows.append(row)
-            moduli.append(p**e)
+    for p in _primes_upto(bound):
+        cong: dict[tuple[int, int, int], None] = {}
+        for m in range(1, bound // p + 1):
+            cong[(cls_of(p * m), cls_of(m), _valuation(m, p) + 1)] = None
+        frob = ring.frob_matrix(p)
+        for c_to, c_from, e in cong:
+            for row in relation_rows(c_to, c_from, frob):
+                cong_rows.append(row)
+                moduli.append(p**e)
 
     return _solve_equalities_and_congruences(eq_rows, cong_rows, moduli, nvars)
 
@@ -483,18 +555,17 @@ def _twist_exponents(u: int, n: int, ring: CoeffRing) -> list[int]:
     return [j for j in range(1, k + 1) if gcd(j, k) == 1 and j % g == u % g]
 
 
-def _power_matrix(ring: CoeffRing, e: int) -> list[list[int]]:
+def _power_matrix(ring: CoeffRing, e: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the monomial map x -> x^e on the binomial quotient."""
-    r = ring.rank
     if ring.kind == "integers":
-        return [[1]]
+        return ((1,),)
     rows = []
     img = ring._power_image(e) if e > 1 else ring.gen()
     cur = ring.one()
-    for i in range(r):
-        rows.append(list(cur))
+    for _ in range(ring.rank):
+        rows.append(cur)
         cur = ring.mul(cur, img)
-    return rows
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -773,17 +844,28 @@ def _solve_equalities_and_congruences(eq_rows, cong_rows, moduli, nvars) -> list
     if not kernel:
         return []
     kdim = len(kernel)
-    if not cong_rows:
+    # congruences in kernel coordinates: c.t = 0 mod m, each row projected
+    # through its nonzero entries; rows with the same projection up to sign
+    # merge into one modulo the lcm, and zero projections hold for every t
+    columns = list(zip(*kernel))
+    merged: dict[tuple[int, ...], int] = {}
+    for row, m in zip(cong_rows, moduli):
+        proj = [0] * kdim
+        for v, c in enumerate(row):
+            if c:
+                proj = [x + c * y for x, y in zip(proj, columns[v])]
+        lead = next((x for x in proj if x), 0)
+        if lead:
+            key = tuple(proj) if lead > 0 else tuple(-x for x in proj)
+            merged[key] = lcm(merged.get(key, 1), m)
+    if not merged:
         return hnf_rows([list(r) for r in kernel], nvars)
-    # congruences in kernel coordinates: C' t = 0 mod m
-    cprime = [[sum(row[v] * kernel[t][v] for v in range(nvars)) for t in range(kdim)] for row in cong_rows]
     # integer solutions of C' t + diag(m) s = 0; project to t
-    stacked = []
-    for i, row in enumerate(cprime):
-        stacked.append(row + [moduli[i] if j == i else 0 for j in range(len(cprime))])
-    width = kdim + len(cprime)
-    transposed = [[stacked[i][j] for i in range(len(stacked))] for j in range(width)]
-    sol = left_kernel(transposed, len(stacked))
+    cprime = list(merged)
+    ncong = len(cprime)
+    transposed = [list(col) for col in zip(*cprime)]
+    transposed += [[m if j == i else 0 for j in range(ncong)] for i, m in enumerate(merged.values())]
+    sol = left_kernel(transposed, ncong)
     t_basis = [row[:kdim] for row in sol]
     rows = []
     for t in t_basis:

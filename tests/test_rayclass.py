@@ -1,5 +1,6 @@
 import contextlib
 import heapq
+import pickle
 import random
 import signal
 
@@ -29,10 +30,11 @@ from lambda_forge.rayclass import (
     dr_shift_map,
     f_equiv,
     f_equiv_generator,
+    f_label,
     free_dr_set,
     ray_class_group,
 )
-from lambda_forge.rayclass import _smallest_supported
+from lambda_forge.rayclass import _q_label, _quad_label_of, _smallest_supported
 
 GAUSS = QuadField(-1)
 EISEN = QuadField(-3)
@@ -434,3 +436,35 @@ def test_dr_json():
     data = dr.to_json()
     assert data["cycle"] == "4*inf" and len(data["elements"]) == dr.size
     assert len(data["table"]) == dr.size
+
+
+def test_cycle_and_support_hash_cached_and_consistent():
+    pairs = [
+        (Cycle.parse("12*inf"), Cycle(None, 12, True)),
+        (Cycle.parse("7"), Cycle(None, 7)),
+        (Cycle(GAUSS, ideal_from_int(GAUSS, 6)), Cycle(GAUSS, ideal_from_int(GAUSS, 6))),
+        (PrimeSupport.parse("explicit:2,3!"), PrimeSupport("explicit", frozenset({3, 2}), True)),
+        (PrimeSupport.parse("all-except:5"), PrimeSupport("all-except", frozenset({5}))),
+    ]
+    for x, y in pairs:
+        assert x == y and x is not y
+        assert hash(x) == hash(y) == hash(tuple(getattr(x, k) for k in x.__dataclass_fields__))
+        # hashes of strings and None differ between processes: a pickle
+        # carries the fields only and is rebuilt through the constructor
+        data = pickle.dumps(x)
+        assert b"_hash" not in data
+        copy = pickle.loads(data)
+        assert copy == x and hash(copy) == hash(x)
+    assert Cycle.parse("12*inf") != Cycle.parse("12") and PrimeSupport() != PrimeSupport.parse("all-except:2")
+    # label lookups with equal but distinct keys still hit the memo
+    f, support = Cycle.parse("40*inf"), PrimeSupport.parse("all-except:3")
+    f_label(7, f, support)
+    hits = _q_label.cache_info().hits
+    assert f_label(7, Cycle(None, 40, True), PrimeSupport("all-except", frozenset({3}))) == f_label(7, f, support)
+    assert _q_label.cache_info().hits == hits + 2
+    a = principal_ideal(QuadInt(GAUSS, 3, 2))
+    fq = Cycle(GAUSS, ideal_from_int(GAUSS, 3))
+    f_label(a, fq)
+    hits = _quad_label_of.cache_info().hits
+    assert f_label(a, Cycle(GAUSS, ideal_from_int(GAUSS, 3))) == f_label(a, fq)
+    assert _quad_label_of.cache_info().hits == hits + 2

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_forge import witt
 from lambda_forge.errors import InputError, ModelRefusedError
+from lambda_forge.intlinalg import divisors, hnf_rows, is_prime, left_kernel
 from lambda_forge.lambdapoly import IntPoly
 from lambda_forge.rayclass import Cycle, dr_monoid, f_equiv
 from lambda_forge.witt import (
@@ -43,6 +46,14 @@ def test_ring_validation():
     x = r.gen()
     assert r.apply_frob(2, x) == r.pow(x, 2)
     assert r.apply_frob(3, r.apply_frob(5, x)) == r.apply_frob(5, r.apply_frob(3, x))
+    # row i is the image of x^i; each matrix is built once per ring
+    assert r.frob_matrix(2) == ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0))
+    assert r.frob_matrix(2) is r.frob_matrix(2) and INTEGERS.frob_matrix(5) == ((1,),)
+    # a negative power used to loop forever (and over Z would give a float)
+    for ring in (INTEGERS, r):
+        with pytest.raises(InputError, match="negative powers"):
+            ring.pow(ring.one(), -1)
+    assert INTEGERS.pow((Fraction(2, 3),), 0) == (1,) and r.pow(x, 0) == r.one()
 
 
 def test_truncation_validation():
@@ -50,6 +61,55 @@ def test_truncation_validation():
         TruncationSet(frozenset({2}))
     assert TruncationSet.divisors_of(6).sorted() == [1, 2, 3, 6]
     assert TruncationSet.upto(4).sorted() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("trunc", [TruncationSet.upto(b) for b in (1, 7, 30)] + [TruncationSet.divisors_of(n) for n in (1, 12, 120)])
+def test_truncation_precomputed_steps(trunc):
+    order = sorted(trunc.members)
+    assert list(trunc.order) == trunc.sorted() == order
+    assert all(order[trunc.index[a]] == a for a in order)
+    for n, steps in zip(order, trunc.proper_divisors):
+        assert [(order[j], k) for j, k in steps] == [(d, n // d) for d in divisors(n) if d < n]
+    # the loop the congruence steps replace: every prime up to the top
+    expected = []
+    for p in (p for p in range(2, order[-1] + 1) if is_prime(p)):
+        for n in order:
+            if p * n in trunc.members:
+                v = next(v for v in range(n.bit_length() + 1) if n % p ** (v + 1))
+                expected.append((p, order.index(n), order.index(p * n), p ** (v + 1)))
+    assert list(trunc.dwork_steps) == expected
+
+
+R4 = binomial_quotient_ring(4)
+T6 = TruncationSet.divisors_of(6)
+UNIT4 = ((1, 0, 0, 0),) * 4
+
+
+@pytest.mark.parametrize("cls", [GhostVector, WittCoords])
+def test_short_component_refused(cls):
+    assert cls(R4, T6, UNIT4)
+    # zip in dwork_check would drop the missing entry and answer True
+    with pytest.raises(InputError, match="tuple of 4"):
+        cls(R4, T6, ((1, 0, 0),) + UNIT4[1:])
+    with pytest.raises(InputError, match="integers or fractions"):
+        cls(INTEGERS, T2, ((1,), (0.5,)))
+    with pytest.raises(InputError, match="integers or fractions"):
+        cls(INTEGERS, T2, ((1,), [2]))
+
+
+@pytest.mark.parametrize("cls", [GhostVector, WittCoords])
+def test_too_few_components_refused(cls):
+    # would raise IndexError on the first access past the end
+    with pytest.raises(InputError, match="one per truncation member"):
+        cls(R4, T6, UNIT4[:3])
+
+
+@pytest.mark.parametrize("cls", [GhostVector, WittCoords])
+def test_make_with_missing_or_extra_key_refused(cls):
+    with pytest.raises(InputError, match="no component for member 3"):
+        cls.make(R4, T6, {1: UNIT4[0], 2: UNIT4[0], 6: UNIT4[0]})
+    with pytest.raises(InputError, match="non-members"):
+        cls.make(INTEGERS, T2, {1: (1,), 2: (2,), 3: (3,)})
 
 
 def test_ghost_examples():
@@ -73,6 +133,88 @@ def test_witt_from_ghost_examples():
     tg = GhostVector.make(INTEGERS, TruncationSet.divisors_of(4), {1: (2,), 2: (4,), 4: (16,)})
     coords, flags = witt_from_ghost(tg)
     assert all(flags.values()) and coords.coord(1) == (2,) and coords.coord(2) == (0,)
+
+
+def _witt_from_ghost_fraction(g: GhostVector):
+    """Reference: the recurrence in Fraction arithmetic, divisors found by
+    factoring."""
+    ring = g.ring
+    coords, flags = {}, {}
+    for n in g.trunc.sorted():
+        acc = tuple(Fraction(c) for c in g.component(n))
+        for d in divisors(n):
+            if d == n:
+                continue
+            term = ring.scale(d, ring.pow(coords[d], n // d))
+            acc = tuple(a - b for a, b in zip(acc, term))
+        val = tuple(a / n for a in acc)
+        flags[n] = all(x.denominator == 1 for x in val)
+        coords[n] = val
+    int_coords = {n: tuple(int(x) if x.denominator == 1 else x for x in v) for n, v in coords.items()}
+    return WittCoords.make(ring, g.trunc, int_coords), flags
+
+
+def _dwork_check_reference(g: GhostVector) -> bool:
+    ring = g.ring
+    top = max(g.trunc.members)
+    for p in (p for p in range(2, top + 1) if is_prime(p)):
+        for n in g.trunc.sorted():
+            if p * n in g.trunc.members:
+                v = next(v for v in range(n.bit_length() + 1) if n % p ** (v + 1))
+                diff = ring.sub(g.component(p * n), ring.apply_frob(p, g.component(n)))
+                if not ring.divisible(diff, p ** (v + 1)):
+                    return False
+    return True
+
+
+def _assert_matches_reference(g: GhostVector):
+    coords, flags = witt_from_ghost(g)
+    ref_coords, ref_flags = _witt_from_ghost_fraction(g)
+    # repr tells an int entry from an integral Fraction
+    assert repr(coords.coords) == repr(ref_coords.coords)
+    assert flags == ref_flags
+    assert dwork_check(g) == _dwork_check_reference(g)
+    if all(type(x) is int for comp in g.components for x in comp):
+        assert dwork_check(g) == all(flags.values())
+    return coords
+
+
+_RINGS = [INTEGERS] + [binomial_quotient_ring(k) for k in (2, 3, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witt_from_ghost_matches_fraction_reference(data):
+    ring = data.draw(st.sampled_from(_RINGS))
+    if data.draw(st.booleans()):
+        trunc = TruncationSet.divisors_of(data.draw(st.integers(1, 60 if ring.rank == 1 else 24)))
+    else:
+        trunc = TruncationSet.upto(data.draw(st.integers(1, 16 if ring.rank == 1 else 8)))
+    small = st.integers(-9, 9)
+    entry = data.draw(st.sampled_from([small, st.fractions(-9, 9, max_denominator=6), st.one_of(small, st.fractions(-9, 9, max_denominator=6))]))
+    vals = {a: tuple(data.draw(entry) for _ in range(ring.rank)) for a in trunc.sorted()}
+    if data.draw(st.booleans()):
+        # ghost of Witt coordinates: integral coordinates in, or the
+        # Fraction-valued ghost of non-integral ones
+        g = ghost_from_witt(WittCoords.make(ring, trunc, vals))
+    else:
+        g = GhostVector.make(ring, trunc, vals)
+    coords = _assert_matches_reference(g)
+    _assert_matches_reference(ghost_from_witt(coords))
+
+
+def test_nonintegral_round_trip_div12():
+    ring = binomial_quotient_ring(3)
+    rng = random.Random(12)
+    for r in (INTEGERS, ring):
+        g = GhostVector.make(r, T12, {a: tuple(rng.randrange(-5, 6) for _ in range(r.rank)) for a in T12.sorted()})
+        w, flags = witt_from_ghost(g)
+        assert not all(flags.values())
+        back = ghost_from_witt(w)  # entries are Fractions, some with denominator 1
+        assert any(type(x) is Fraction and x.denominator == 1 for comp in back.components for x in comp)
+        w2, flags2 = witt_from_ghost(back)
+        assert w2 == w and flags2 == flags
+        assert repr(w2.coords) == repr(_witt_from_ghost_fraction(back)[0].coords)
 
 
 def test_round_trip_random():
@@ -307,3 +449,60 @@ def test_universal_lift_components_forced():
     T = TruncationSet.upto(24)
     g = GhostVector.make(ring, T, {a: ring.pow(x, a % n) for a in T.sorted()})
     assert dwork_check(g) and is_f_periodic(g, Cycle(None, n, True))
+
+
+def _solve_dense_reference(eq_rows, cong_rows, moduli, nvars):
+    """Reference solve: dense projection of every congruence row, no
+    merging."""
+    if eq_rows:
+        kernel = left_kernel([[row[i] for row in eq_rows] for i in range(nvars)], len(eq_rows))
+    else:
+        kernel = [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
+    if not kernel:
+        return []
+    kdim = len(kernel)
+    if not cong_rows:
+        return hnf_rows([list(r) for r in kernel], nvars)
+    cprime = [[sum(row[v] * kernel[t][v] for v in range(nvars)) for t in range(kdim)] for row in cong_rows]
+    stacked = [row + [moduli[i] if j == i else 0 for j in range(len(cprime))] for i, row in enumerate(cprime)]
+    width = kdim + len(cprime)
+    sol = left_kernel([[stacked[i][j] for i in range(len(stacked))] for j in range(width)], len(stacked))
+    rows = [[sum(row[i] * kernel[i][v] for i in range(kdim)) for v in range(nvars)] for row in sol]
+    return hnf_rows(rows, nvars)
+
+
+@pytest.mark.parametrize("bound", [16, 64])
+def test_lattice_solve_matches_dense_reference(bound, monkeypatch):
+    def lattices():
+        out = []
+        for n in range(1, 9):
+            comparison = ray_class_algebra_witt_iso_check(n, bound)
+            lat = periodic_witt_lattice(n, INTEGERS, bound)
+            out.append((json.dumps(comparison.to_json()), comparison.lattice, lat))
+        return out
+
+    merged = lattices()
+    monkeypatch.setattr(witt, "_solve_equalities_and_congruences", _solve_dense_reference)
+    dense = lattices()
+    for (json_m, group_m, z_m), (json_d, group_d, z_d) in zip(merged, dense):
+        assert json_m == json_d
+        assert (group_m.basis, group_m.stable) == (group_d.basis, group_d.stable)
+        assert (z_m.basis, z_m.stable) == (z_d.basis, z_d.stable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_congruence_merge_matches_dense_solve(data):
+    nvars = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars)
+    eq_rows = data.draw(st.lists(vec, max_size=2))
+    # rows drawn from a few, some negated, under prime-power moduli, so that
+    # projections repeat and merge
+    base = data.draw(st.lists(vec, min_size=1, max_size=3))
+    cong_rows, moduli = [], []
+    for _ in range(data.draw(st.integers(1, 6))):
+        row = data.draw(st.sampled_from(base))
+        cong_rows.append([-x for x in row] if data.draw(st.booleans()) else row)
+        moduli.append(data.draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
+    solve = witt._solve_equalities_and_congruences
+    assert solve(eq_rows, cong_rows, moduli, nvars) == _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
