@@ -12,6 +12,16 @@ Over the rationals an ideal is a positive integer and a cycle is "n" or
 "n*inf"; over an imaginary quadratic field ideals are QuadIdeal values and
 cycles have no real places.
 
+The rational/quadratic choice is made once per cycle: ``Cycle`` picks its
+base field's ideal arithmetic at construction (``_RationalIdeals`` or the
+``_QuadIdeals`` of its field), and the input checks, divisor lists,
+cofactors, labels, monoid classes and shift maps call that object.  Code
+keeps two paths only where the mathematics differs: ``ray_class_group``
+picks the rational or quadratic group (unit residues mod n against
+principality searches), ``DRMonoid`` classifies rational ideals by their
+residue mod n, ``f_equiv_generator`` has one witness search per field, and
+the pushout check builds its residue data per field.
+
 Ray class groups are built by enumeration and quotient; the closed formulas
 ((Z/n)* and friends) live only in the tests.
 """
@@ -50,15 +60,17 @@ class Cycle:
 
     def __post_init__(self):
         if self.field is None:
-            if not isinstance(self.finite, int) or self.finite < 1:
-                raise InputError("rational cycle needs a positive integer finite part")
+            ideals = _RATIONAL_IDEALS
+        elif not isinstance(self.field, QuadField):
+            raise InputError("a cycle's field must be a QuadField, or None for the rationals")
         else:
-            if not isinstance(self.finite, QuadIdeal) or self.finite.field != self.field:
-                raise InputError("quadratic cycle needs an ideal of its own field")
-            if self.infinity:
-                raise InputError("imaginary quadratic cycles have no real places")
-        # every label lookup hashes its cycle and support, so each keeps its
-        # field-tuple hash
+            ideals = _quad_ideals(self.field)
+        ideals._check(self.finite)
+        if self.infinity and not ideals.real_place:
+            raise InputError("imaginary quadratic cycles have no real places")
+        # the base field's ideal arithmetic, and the field-tuple hash: every
+        # label lookup hashes its cycle and support
+        object.__setattr__(self, "_ideals", ideals)
         object.__setattr__(self, "_hash", hash((self.field, self.finite, self.infinity)))
 
     def __hash__(self):
@@ -77,22 +89,15 @@ class Cycle:
             raise InputError("cycles over different fields")
         if self.infinity and not other.infinity:
             return False
-        if self.field is None:
-            return other.finite % self.finite == 0
-        return qf.ideal_divides(self.finite, other.finite)
+        return self._ideals._divides(self.finite, other.finite)
 
     def cofactor(self, d) -> "Cycle":
         """The cycle f * d^(-1) for an ideal divisor d of the finite part."""
-        if self.field is None:
-            if self.finite % d != 0:
-                raise InputError("not a divisor")
-            return Cycle(None, self.finite // d, self.infinity)
-        return Cycle(self.field, qf.ideal_div(self.finite, d), False)
+        self._ideals._check(d)
+        return Cycle(self.field, self._ideals._div(self.finite, d), self.infinity)
 
     def __str__(self):
-        if self.field is None:
-            return f"{self.finite}*inf" if self.infinity else str(self.finite)
-        return str(self.finite)
+        return f"{self.finite}*inf" if self.infinity else str(self.finite)
 
     @staticmethod
     def parse(text: str, field: QuadField | None = None) -> "Cycle":
@@ -106,25 +111,22 @@ class Cycle:
 
 
 def cycle_gcd(x: Cycle, y: Cycle) -> Cycle:
-    if x.field is not None or y.field is not None:
-        raise InputError("cycle gcd implemented over Q only")
+    _require_rational(x)
+    _require_rational(y)
     return Cycle(None, gcd(x.finite, y.finite), x.infinity and y.infinity)
 
 
 def cycle_lcm(x: Cycle, y: Cycle) -> Cycle:
-    if x.field is not None or y.field is not None:
-        raise InputError("cycle lcm implemented over Q only")
+    _require_rational(x)
+    _require_rational(y)
     return Cycle(None, lcm(x.finite, y.finite), x.infinity or y.infinity)
 
 
 def divisor_cycles(f: Cycle) -> list[Cycle]:
-    """All cycles dividing f, smallest first."""
-    if f.field is not None:
-        return [Cycle(f.field, d) for d in qf.ideal_divisors(f.finite)]
-    out = [Cycle(None, d, False) for d in divisors(f.finite)]
-    if f.infinity:
-        out += [Cycle(None, d, True) for d in divisors(f.finite)]
-    return sorted(out, key=lambda c: (c.finite, c.infinity))
+    """All cycles dividing f, smallest first (by norm, then without the
+    real place before with it)."""
+    places = (False, True) if f.infinity else (False,)
+    return [Cycle(f.field, d, inf) for d in f._ideals._divisors(f.finite, ALL_PRIMES) for inf in places]
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,7 @@ class PrimeSupport:
 ALL_PRIMES = PrimeSupport()
 
 _NOT_AN_IDEAL = "a rational ideal must be a positive integer"
-
-
-def _check_rational_ideal(a) -> None:
-    if not isinstance(a, int) or a < 1:
-        raise InputError(_NOT_AN_IDEAL)
+_QUAD_SUPPORT = 'quadratic fields support only mode "all"'
 
 
 def _require_rational(f: Cycle):
@@ -221,9 +219,75 @@ def _require_rational(f: Cycle):
         raise InputError("this operation is rational-only")
 
 
-def _require_all_support(f: Cycle, support: PrimeSupport):
-    if f.field is not None and support.mode != "all":
-        raise InputError("quadratic fields support only mode \"all\"")
+# ---------------------------------------------------------------------------
+# Ideal arithmetic of the base field, picked once per cycle
+#
+# Method names are private: the benchmark tracer wraps every public method
+# of the classes in this module, and a span around each of these per-ideal
+# steps would cost more than the step.
+
+
+class _RationalIdeals:
+    """The ideals of Z, as positive integers."""
+
+    real_place = True
+    _one = 1
+    _check_support = staticmethod(lambda support: None)  # every support is implemented
+
+    @staticmethod
+    def _check(a, support: PrimeSupport = ALL_PRIMES) -> None:
+        """InputError unless a is an ideal supported at P."""
+        if not isinstance(a, int) or a < 1:
+            raise InputError(_NOT_AN_IDEAL)
+        if not support.supports_int(a):
+            raise InputError(f"ideal ({a}) is not supported at P")
+
+    _mul = staticmethod(lambda a, b: a * b)
+    _gcd = staticmethod(gcd)
+    _divides = staticmethod(lambda d, a: a % d == 0)
+    # the P-supported divisors, in increasing order
+    _divisors = staticmethod(lambda a, support: [d for d in divisors(a) if support.supports_int(d)])
+
+    @staticmethod
+    def _div(a: int, d: int) -> int:  # exact, else InputError
+        if a % d:
+            raise InputError(f"{d} does not divide {a}")
+        return a // d
+
+
+class _QuadIdeals:
+    """The ideals of one imaginary quadratic field, as QuadIdeal values,
+    under the support "all" only.  quadfield is reached as ``qf.<name>`` at
+    call time: a wrapper put on it after the cycles were built sees it all."""
+
+    real_place = False
+
+    def __init__(self, field: QuadField):
+        self.field = field
+        self._one = qf.ideal_from_int(field, 1)
+
+    @staticmethod
+    def _check_support(support: PrimeSupport) -> None:
+        if support.mode != "all":
+            raise InputError(_QUAD_SUPPORT)
+
+    def _check(self, a, support: PrimeSupport = ALL_PRIMES) -> None:
+        """InputError unless a is an ideal of this field (all supported)."""
+        if support.mode != "all":  # inline: label lookups check every ideal
+            raise InputError(_QUAD_SUPPORT)
+        if not isinstance(a, QuadIdeal) or (a.field is not self.field and a.field != self.field):
+            raise InputError(f"{a!s} is not an ideal of the field with d = {self.field.d}")
+
+    _mul = staticmethod(lambda a, b: qf.ideal_mul(a, b))
+    _gcd = staticmethod(lambda a, b: qf.ideal_gcd(a, b))
+    _div = staticmethod(lambda a, d: qf.ideal_div(a, d))  # exact, else InputError
+    _divides = staticmethod(lambda d, a: qf.ideal_divides(d, a))
+    # sorted by (norm, triple); every divisor is supported
+    _divisors = staticmethod(lambda a, support: qf.ideal_divisors(a))
+
+
+_RATIONAL_IDEALS = _RationalIdeals()
+_quad_ideals = lru_cache(maxsize=None)(_QuadIdeals)  # one per field
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +305,15 @@ def f_label(a, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> tuple:
     ray class of the cofactor in the cofactor conductor's group.  Two
     ideals are f-equivalent iff their labels are equal.  Memoized.
     """
-    _require_all_support(f, support)
-    if f.field is None:
-        _check_rational_ideal(a)
-        if not support.supports_int(a):
-            raise InputError("ideal not supported at P")
-        return _q_label(a, f, support)
-    return _quad_label_of(a, f)
+    f._ideals._check(a, support)
+    return _label(a, f, support)
 
 
 @lru_cache(maxsize=1 << 20)
-def _q_label(a: int, f: Cycle, support: PrimeSupport) -> tuple[int, int]:
-    d = gcd(a, f.finite)
-    cl = _cofactor_group(f, d, support)
-    return d, cl.class_of_int(a // d)
-
-
-@lru_cache(maxsize=65536)
-def _quad_label_of(a: QuadIdeal, f: Cycle) -> tuple:
-    d = qf.ideal_gcd(a, f.finite)
-    cl = _cofactor_group(f, d, ALL_PRIMES)
-    return d, cl.class_of_ideal(qf.ideal_div(a, d))
+def _label(a, f: Cycle, support: PrimeSupport) -> tuple:
+    ideals = f._ideals
+    d = ideals._gcd(a, f.finite)
+    return d, _cofactor_group(f, d, support).class_of_ideal(ideals._div(a, d))
 
 
 @lru_cache(maxsize=65536)
@@ -272,12 +324,9 @@ def _cofactor_group(f: Cycle, d, support: PrimeSupport) -> "RayClassGroup":
 def f_equiv_generator(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     """Witness route: a = x*b for x with x - 1 in f_fin*b^(-1), x positive
     at the real places dividing f."""
-    _require_all_support(f, support)
+    f._ideals._check(a, support)
+    f._ideals._check(b, support)
     if f.field is None:
-        _check_rational_ideal(a)
-        _check_rational_ideal(b)
-        if not (support.supports_int(a) and support.supports_int(b)):
-            raise InputError("ideal not supported at P")
         n = f.finite
         signs = (1,) if f.infinity else (1, -1)
         # x = s*a/b; x - 1 in (n/b)Z  <=>  s*a = b (mod n)
@@ -320,31 +369,30 @@ def generators_of(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
 
 class RayClassGroup:
     """Cl_P(f): ideal classes coprime to f under f-equivalence, built by
-    enumeration and quotient.
-
-    Over Q a class is an orbit of unit residues mod n (folded by the sign
-    when the cycle has no real place); over a quadratic field a class is a
-    complete invariant pair (ideal class at trivial conductor, unit-orbit
-    of a normalized generator residue), and every comparison reduces to
-    principality searches.
-    """
+    enumeration and quotient.  ``ray_class_group`` picks the subclass for
+    the cycle's field, which builds itself in ``_build`` under this one
+    ``__init__`` and defines ``class_of_ideal``, ``mul`` and ``table``."""
 
     def __init__(self, cycle: Cycle, support: PrimeSupport = ALL_PRIMES):
-        _require_all_support(cycle, support)
+        cycle._ideals._check_support(support)
         self.cycle = cycle
         self.support = support
-        self._table = None
-        if cycle.field is None:
-            self._init_rational()
-            if self.order <= 128:  # larger tables materialize lazily
-                check_group_table(self.table)
-        else:
-            self._init_quadratic()
-            check_group_table(self.table)
+        self._build()
 
-    # -- rational construction
+    @property
+    def order(self) -> int:
+        return len(self.reps)
 
-    def _init_rational(self):
+    @property
+    def identity(self) -> int:
+        return self.class_of_ideal(self.cycle._ideals._one)
+
+
+class RationalRayClassGroup(RayClassGroup):
+    """Over Q a class is an orbit of unit residues mod n, folded by the sign
+    when the cycle has no real place."""
+
+    def _build(self):
         n = self.cycle.finite
         # orbits of the unit residues, smallest first; without the real
         # place the sign folds r with n - r
@@ -375,101 +423,12 @@ class RayClassGroup:
         # integer at all (-1 mod 7 is no power of 2)
         self.reps = [_smallest_supported(orbits[o], n, self.support) for o in achievable]
         self.is_full = len(achievable) == len(orbits)
+        self._table = None
+        if self.order <= 128:  # larger tables materialize lazily
+            check_group_table(self.table)
 
-    # -- quadratic construction
-
-    def _init_quadratic(self):
-        cyc = self.cycle
-        field = cyc.field
-        fid = cyc.finite
-        self._label_cache: dict[QuadIdeal, tuple[int, int]] = {}
-        if fid.norm() > residue_bound():
-            raise BoundExceededError(f"conductor norm {fid.norm()} over residue bound")
-        cl1 = qf.class_group(field)
-        self._cl1 = cl1
-        nf = fid.norm()
-        self._base = [_coprime_class_rep(cl1, k, nf) for k in range(cl1.order)]
-        ru = qf.residue_units(fid)
-        self._ru = ru
-        unit_idx = sorted({ru.index_of(u) for u in qf.unit_group(field)})
-        # orbits of the global-unit image acting on (O/f)* by multiplication
-        orbit_of: dict[int, int] = {}
-        orbits: list[tuple[int, ...]] = []
-        for i in range(ru.order):
-            if i in orbit_of:
-                continue
-            orb = sorted({ru.mul(i, u) for u in unit_idx})
-            for x in orb:
-                orbit_of[x] = len(orbits)
-            orbits.append(tuple(orb))
-        self._res_orbit_of = orbit_of
-        self._res_orbits = orbits
-        labels = [(c, o) for c in range(cl1.order) for o in range(len(orbits))]
-        self._label_index = {lab: k for k, lab in enumerate(labels)}
-        self._labels = labels
-        if len(labels) > monoid_bound():
-            raise BoundExceededError("ray class group larger than monoid bound")
-        self.reps = self._find_reps()
-        self._table = tuple(
-            tuple(self.class_of_ideal(qf.ideal_mul(self.reps[i], self.reps[j])) for j in range(len(labels)))
-            for i in range(len(labels))
-        )
-        self.is_full = True
-
-    def _find_reps(self) -> list[QuadIdeal]:
-        fid = self.cycle.finite
-        field = self.cycle.field
-        one = qf.ideal_from_int(field, 1)
-        reps: dict[int, QuadIdeal] = {}
-        bound = 2
-        while len(reps) < len(self._labels):
-            bound *= 2
-            if bound > 16 * (fid.norm() + 2) * (len(self._labels) + 2):
-                raise BoundExceededError("could not find ray class representatives")
-            for ideal in qf.ideals_of_norm_up_to(field, bound):
-                if len(reps) == len(self._labels):
-                    break
-                if qf.ideal_gcd(ideal, fid) != one:
-                    continue
-                k = self.class_of_ideal(ideal)
-                if k not in reps:
-                    reps[k] = ideal
-        return [reps[k] for k in range(len(self._labels))]
-
-    def _quad_label(self, ideal: QuadIdeal) -> tuple[int, int]:
-        if ideal in self._label_cache:
-            return self._label_cache[ideal]
-        label = self._quad_label_uncached(ideal)
-        self._label_cache[ideal] = label
-        return label
-
-    def _quad_label_uncached(self, ideal: QuadIdeal) -> tuple[int, int]:
-        field = self.cycle.field
-        fid = self.cycle.finite
-        one = qf.ideal_from_int(field, 1)
-        if qf.ideal_gcd(ideal, fid) != one:
-            raise InputError("ideal not coprime to the conductor")
-        for c, base in enumerate(self._base):
-            g = qf.is_principal(qf.ideal_mul(ideal, base.conj()))
-            if g is None:
-                continue
-            nb = base.norm()
-            # residue of g / N(base) in (O/f)*
-            ginv = _residue_inverse(self._ru, QuadInt(field, nb, 0))
-            r = self._ru.index_of(g)
-            r = self._ru.mul(r, ginv)
-            return (c, self._res_orbit_of[r])
-        raise InputError("ideal matched no class (corrupt class group)")
-
-    # -- shared API
-
-    @property
-    def order(self) -> int:
-        return len(self.reps)
-
-    def class_of_int(self, a: int) -> int:
-        if self.cycle.field is not None:
-            return self.class_of_ideal(qf.ideal_from_int(self.cycle.field, a))
+    def class_of_ideal(self, a: int) -> int:
+        self.cycle._ideals._check(a)
         n = self.cycle.finite
         if gcd(a, n) != 1:
             raise InputError(f"{a} is not coprime to the conductor {n}")
@@ -477,11 +436,6 @@ class RayClassGroup:
         if k is None:
             raise InputError(f"class of {a} is not supported at P")
         return k
-
-    def class_of_ideal(self, ideal) -> int:
-        if self.cycle.field is None:
-            return self.class_of_int(ideal)
-        return self._label_index[self._quad_label(ideal)]
 
     @property
     def table(self):
@@ -493,14 +447,86 @@ class RayClassGroup:
         return self._table
 
     def mul(self, i: int, j: int) -> int:
-        if self.cycle.field is None:
-            n = self.cycle.finite
-            return self._class_of[self._heads[i] * self._heads[j] % n]
-        return self._table[i][j]
+        return self._class_of[self._heads[i] * self._heads[j] % self.cycle.finite]
 
-    @property
-    def identity(self) -> int:
-        return self.class_of_int(1) if self.cycle.field is None else self.class_of_ideal(qf.ideal_from_int(self.cycle.field, 1))
+
+class QuadRayClassGroup(RayClassGroup):
+    """Over an imaginary quadratic field class c * (orbit count) + o is the
+    complete invariant pair (ideal class c at trivial conductor, unit orbit
+    o of a normalized generator residue); every comparison reduces to
+    principality searches."""
+
+    def _build(self):
+        field = self.cycle.field
+        fid = self.cycle.finite
+        nf = fid.norm()
+        if nf > residue_bound():
+            raise BoundExceededError(f"conductor norm {nf} over residue bound")
+        cl1 = qf.class_group(field)
+        self._base = [_coprime_class_rep(cl1, k, nf) for k in range(cl1.order)]
+        ru = qf.residue_units(fid)
+        self._ru = ru
+        unit_idx = sorted({ru.index_of(u) for u in qf.unit_group(field)})
+        # orbits of the global-unit image acting on (O/f)* by multiplication,
+        # numbered by their first residue
+        self._res_orbit_of: dict[int, int] = {}
+        self._n_orbits = 0
+        for i in range(ru.order):
+            if i not in self._res_orbit_of:
+                for x in {ru.mul(i, u) for u in unit_idx}:
+                    self._res_orbit_of[x] = self._n_orbits
+                self._n_orbits += 1
+        size = cl1.order * self._n_orbits
+        if size > monoid_bound():
+            raise BoundExceededError("ray class group larger than monoid bound")
+        self._class_cache: dict[QuadIdeal, int] = {}
+        self.reps = self._find_reps(size)
+        self.table = tuple(tuple(self.class_of_ideal(qf.ideal_mul(x, y)) for y in self.reps) for x in self.reps)
+        check_group_table(self.table)
+        self.is_full = True
+
+    def _find_reps(self, size: int) -> list[QuadIdeal]:
+        fid = self.cycle.finite
+        one = self.cycle._ideals._one
+        reps: dict[int, QuadIdeal] = {}
+        bound = 2
+        while len(reps) < size:
+            bound *= 2
+            if bound > 16 * (fid.norm() + 2) * (size + 2):
+                raise BoundExceededError("could not find ray class representatives")
+            for ideal in qf.ideals_of_norm_up_to(self.cycle.field, bound):
+                if len(reps) == size:
+                    break
+                if qf.ideal_gcd(ideal, fid) != one:
+                    continue
+                k = self.class_of_ideal(ideal)
+                if k not in reps:
+                    reps[k] = ideal
+        return [reps[k] for k in range(size)]
+
+    def class_of_ideal(self, ideal: QuadIdeal) -> int:
+        k = self._class_cache.get(ideal)
+        if k is None:
+            k = self._class_cache[ideal] = self._classify(ideal)
+        return k
+
+    def _classify(self, ideal: QuadIdeal) -> int:
+        ideals = self.cycle._ideals
+        ideals._check(ideal)
+        if ideals._gcd(ideal, self.cycle.finite) != ideals._one:
+            raise InputError("ideal not coprime to the conductor")
+        for c, base in enumerate(self._base):
+            g = qf.is_principal(qf.ideal_mul(ideal, base.conj()))
+            if g is None:
+                continue
+            # residue of g / N(base) in (O/f)*
+            ginv = _residue_inverse(self._ru, QuadInt(self.cycle.field, base.norm(), 0))
+            r = self._ru.mul(self._ru.index_of(g), ginv)
+            return c * self._n_orbits + self._res_orbit_of[r]
+        raise InputError("ideal matched no class (corrupt class group)")
+
+    def mul(self, i: int, j: int) -> int:
+        return self.table[i][j]
 
 
 def _residue_inverse(ru: qf.ResidueUnitGroup, x: QuadInt) -> int:
@@ -583,7 +609,8 @@ _RCG_CACHE: dict[tuple, RayClassGroup] = {}
 def ray_class_group(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> RayClassGroup:
     key = (cycle, support)
     if key not in _RCG_CACHE:
-        _RCG_CACHE[key] = RayClassGroup(cycle, support)
+        group = RationalRayClassGroup if cycle.field is None else QuadRayClassGroup
+        _RCG_CACHE[key] = group(cycle, support)
     return _RCG_CACHE[key]
 
 
@@ -609,30 +636,24 @@ class DRMonoid:
     """
 
     def __init__(self, cycle: Cycle, support: PrimeSupport = ALL_PRIMES):
-        _require_all_support(cycle, support)
+        ideals = cycle._ideals
         self.cycle = cycle
         self.support = support
-        if cycle.field is None:
-            divs = [d for d in divisors(cycle.finite) if support.supports_int(d)]
-        else:
-            divs = qf.ideal_divisors(cycle.finite)
-        self.divisors = divs
-        self.class_groups = {d: ray_class_group(cycle.cofactor(d), support) for d in divs}
+        self.divisors = ideals._divisors(cycle.finite, support)
+        # each cofactor group checks that the field implements the support
+        self.class_groups = {d: ray_class_group(cycle.cofactor(d), support) for d in self.divisors}
         self.elements: list[DRClass] = []
-        offsets = {}  # index of the first element with each divisor
-        for d in divs:
-            offsets[d] = len(self.elements)
-            for u in range(self.class_groups[d].order):
-                self.elements.append(DRClass(d, u))
+        self._offsets = {}  # index of the first element with each divisor
+        for d in self.divisors:
+            self._offsets[d] = len(self.elements)
+            self.elements += [DRClass(d, u) for u in range(self.class_groups[d].order)]
         if len(self.elements) > monoid_bound():
             raise BoundExceededError("ray class monoid larger than monoid bound")
-        self._index = {e: k for k, e in enumerate(self.elements)}
-        self.reps = [self._rep_of(e) for e in self.elements]
+        self.reps = [ideals._mul(e.divisor, self.class_groups[e.divisor].reps[e.unit_index]) for e in self.elements]
         self._mul_cache: dict[tuple[int, int], int] = {}
-        if cycle.field is None:
-            self._res_index = self._build_residue_index(offsets)
+        self._res_index = self._build_residue_index() if cycle.field is None else None
 
-    def _build_residue_index(self, offsets: dict[int, int]) -> list[int | None]:
+    def _build_residue_index(self) -> list[int | None]:
         """Class index per residue (rational cycles): the class of a
         supported ideal depends only on its residue mod the finite part.
 
@@ -640,18 +661,12 @@ class DRMonoid:
         whose classes the cofactor group lists; the other residues (gcd
         part or class not supported at P) stay None.
         """
-        n = self.cycle.finite
-        out: list[int | None] = [None] * n
-        for d, base in offsets.items():
+        out: list[int | None] = [None] * self.cycle.finite
+        for d, base in self._offsets.items():
             for c, u in enumerate(self.class_groups[d]._class_of):
                 if u is not None:
                     out[d * c] = base + u
         return out
-
-    def _rep_of(self, e: DRClass):
-        if self.cycle.field is None:
-            return e.divisor * self.class_groups[e.divisor].reps[e.unit_index]
-        return qf.ideal_mul(e.divisor, self.class_groups[e.divisor].reps[e.unit_index])
 
     @property
     def size(self) -> int:
@@ -659,32 +674,28 @@ class DRMonoid:
 
     @property
     def identity(self) -> int:
-        one = 1 if self.cycle.field is None else qf.ideal_from_int(self.cycle.field, 1)
-        return self._index[DRClass(one, self.class_groups[one].identity)]
+        one = self.cycle._ideals._one
+        return self._offsets[one] + self.class_groups[one].identity
 
     def class_of_ideal(self, ideal) -> int:
-        """The monoid class of a P-supported ideal."""
-        if self.cycle.field is None:
-            _check_rational_ideal(ideal)
-            if self.support.mode != "all" and not self.support.supports_int(ideal):
-                raise InputError(f"ideal ({ideal}) is not supported at P")
+        """The monoid class of a P-supported ideal: element offsets[d] + u
+        for d the gcd with the finite part and u the cofactor's class."""
+        ideals = self.cycle._ideals
+        ideals._check(ideal, self.support)
+        if self._res_index is not None:
             k = self._res_index[ideal % self.cycle.finite]
             if k is None:
                 raise InputError(f"ideal ({ideal}) is not supported at P")
             return k
-        d = qf.ideal_gcd(ideal, self.cycle.finite)
-        cof = qf.ideal_div(ideal, d)
-        return self._index[DRClass(d, self.class_groups[d].class_of_ideal(cof))]
+        d = ideals._gcd(ideal, self.cycle.finite)
+        return self._offsets[d] + self.class_groups[d].class_of_ideal(ideals._div(ideal, d))
 
     def mul(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
         key = (i, j)
         if key not in self._mul_cache:
-            if self.cycle.field is None:
-                self._mul_cache[key] = self.class_of_ideal(self.reps[i] * self.reps[j])
-            else:
-                self._mul_cache[key] = self.class_of_ideal(qf.ideal_mul(self.reps[i], self.reps[j]))
+            self._mul_cache[key] = self.class_of_ideal(self.cycle._ideals._mul(self.reps[i], self.reps[j]))
         return self._mul_cache[key]
 
     def table(self) -> list[list[int]]:
@@ -742,16 +753,9 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
     n_cop = n // n_p
     dr = dr_monoid(cycle, support)
-    mapping = []
-    for i, e in enumerate(dr.elements):
-        rep = dr.reps[i]
-        mapping.append((rep % n_p, rep % n_cop))
+    mapping = [(rep % n_p, rep % n_cop) for rep in dr.reps]
     # bijectivity onto (Z/n_P)deg x (Z/n^P)*
     target = {(a, b) for a in range(n_p) for b in range(n_cop) if gcd(b, n_cop) == 1}
-    if n_cop == 1:
-        target = {(a, 0) for a in range(n_p)}
-    if n_p == 1:
-        target = {(0, b) for b in range(max(n_cop, 1)) if gcd(b, n_cop) == 1} or {(0, 0)}
     got = set(mapping)
     if len(mapping) != len(got) or got != target:
         raise InputError("residue description failed: not a bijection")
@@ -782,7 +786,6 @@ def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     to the ray class monoid is a monoid isomorphism."""
     if not support.chebotarev_dense:
         raise DensityRequiredError("the pushout description needs a dense support")
-    _require_all_support(cycle, support)
     dr = dr_monoid(cycle, support)
     if cycle.field is None:
         return _pushout_check_rational(cycle, support, dr)
@@ -849,7 +852,7 @@ def _pushout_check_rational(cycle: Cycle, support: PrimeSupport, dr: DRMonoid) -
         m = _smallest_supported(residue, n, support)
         return m, _smallest_supported(residue, n, support, skip=m)
 
-    unit_classes = [cl.class_of_int(_smallest_supported((lift_residue(g),), n, support)) for g in units]
+    unit_classes = [cl.class_of_ideal(_smallest_supported((lift_residue(g),), n, support)) for g in units]
     return _pushout_matches(
         dr, cl, n_p, unit_classes, lambda k, a: units[k] * a % n_p, lambda a1, a2: a1 * a2 % n_p, lifts
     )
@@ -906,17 +909,12 @@ def dr_shift_map(f: Cycle, a, support: PrimeSupport = ALL_PRIMES) -> list[int]:
     Composing with the canonical projection on either side is verified to
     be multiplication by the class of a.
     """
-    if f.field is None:
-        if not support.supports_int(a):
-            raise InputError("shift ideal not supported at P")
-        fa = Cycle(None, f.finite * a, f.infinity)
-        mul_ideal = lambda x: x * a
-    else:
-        fa = Cycle(f.field, qf.ideal_mul(f.finite, a))
-        mul_ideal = lambda x: qf.ideal_mul(x, a)
+    ideals = f._ideals
+    ideals._check(a, support)
+    fa = Cycle(f.field, ideals._mul(f.finite, a), f.infinity)
     src = dr_monoid(f, support)
     dst = dr_monoid(fa, support)
-    img = [dst.class_of_ideal(mul_ideal(src.reps[i])) for i in range(src.size)]
+    img = [dst.class_of_ideal(ideals._mul(rep, a)) for rep in src.reps]
     if len(set(img)) != src.size:
         raise InputError("shift map failed injectivity")
     proj = dr_canonical_map(fa, f, support)

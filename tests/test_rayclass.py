@@ -1,8 +1,13 @@
 import contextlib
 import heapq
+import json
 import pickle
 import random
 import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,9 @@ from lambda_forge.quadfield import (
     QuadField,
     QuadInt,
     check_group_table,
+    ideal_divides,
     ideal_from_int,
+    ideal_mul,
     ideals_of_norm_up_to,
     principal_ideal,
     unit_group,
@@ -34,7 +41,7 @@ from lambda_forge.rayclass import (
     free_dr_set,
     ray_class_group,
 )
-from lambda_forge.rayclass import _q_label, _quad_label_of, _smallest_supported
+from lambda_forge.rayclass import _label, _smallest_supported
 
 GAUSS = QuadField(-1)
 EISEN = QuadField(-3)
@@ -59,6 +66,46 @@ def test_cycle_arithmetic():
     assert Cycle.parse("2").divides(a)
     assert not Cycle.parse("2*inf").divides(Cycle.parse("2"))
     assert len(divisor_cycles(Cycle.parse("4*inf"))) == 6
+
+
+def test_rational_cycle_arithmetic_matches_brute_force():
+    # every cycle with n <= 60, with and without the real place
+    cycles = [Cycle(None, n, inf) for n in range(1, 61) for inf in (False, True)]
+    for f in cycles:
+        n = f.finite
+        for g in cycles:
+            assert g.divides(f) == (n % g.finite == 0 and (f.infinity or not g.infinity)), (str(g), str(f))
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        for d in range(1, n + 1):
+            if d in divs:
+                cof = f.cofactor(d)
+                assert cof.finite * d == n and cof.infinity == f.infinity, (str(f), d)
+            else:
+                with pytest.raises(InputError):
+                    f.cofactor(d)
+        places = (False, True) if f.infinity else (False,)
+        # smallest first: by finite part, then without the real place first
+        assert divisor_cycles(f) == [Cycle(None, d, inf) for d in divs for inf in places], str(f)
+
+
+@pytest.mark.parametrize("field", [GAUSS, K5], ids=["Q(i)", "Q(sqrt-5)"])
+def test_quadratic_cycle_arithmetic_matches_brute_force(field):
+    # every ideal of norm <= 25 as a conductor; its divisors have smaller
+    # norm, so the list holds them all, sorted by (norm, triple)
+    ideals = ideals_of_norm_up_to(field, 25)
+    cycles = [Cycle(field, ideal) for ideal in ideals]
+    for f in cycles:
+        for g in cycles:
+            assert g.divides(f) == ideal_divides(g.finite, f.finite), (str(g), str(f))
+        divs = [d for d in ideals if ideal_divides(d, f.finite)]
+        for d in ideals:
+            if d in divs:
+                cof = f.cofactor(d)
+                assert ideal_mul(cof.finite, d) == f.finite and cof.field == field, (str(f), str(d))
+            else:
+                with pytest.raises(InputError):
+                    f.cofactor(d)
+        assert divisor_cycles(f) == [Cycle(field, d) for d in divs], str(f)
 
 
 def test_support_parsing():
@@ -102,7 +149,7 @@ def test_group_table_check_rejects_broken_tables():
 
 
 @pytest.mark.parametrize("support", ["all", "all-except:3"])
-@pytest.mark.parametrize("bad", [0, -2, 2.0])
+@pytest.mark.parametrize("bad", [0, -2, 2.0, -1])
 def test_rational_ideals_must_be_positive_integers(support, bad):
     sup = PrimeSupport.parse(support)
     f = Cycle.parse("4*inf")
@@ -113,6 +160,37 @@ def test_rational_ideals_must_be_positive_integers(support, bad):
             route(4, bad, f, sup)
     with pytest.raises(InputError, match="positive integer"):
         dr_monoid(f, sup).class_of_ideal(bad)
+    with pytest.raises(InputError, match="positive integer"):
+        f_label(bad, f, sup)
+    with pytest.raises(InputError, match="positive integer"):
+        dr_shift_map(f, bad, sup)
+    with pytest.raises(InputError, match="positive integer"):
+        ray_class_group(Cycle.parse("5"), sup).class_of_ideal(bad)
+    with pytest.raises(InputError, match="positive integer"):
+        Cycle.parse("4").cofactor(bad)
+
+
+@pytest.mark.parametrize("bad", [3, ideal_from_int(K5, 3)], ids=["int", "ideal-of-Q(sqrt-5)"])
+def test_quadratic_ideals_must_belong_to_the_field(bad):
+    f = Cycle(GAUSS, ideal_from_int(GAUSS, 2))
+    good = ideal_from_int(GAUSS, 5)
+    calls = {
+        "f_label": lambda: f_label(bad, f),
+        "f_equiv": lambda: f_equiv(good, bad, f),
+        "f_equiv_generator a": lambda: f_equiv_generator(bad, good, f),
+        "f_equiv_generator b": lambda: f_equiv_generator(good, bad, f),
+        "monoid class_of_ideal": lambda: dr_monoid(f).class_of_ideal(bad),
+        "dr_shift_map": lambda: dr_shift_map(f, bad),
+        "group class_of_ideal": lambda: ray_class_group(f).class_of_ideal(bad),
+        "cofactor": lambda: f.cofactor(bad),
+        "cycle": lambda: Cycle(GAUSS, bad),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except InputError:
+            continue
+        pytest.fail(f"{name} accepted {bad!r}")
 
 
 def test_f_equiv_examples():
@@ -184,7 +262,7 @@ def test_explicit_support_subgroup():
     cl = ray_class_group(Cycle.parse("12*inf"), sup)
     assert not cl.is_full and cl.order < 4
     with pytest.raises(InputError):
-        cl.class_of_int(5)  # 5 is not supported
+        cl.class_of_ideal(5)  # 5 is not supported
 
 
 def test_explicit_support_reps_exist():
@@ -459,12 +537,62 @@ def test_cycle_and_support_hash_cached_and_consistent():
     # label lookups with equal but distinct keys still hit the memo
     f, support = Cycle.parse("40*inf"), PrimeSupport.parse("all-except:3")
     f_label(7, f, support)
-    hits = _q_label.cache_info().hits
+    hits = _label.cache_info().hits
     assert f_label(7, Cycle(None, 40, True), PrimeSupport("all-except", frozenset({3}))) == f_label(7, f, support)
-    assert _q_label.cache_info().hits == hits + 2
+    assert _label.cache_info().hits == hits + 2
     a = principal_ideal(QuadInt(GAUSS, 3, 2))
     fq = Cycle(GAUSS, ideal_from_int(GAUSS, 3))
     f_label(a, fq)
-    hits = _quad_label_of.cache_info().hits
+    hits = _label.cache_info().hits
     assert f_label(a, Cycle(GAUSS, ideal_from_int(GAUSS, 3))) == f_label(a, fq)
-    assert _quad_label_of.cache_info().hits == hits + 2
+    assert _label.cache_info().hits == hits + 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Installing the tracer patches the lambda_forge modules for the whole
+# process, so it runs in a child interpreter (-B: nothing is written under
+# perfbench/).
+TRACED_BUILDS = textwrap.dedent(
+    """
+    import json, sys
+    sys.path[:0] = sys.argv[1:]
+    from lambda_forge import quadfield, rayclass
+    from tracer import Tracer, layer_metrics
+
+    tracer = Tracer()
+    tracer.install()
+    gauss = quadfield.QuadField(-1)
+    cycles = [rayclass.Cycle(None, 12, True), rayclass.Cycle(gauss, quadfield.ideal_from_int(gauss, 3))]
+
+    def counts(kind):
+        metrics = layer_metrics(tracer.aggregates(), 1.0)
+        return metrics[f"rayclass.{kind}_requests"][0], metrics[f"rayclass.{kind}_builds"][0]
+
+    for f in cycles + cycles:
+        rayclass.ray_class_group(f)
+    groups = counts("group")
+    monoids = []
+    for f in cycles + cycles:
+        rayclass.dr_monoid(f)
+        monoids.append(counts("monoid"))
+    print(json.dumps({"groups": groups, "monoids": monoids}))
+    """
+)
+
+
+def test_tracer_counts_group_and_monoid_builds():
+    # perfbench/tracer.py counts builds through RayClassGroup.__init__ and
+    # DRMonoid.__init__: a subclass with its own __init__, or a rename,
+    # would zero its build counters
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_BUILDS, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["groups"] == [4, 2]
+    # a repeated request adds a request but no build
+    assert counts["monoids"] == [[1, 1], [2, 2], [3, 2], [4, 2]]
