@@ -13,7 +13,6 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -138,36 +137,27 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def poly_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly] | None:
-    """Quotient and remainder over Q if both are integral, else None."""
+    """Quotient and remainder over Q if both are integral, else None.
+
+    Long division stays in the integers: each quotient coefficient is an
+    exact division by the leading coefficient, and the first one that is
+    not an integer makes the quotient over Q non-integral."""
     if den.is_zero():
         raise InputError("division by the zero polynomial")
-    if den.lead() == 1:  # monic: the division stays in the integers
-        rem = list(num.coeffs)
-        dd = den.degree
-        q = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q[i - dd] = c
-                for j in range(dd):
-                    rem[i - dd + j] -= c * den.coeffs[j]
-                rem[i] = 0
-        return IntPoly(_trim(tuple(q))), IntPoly(_trim(tuple(rem)))
-    rem = [Fraction(c) for c in num.coeffs]
-    dl = den.lead()
-    q = [Fraction(0)] * max(len(rem) - den.degree, 0)
-    for i in range(len(rem) - 1, den.degree - 1, -1):
-        c = rem[i] / dl
-        q[i - den.degree] = c
+    rem = list(num.coeffs)
+    dd, dl = den.degree, den.lead()
+    q = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
         if c:
-            for j, d in enumerate(den.coeffs):
-                rem[i - den.degree + j] -= c * d
-    if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for x in rem):
-        return None
-    return (
-        IntPoly(_trim(tuple(int(x) for x in q))),
-        IntPoly(_trim(tuple(int(x) for x in rem))),
-    )
+            c, r = divmod(c, dl)
+            if r:
+                return None
+            q[i - dd] = c
+            for j in range(dd):
+                rem[i - dd + j] -= c * den.coeffs[j]
+            rem[i] = 0
+    return IntPoly(_trim(tuple(q))), IntPoly(_trim(tuple(rem)))
 
 
 def poly_divides(den: IntPoly, num: IntPoly) -> bool:
@@ -309,6 +299,27 @@ def substitute_x_plus_xinv(p: IntPoly) -> LaurentPoly:
 # Group ring Z[x]/(x^n - 1)
 
 
+def _cyclic_mul(a: tuple, b: tuple) -> tuple:
+    """The product in Z[x]/(x^n - 1) of two coefficient vectors of length n:
+    the cyclic convolution, x^i * x^j = x^((i + j) mod n)."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % n] += x * y
+    return tuple(out)
+
+
+def _cyclic_power_map(a: tuple, e: int) -> tuple:
+    """x -> x^e on Z[x]/(x^n - 1): the monomial x^i goes to x^(i*e mod n)."""
+    n = len(a)
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[(i * e) % n] += c
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GroupRingElt:
     """Element of Z[x]/(x^n - 1) as a length-n coefficient vector."""
@@ -337,12 +348,7 @@ class GroupRingElt:
         return GroupRingElt(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __mul__(self, o: "GroupRingElt") -> "GroupRingElt":
-        out = [0] * self.n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[(i + j) % self.n] += a * b
-        return GroupRingElt(self.n, tuple(out))
+        return GroupRingElt(self.n, _cyclic_mul(self.coeffs, o.coeffs))
 
     def sigma(self) -> "GroupRingElt":
         """The involution x -> x^(-1): index negation mod n."""
@@ -350,10 +356,7 @@ class GroupRingElt:
 
     def power_map(self, a: int) -> "GroupRingElt":
         """x -> x^a, the monoid endomorphism on monomials."""
-        out = [0] * self.n
-        for i, c in enumerate(self.coeffs):
-            out[(i * a) % self.n] += c
-        return GroupRingElt(self.n, tuple(out))
+        return GroupRingElt(self.n, _cyclic_power_map(self.coeffs, a))
 
     def augmentation(self) -> int:
         return sum(self.coeffs)

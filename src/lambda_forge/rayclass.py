@@ -464,6 +464,9 @@ class QuadRayClassGroup(RayClassGroup):
             raise BoundExceededError(f"conductor norm {nf} over residue bound")
         cl1 = qf.class_group(field)
         self._base = [_coprime_class_rep(cl1, k, nf) for k in range(cl1.order)]
+        # 1 / N(base) mod f as an integer: f meets Z in (a*c), and each
+        # base norm is coprime to N(f)
+        self._base_norm_inv = [pow(base.norm(), -1, fid.a * fid.c) for base in self._base]
         ru = qf.residue_units(fid)
         self._ru = ru
         unit_idx = sorted({ru.index_of(u) for u in qf.unit_group(field)})
@@ -520,22 +523,12 @@ class QuadRayClassGroup(RayClassGroup):
             if g is None:
                 continue
             # residue of g / N(base) in (O/f)*
-            ginv = _residue_inverse(self._ru, QuadInt(self.cycle.field, base.norm(), 0))
-            r = self._ru.mul(self._ru.index_of(g), ginv)
+            r = self._ru.index_of(g.scale(self._base_norm_inv[c]))
             return c * self._n_orbits + self._res_orbit_of[r]
         raise InputError("ideal matched no class (corrupt class group)")
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-
-def _residue_inverse(ru: qf.ResidueUnitGroup, x: QuadInt) -> int:
-    i = ru.index_of(x)
-    one = ru.index_of(QuadInt(x.field, 1, 0))
-    for j in range(ru.order):
-        if ru.mul(i, j) == one:
-            return j
-    raise InputError("residue has no inverse")
 
 
 def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:

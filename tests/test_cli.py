@@ -199,6 +199,8 @@ def test_frob_flag_validation():
         (["periodic-locus", "--family", "chebyshev"], None),
         (["--jobs", "2", "periodic-locus", "--family", "toric", "--cycle", "10"], None),
         (["periodic-locus", "--family", "toric", "--cycle", "10", "--jobs", "2"], None),
+        (["witt", "convert", "--ring", "x^1-1", "--ghost", "1", "--trunc", "div:1"], None),
+        (["witt", "convert", "--ring", "x^0-1", "--ghost", "1", "--trunc", "div:1"], None),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

@@ -1,7 +1,10 @@
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_forge.errors import DensityRequiredError, InputError
 from lambda_forge.intlinalg import divisors
@@ -41,6 +44,61 @@ def test_intpoly_arithmetic():
     assert poly_divmod(p, IntPoly.of(0, 2)) is None  # 2y does not divide
     assert poly_gcd(p * x, x) == x
     assert squarefree_part((x - IntPoly.of(2)) * (x - IntPoly.of(2))) == x - IntPoly.of(2)
+
+
+def _poly_divmod_fraction(num: IntPoly, den: IntPoly):
+    """Long division over Q in Fractions: the quotient and remainder if
+    both are integral, else None (the reference for poly_divmod)."""
+    rem = [Fraction(c) for c in num.coeffs]
+    dl = den.lead()
+    q = [Fraction(0)] * max(len(rem) - den.degree, 0)
+    for i in range(len(rem) - 1, den.degree - 1, -1):
+        c = rem[i] / dl
+        q[i - den.degree] = c
+        if c:
+            for j, d in enumerate(den.coeffs):
+                rem[i - den.degree + j] -= c * d
+    if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for x in rem):
+        return None
+    return IntPoly.of(*(int(x) for x in q)), IntPoly.of(*(int(x) for x in rem))
+
+
+_coeffs = st.lists(st.integers(-30, 30), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=_coeffs, den=_coeffs, lead=st.sampled_from([1, -1, 2, -3, 4, 6]), exact=st.booleans())
+def test_poly_divmod_matches_fraction_reference(num, den, lead, exact):
+    # den gets the drawn leading coefficient: monic, -1 and non-monic;
+    # an exact case multiplies num by den, so the quotient is integral
+    den = IntPoly.of(*den, lead)
+    num = IntPoly.of(*num)
+    if exact:
+        num = num * den
+    out = poly_divmod(num, den)
+    assert out == _poly_divmod_fraction(num, den)
+    if out is not None:
+        q, r = out
+        assert q * den + r == num and r.degree < den.degree
+    if exact:
+        assert out is not None and out[1].is_zero()
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ((), (1, 2)),  # zero numerator
+        ((3, 1), (1, 0, 0, 2)),  # deg den > deg num, non-monic
+        ((3, 1), (1, 0, 0, 1)),  # deg den > deg num, monic
+        ((1, 3), (5,)),  # a constant divisor
+        ((2, 4, 6), (2,)),
+        ((1, 0, 1), (0, 2)),  # the first quotient coefficient is not integral
+        ((0, 2, 0, 1), (0, 2)),  # a later one is not
+    ],
+)
+def test_poly_divmod_edge_cases(num, den):
+    num, den = IntPoly.of(*num), IntPoly.of(*den)
+    assert poly_divmod(num, den) == _poly_divmod_fraction(num, den)
 
 
 def test_laurent_arithmetic():

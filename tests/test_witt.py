@@ -40,6 +40,14 @@ def test_ring_validation():
         CoeffRing("quotient-poly", IntPoly.of(-1, 0, 1), "identity")
     with pytest.raises(InputError):
         CoeffRing("quotient-poly", IntPoly.of(1, 1, 1), "power")  # x->x^p not an endo
+    # x^2 and (x - 1)^2 carry the power lifts, but the twist rule of the
+    # periodic lattice holds only for x^k - 1
+    for modulus in (IntPoly.of(0, 0, 1), IntPoly.of(1, -2, 1)):
+        with pytest.raises(InputError):
+            CoeffRing("quotient-poly", modulus, "power")
+    for k in (-1, 0, 1):
+        with pytest.raises(InputError, match="k >= 2"):
+            binomial_quotient_ring(k)
     r = binomial_quotient_ring(4)
     assert r.rank == 4
     # frobenius is a lift and the maps commute on the generator
@@ -54,6 +62,55 @@ def test_ring_validation():
         with pytest.raises(InputError, match="negative powers"):
             ring.pow(ring.one(), -1)
     assert INTEGERS.pow((Fraction(2, 3),), 0) == (1,) and r.pow(x, 0) == r.one()
+
+
+def _reduce_reference(coeffs: list, h: IntPoly) -> tuple:
+    """Reduction modulo a monic h by long division from the top degree."""
+    d = h.degree
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            coeffs[i] = 0
+            for j in range(d):
+                coeffs[i - d + j] -= c * h.coeffs[j]
+    return tuple(coeffs[:d])
+
+
+def _mul_reference(ring: CoeffRing, a: tuple, b: tuple) -> tuple:
+    out = [0] * (2 * ring.rank - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _reduce_reference(out, ring.modulus)
+
+
+def _frob_matrix_reference(ring: CoeffRing, p: int) -> tuple:
+    """Row i is the reduced image (x^p)^i, built multiplicatively."""
+    img = _reduce_reference([0] * p + [1], ring.modulus)
+    rows, cur = [], ring.from_int(1)
+    for _ in range(ring.rank):
+        rows.append(cur)
+        cur = _mul_reference(ring, cur, img)
+    return tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cyclic_ring_matches_general_reduction(data):
+    k = data.draw(st.integers(2, 6))
+    ring = binomial_quotient_ring(k)
+    entry = data.draw(st.sampled_from([st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)]))
+    a, b = (tuple(data.draw(entry) for _ in range(k)) for _ in range(2))
+    assert ring.mul(a, b) == _mul_reference(ring, a, b)
+    e = data.draw(st.integers(0, 7))
+    ref = ring.one()
+    for _ in range(e):
+        ref = _mul_reference(ring, ref, a)
+    assert ring.pow(a, e) == ref
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rows = _frob_matrix_reference(ring, p)
+    assert ring.frob_matrix(p) == rows
+    assert ring.apply_frob(p, a) == tuple(sum(c * rows[i][j] for i, c in enumerate(a)) for j in range(k))
 
 
 def test_truncation_validation():
