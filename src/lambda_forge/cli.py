@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import lambdapoly, modelcheck, rayclass, witt
 from .errors import BoundExceededError, DensityRequiredError, InputError, ModelRefusedError
@@ -321,10 +322,17 @@ def build_parser() -> _Parser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    # built on the first call, not at import; parse_args keeps no state
+    # between calls, so in-process callers share one parser
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         sys.stdout.write(args.fn(args))
         return 0
     except InputError as exc:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .config import residue_bound
 from .errors import BoundExceededError, InputError
-from .intlinalg import factor, hnf_rows, is_prime
+from .intlinalg import factor, is_prime
 
 _SQUAREFREE_CACHE: dict[int, bool] = {}
 
@@ -51,11 +51,12 @@ class QuadField:
         if not _is_squarefree(-self.d):
             raise InputError("d must be squarefree")
 
-    @property
+    # cached: every element product reads both
+    @cached_property
     def trace_w(self) -> int:
         return 1 if self.d % 4 == 1 else 0
 
-    @property
+    @cached_property
     def norm_w(self) -> int:
         return (1 - self.d) // 4 if self.d % 4 == 1 else -self.d
 
@@ -153,15 +154,20 @@ class QuadIdeal:
     b: int
     c: int
 
-    def __hash__(self):  # hot path: avoid re-hashing the field dataclass
-        return hash((self.field.d, self.a, self.b, self.c))
-
     def __post_init__(self):
         f = self.field
         if self.a <= 0 or self.c <= 0 or not (0 <= self.b < self.a):
             raise InputError("ideal triple out of normal form")
         if QuadInt(f, self.b, 1).norm() % self.a != 0:
             raise InputError("triple does not span an ideal (a | N(b+w) fails)")
+        # every class lookup and memo hashes its ideal; skip the field dataclass
+        object.__setattr__(self, "_hash", hash((f.d, self.a, self.b, self.c)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt through the constructor, as rayclass.Cycle is
+        return QuadIdeal, (self.field, self.a, self.b, self.c)
 
     def norm(self) -> int:
         return self.a * self.c * self.c
@@ -178,8 +184,8 @@ class QuadIdeal:
         return u % (self.a * self.c) == 0
 
     def conj(self) -> "QuadIdeal":
-        g1, g2 = self.basis()
-        return ideal_from_module(self.field, [g1.conj(), g2.conj()])
+        # conj(b + w) = (b + tr w) - w, so the conjugate is [a, -b - tr w, c]
+        return QuadIdeal(self.field, self.a, (-self.b - self.field.trace_w) % self.a, self.c)
 
     def residues(self) -> list[QuadInt]:
         """Coset representatives of O/I: {u + v*w : 0<=u<a*c, 0<=v<c}."""
@@ -212,23 +218,32 @@ class QuadIdeal:
         return QuadIdeal(field, int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
-    """Normal form of the Z-module spanned by the generators, which must be
-    an O-module (checked)."""
-    rows = [[g.b, g.a] for g in gens if not g.is_zero()]  # (w, 1) coordinates
-    if not rows:
+def _ideal_from_pairs(field: QuadField, pairs) -> QuadIdeal:
+    """Normal form of the Z-module spanned by elements given as (w, 1)
+    coordinate pairs, which must be an O-module (checked).
+
+    The pairs fold into the 2-column Hermite form Z*(bq + v*w) + Z*aq
+    (Cohen, GTM 138, 5.2): a pair with a nonzero w-coordinate joins the top
+    row by row-wise Euclid, which leaves the eliminated combination with
+    w-coordinate 0; such a remainder, like a pair that starts with w-coordinate
+    0, is gcd-ed into aq.
+    """
+    v = bq = aq = 0
+    for x, y in pairs:
+        while x:
+            q = v // x
+            v, bq, x, y = x, y, v - q * x, bq - q * y
+        aq = gcd(aq, y)
+    if not v and not aq:
         raise InputError("zero module is not an ideal")
-    basis = hnf_rows(rows, 2)
-    if len(basis) != 2:
+    if not v or not aq:
         raise InputError("module has rank < 2, not an ideal")
-    # basis = [(V, B'), (0, A')]: module Z*(B' + V w) + Z*A'
-    (v, bq), (z, aq) = basis
-    if z != 0:
-        raise AssertionError("echelon basis is not upper triangular")
+    if v < 0:
+        v, bq = -v, -bq
+    bq %= aq
     if aq % v != 0 or bq % v != 0:
         raise InputError("module is not closed under multiplication by w")
-    c, a, b = v, aq // v, (bq // v) % (aq // v)
-    ideal = QuadIdeal(field, a, b, c)
+    ideal = QuadIdeal(field, aq // v, bq // v, v)
     g1, g2 = ideal.basis()
     w = field.omega()
     for g in (g1, g2):
@@ -237,10 +252,18 @@ def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
     return ideal
 
 
+def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
+    """Normal form of the Z-module spanned by the generators, which must be
+    an O-module (checked)."""
+    return _ideal_from_pairs(field, [(g.b, g.a) for g in gens])
+
+
 def principal_ideal(x: QuadInt) -> QuadIdeal:
     if x.is_zero():
         raise InputError("zero element generates no ideal")
-    return ideal_from_module(x.field, [x, x * x.field.omega()])
+    f = x.field
+    # x and x*w = -n*b + (a + t*b)*w
+    return _ideal_from_pairs(f, [(x.b, x.a), (x.a + f.trace_w * x.b, -f.norm_w * x.b)])
 
 
 def ideal_from_int(field: QuadField, n: int) -> QuadIdeal:
@@ -250,27 +273,36 @@ def ideal_from_int(field: QuadField, n: int) -> QuadIdeal:
 def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
     if x.field != y.field:
         raise InputError("ideals from different fields")
-    g1, g2 = x.basis()
-    h1, h2 = y.basis()
-    return ideal_from_module(x.field, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
+    f = x.field
+    a1, b1, a2, b2, c = x.a, x.b, y.a, y.b, x.c * y.c
+    # the four basis products, with (b1 + w)(b2 + w) = b1*b2 - n + (b1 + b2 + t)*w
+    return _ideal_from_pairs(
+        f,
+        [
+            (0, a1 * a2 * c),
+            (a1 * c, a1 * b2 * c),
+            (a2 * c, a2 * b1 * c),
+            ((b1 + b2 + f.trace_w) * c, (b1 * b2 - f.norm_w) * c),
+        ],
+    )
 
 
 def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
     """The ideal sum x + y, i.e. the gcd in the divisibility order."""
     if x.field != y.field:
         raise InputError("ideals from different fields")
-    return ideal_from_module(x.field, list(x.basis()) + list(y.basis()))
+    return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
 
 
 def ideal_div(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
     """Exact ideal quotient x / y; errors if y does not divide x."""
     num = ideal_mul(x, y.conj())
     n = y.norm()
-    g1, g2 = num.basis()
-    for g in (g1, g2):
-        if g.a % n or g.b % n:
-            raise InputError("ideal division is not exact")
-    return ideal_from_module(x.field, [QuadInt(x.field, g1.a // n, g1.b // n), QuadInt(x.field, g2.a // n, g2.b // n)])
+    a, b, c = num.a, num.b, num.c
+    # num = Z*a*c + Z*(b + w)*c, so n divides num iff n | c
+    if c % n:
+        raise InputError("ideal division is not exact")
+    return _ideal_from_pairs(x.field, [(0, a * c // n), (c // n, b * c // n)])
 
 
 def ideal_divides(d: QuadIdeal, x: QuadIdeal) -> bool:
@@ -328,7 +360,8 @@ def primes_above(p: int, field: QuadField) -> list[tuple[QuadIdeal, int, int]]:
         return [(ideal_from_int(field, p), 1, 2)]
     ideals = []
     for b in sorted(set(roots)):
-        ideals.append(ideal_from_module(field, [QuadInt(field, p, 0), QuadInt(field, b, 1), QuadInt(field, 0, p), QuadInt(field, b, 1) * field.omega()]))
+        # p and b + w, with (b + w)*w = -n + (b + t)*w
+        ideals.append(_ideal_from_pairs(field, [(0, p), (1, b), (p, 0), (b + t, -n)]))
     if len(ideals) == 2:
         return [(ideals[0], 1, 1), (ideals[1], 1, 1)]
     # single root: ramified iff p divides the discriminant
@@ -495,12 +528,15 @@ class ResidueUnitGroup:
     modulus: QuadIdeal
     elements: tuple[QuadInt, ...]
 
+    @cached_property
+    def _index(self) -> dict[QuadInt, int]:
+        return {e: k for k, e in enumerate(self.elements)}
+
     def index_of(self, x: QuadInt) -> int:
-        r = self.modulus.reduce(x)
-        for k, e in enumerate(self.elements):
-            if e == r:
-                return k
-        raise InputError("element is not a unit residue")
+        k = self._index.get(self.modulus.reduce(x))
+        if k is None:
+            raise InputError("element is not a unit residue")
+        return k
 
     def mul(self, i: int, j: int) -> int:
         return self.index_of(self.elements[i] * self.elements[j])

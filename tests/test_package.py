@@ -18,19 +18,32 @@ def test_no_bare_asserts():
     assert not found, found
 
 
+def _imports(path: Path):
+    """(import node, imported module names) for each import in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [node.module or ""]
+
+
 def test_only_witt_imports_fractions():
     """Rationals are part of an answer only in the inverse ghost transform;
     every other module computes in the integers."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
+        for node, names in _imports(path):
             if "fractions" in names and path.name != "witt.py":
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_quadfield_does_not_import_hnf_rows():
+    """Quadratic ideals fold into their 2-column Hermite form directly;
+    the general echelon is for the lattices of the other layers."""
+    found = []
+    for node, _ in _imports(SRC / "quadfield.py"):
+        if any(alias.name == "hnf_rows" for alias in node.names):
+            found.append(f"quadfield.py:{node.lineno}")
     assert not found, found

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_forge.errors import BoundExceededError, InputError
-from lambda_forge.intlinalg import is_prime
+from lambda_forge.intlinalg import hnf_rows, is_prime
 from lambda_forge.quadfield import (
     QuadField,
     QuadIdeal,
@@ -14,6 +16,7 @@ from lambda_forge.quadfield import (
     ideal_from_module,
     ideal_gcd,
     ideal_mul,
+    ideals_of_norm_up_to,
     is_principal,
     norm_solutions,
     primes_above,
@@ -185,3 +188,158 @@ def test_norm_solutions_complete():
                 if QuadInt(field, a, b).norm() == n
             }
             assert got == brute
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the general-echelon ideal arithmetic that the 2-column fold
+# replaced, kept here to check the fold and the closed forms against.
+
+
+def _hnf_ideal_from_module(field, gens):
+    rows = [[g.b, g.a] for g in gens if not g.is_zero()]  # (w, 1) coordinates
+    if not rows:
+        raise InputError("zero module is not an ideal")
+    basis = hnf_rows(rows, 2)
+    if len(basis) != 2:
+        raise InputError("module has rank < 2, not an ideal")
+    (v, bq), (z, aq) = basis
+    if z != 0:
+        raise AssertionError("echelon basis is not upper triangular")
+    if aq % v != 0 or bq % v != 0:
+        raise InputError("module is not closed under multiplication by w")
+    c, a, b = v, aq // v, (bq // v) % (aq // v)
+    ideal = QuadIdeal(field, a, b, c)
+    w = field.omega()
+    for g in ideal.basis():
+        if not ideal.contains(g * w):
+            raise InputError("module is not closed under multiplication by w")
+    return ideal
+
+
+def _oracle_conj(x):
+    g1, g2 = x.basis()
+    return _hnf_ideal_from_module(x.field, [g1.conj(), g2.conj()])
+
+
+def _oracle_principal(x):
+    if x.is_zero():
+        raise InputError("zero element generates no ideal")
+    return _hnf_ideal_from_module(x.field, [x, x * x.field.omega()])
+
+
+def _oracle_mul(x, y):
+    g1, g2 = x.basis()
+    h1, h2 = y.basis()
+    return _hnf_ideal_from_module(x.field, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
+
+
+def _oracle_gcd(x, y):
+    return _hnf_ideal_from_module(x.field, list(x.basis()) + list(y.basis()))
+
+
+def _oracle_div(x, y):
+    num = _oracle_mul(x, _oracle_conj(y))
+    n = y.norm()
+    g1, g2 = num.basis()
+    for g in (g1, g2):
+        if g.a % n or g.b % n:
+            raise InputError("ideal division is not exact")
+    return _hnf_ideal_from_module(x.field, [QuadInt(x.field, g.a // n, g.b // n) for g in (g1, g2)])
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+DIFF_FIELDS = (GAUSS, K5, EISEN)
+_entry = st.integers(-30, 30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    field=st.sampled_from(DIFF_FIELDS),
+    gens=st.lists(st.tuples(_entry, _entry), min_size=0, max_size=5),
+)
+def test_ideal_from_module_matches_echelon(field, gens):
+    elems = [QuadInt(field, a, b) for a, b in gens]
+    assert _outcome(ideal_from_module, field, elems) == _outcome(_hnf_ideal_from_module, field, elems)
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ideal_from_module_refusals(field):
+    """Zero, rank-1 and non-O-module inputs refuse with the oracle's
+    exception and message."""
+    cases = [
+        [],
+        [QuadInt(field, 0, 0)],
+        [QuadInt(field, 0, 0), QuadInt(field, 0, 0)],
+        [QuadInt(field, 6, 0)],
+        [QuadInt(field, 2, 3), QuadInt(field, -4, -6)],
+        [QuadInt(field, 0, 5), QuadInt(field, 0, 7)],
+        [QuadInt(field, 2, 0), QuadInt(field, 0, 1)],  # Z*2 + Z*w
+        [QuadInt(field, 4, 0), QuadInt(field, 1, 2)],
+        [QuadInt(field, 3, 0), QuadInt(field, 0, 3), QuadInt(field, 1, 1)],
+        [QuadInt(field, 7, 0), QuadInt(field, 1, 1)],
+    ]
+    for gens in cases:
+        want = _outcome(_hnf_ideal_from_module, field, gens)
+        assert _outcome(ideal_from_module, field, gens) == want
+    refusals = {_outcome(_hnf_ideal_from_module, field, gens) for gens in cases[:8]}
+    assert all(isinstance(r, tuple) and r[0] is InputError for r in refusals)
+    # zero module, rank < 2, and two ways of not being closed under w
+    assert len(refusals) == 4
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ideal_arithmetic_matches_echelon(field):
+    """Every pair of ideals of norm <= 60: products, sums, exact and
+    inexact quotients, conjugates and generators agree with the echelon
+    path."""
+    ideals = ideals_of_norm_up_to(field, 60)
+    inexact = 0
+    for x in ideals:
+        assert x.conj() == _oracle_conj(x)
+        assert ideal_mul(x, x.conj()) == ideal_from_int(field, x.norm())
+        g = is_principal(x)
+        if g is not None:
+            assert principal_ideal(g) == _oracle_principal(g) == x
+        for y in ideals:
+            xy = ideal_mul(x, y)
+            assert xy == _oracle_mul(x, y)
+            assert ideal_gcd(x, y) == _oracle_gcd(x, y)
+            assert ideal_div(xy, y) == _oracle_div(xy, y) == x
+            got = _outcome(ideal_div, x, y)
+            assert got == _outcome(_oracle_div, x, y)
+            inexact += isinstance(got, tuple)
+    assert inexact > 0
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
+def test_principal_ideal_matches_echelon(field):
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            x = QuadInt(field, a, b)
+            assert _outcome(principal_ideal, x) == _outcome(_oracle_principal, x)
+
+
+def _scan_index_of(group, x):
+    """The linear scan that the residue dict replaced."""
+    r = group.modulus.reduce(x)
+    for k, e in enumerate(group.elements):
+        if e == r:
+            return k
+    raise InputError("element is not a unit residue")
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
+def test_residue_index_matches_scan(field):
+    for f in ideals_of_norm_up_to(field, 50):
+        group = residue_units(f)
+        shift = f.basis()[1]
+        for r in f.residues():
+            for x in (r, r + shift, r - shift.scale(3)):
+                assert _outcome(group.index_of, x) == _outcome(_scan_index_of, group, x)
