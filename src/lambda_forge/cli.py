@@ -305,7 +305,7 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("witt_cmd", choices=["convert", "check", "periodic"])
     sp.add_argument("--ring", default=None)
-    sp.add_argument("--frob", default="p:x^p", help="lift rule; x^k-1 rings use the power rule")
+    sp.add_argument("--frob", default="p:x^p", help="lift rule, validated only: the ring fixes the lifts (identity over Z, x -> x^p over x^k-1)")
     sp.add_argument("--ghost")
     sp.add_argument("--witt", dest="witt")
     sp.add_argument("--trunc", default="div:6")

@@ -1,7 +1,7 @@
 """Exact arithmetic in imaginary quadratic orders: elements, ideals in a
-fixed two-generator normal form, norms, principality by bounded lattice
-search, class groups from reduced binary quadratic forms, and residue unit
-groups.
+fixed two-generator normal form, norms, principality by a norm search on an
+ideal's primitive part, class groups from reduced binary quadratic forms,
+and residue unit groups.
 
 Only imaginary quadratic fields are supported (the unit group is finite and
 the norm form is positive definite, so every search here terminates with a
@@ -17,8 +17,10 @@ ideals is structural equality of triples.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count, takewhile
 from math import gcd, isqrt
 
 from .config import residue_bound
@@ -155,13 +157,13 @@ class QuadIdeal:
     c: int
 
     def __post_init__(self):
-        f = self.field
-        if self.a <= 0 or self.c <= 0 or not (0 <= self.b < self.a):
+        f, a, b = self.field, self.a, self.b
+        if a <= 0 or self.c <= 0 or not (0 <= b < a):
             raise InputError("ideal triple out of normal form")
-        if QuadInt(f, self.b, 1).norm() % self.a != 0:
+        if (b * (b + f.trace_w) + f.norm_w) % a:  # N(b + w) in integers
             raise InputError("triple does not span an ideal (a | N(b+w) fails)")
         # every class lookup and memo hashes its ideal; skip the field dataclass
-        object.__setattr__(self, "_hash", hash((f.d, self.a, self.b, self.c)))
+        object.__setattr__(self, "_hash", hash((f.d, a, b, self.c)))
 
     def __hash__(self):
         return self._hash
@@ -226,7 +228,9 @@ def _ideal_from_pairs(field: QuadField, pairs) -> QuadIdeal:
     (Cohen, GTM 138, 5.2): a pair with a nonzero w-coordinate joins the top
     row by row-wise Euclid, which leaves the eliminated combination with
     w-coordinate 0; such a remainder, like a pair that starts with w-coordinate
-    0, is gcd-ed into aq.
+    0, is gcd-ed into aq.  With v | aq and v | bq the module is
+    c*(Z*a + Z*(b + w)), and it is closed under w exactly when a | N(b + w),
+    which the QuadIdeal constructor checks.
     """
     v = bq = aq = 0
     for x, y in pairs:
@@ -243,13 +247,7 @@ def _ideal_from_pairs(field: QuadField, pairs) -> QuadIdeal:
     bq %= aq
     if aq % v != 0 or bq % v != 0:
         raise InputError("module is not closed under multiplication by w")
-    ideal = QuadIdeal(field, aq // v, bq // v, v)
-    g1, g2 = ideal.basis()
-    w = field.omega()
-    for g in (g1, g2):
-        if not ideal.contains(g * w):
-            raise InputError("module is not closed under multiplication by w")
-    return ideal
+    return QuadIdeal(field, aq // v, bq // v, v)
 
 
 def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
@@ -295,14 +293,15 @@ def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_div(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
-    """Exact ideal quotient x / y; errors if y does not divide x."""
+    """Exact ideal quotient x / y; errors if y does not divide x.
+
+    x * conj(y) = c*[a, b + w] is divisible by N(y) = n exactly when n | c,
+    and then the quotient is the normal-form triple [a, b, c / n]."""
     num = ideal_mul(x, y.conj())
     n = y.norm()
-    a, b, c = num.a, num.b, num.c
-    # num = Z*a*c + Z*(b + w)*c, so n divides num iff n | c
-    if c % n:
+    if num.c % n:
         raise InputError("ideal division is not exact")
-    return _ideal_from_pairs(x.field, [(0, a * c // n), (c // n, b * c // n)])
+    return QuadIdeal(x.field, num.a, num.b, num.c // n)
 
 
 def ideal_divides(d: QuadIdeal, x: QuadIdeal) -> bool:
@@ -335,17 +334,25 @@ def norm_solutions(field: QuadField, n: int) -> list[QuadInt]:
     return out
 
 
-def is_principal(ideal: QuadIdeal) -> QuadInt | None:
-    """A generator if the ideal is principal, else None.
+def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
+    """All generators of the ideal, in ``norm_solutions`` order; empty if it
+    is not principal.
 
-    Searches the finitely many elements of norm N(ideal); any such element
-    lying in the ideal generates it (equal norms force equality).
+    The ideal c*J with primitive part J = [a, b + w] is principal iff J is,
+    and then c times J's generators generate it.  J's generators are the
+    elements u + v*w of norm a lying in J (equal norms force equality), i.e.
+    with a | u - b*v; scaling by c > 0 keeps the order of a search over the
+    elements of norm N(c*J).
     """
-    n = ideal.norm()
-    for x in norm_solutions(ideal.field, n):
-        if ideal.contains(x):
-            return x
-    return None
+    a, b, c = ideal.a, ideal.b, ideal.c
+    return tuple(x.scale(c) for x in norm_solutions(ideal.field, a) if (x.a - b * x.b) % a == 0)
+
+
+def is_principal(ideal: QuadIdeal) -> QuadInt | None:
+    """The first of ``ideal_generators`` if the ideal is principal, else
+    None."""
+    gens = ideal_generators(ideal)
+    return gens[0] if gens else None
 
 
 def primes_above(p: int, field: QuadField) -> list[tuple[QuadIdeal, int, int]]:
@@ -413,17 +420,26 @@ def _ideal_pow(q: QuadIdeal, k: int) -> QuadIdeal:
     return out
 
 
+def ideals_by_norm(field: QuadField) -> Iterator[QuadIdeal]:
+    """Every nonzero integral ideal, lazily, in (norm, a, b, c) order."""
+    t, n = field.trace_w, field.norm_w
+    roots: dict[int, list[int]] = {}  # the b with a | N(b + w), per a
+    for norm in count(1):
+        # a = norm / c^2 grows as c falls, and each a first shows up with c = 1
+        for c in range(isqrt(norm), 0, -1):
+            a, r = divmod(norm, c * c)
+            if r:
+                continue
+            if c == 1:  # roots pair up as b and -b - t, so scan half of them
+                half = range((a - t) // 2 + 1)
+                roots[a] = sorted({x for b in half if (b * (b + t) + n) % a == 0 for x in (b, (-b - t) % a)})
+            for b in roots[a]:
+                yield QuadIdeal(field, a, b, c)
+
+
 def ideals_of_norm_up_to(field: QuadField, bound: int) -> list[QuadIdeal]:
     """All nonzero integral ideals of norm <= bound, sorted by (norm, triple)."""
-    out = []
-    for a in range(1, bound + 1):
-        t, n = field.trace_w, field.norm_w
-        for b in range(a):
-            if (b * b + t * b + n) % a == 0:
-                cmax = isqrt(bound // a)
-                for c in range(1, cmax + 1):
-                    out.append(QuadIdeal(field, a, b, c))
-    return sorted(out, key=lambda i: (i.norm(), i.a, i.b, i.c))
+    return list(takewhile(lambda i: i.norm() <= bound, ideals_by_norm(field)))
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def _conductor_times_conj(f_fin: QuadIdeal, b: QuadIdeal) -> tuple[int, int, int
 @lru_cache(maxsize=65536)
 def generators_of(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
     """All generators of a principal ideal (empty if not principal)."""
-    return tuple(x for x in qf.norm_solutions(ideal.field, ideal.norm()) if ideal.contains(x))
+    return qf.ideal_generators(ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +489,21 @@ class QuadRayClassGroup(RayClassGroup):
         self.is_full = True
 
     def _find_reps(self, size: int) -> list[QuadIdeal]:
+        """The first ideal coprime to f of each class, in (norm, triple)
+        order, searched up to the largest power of two within
+        16 * (N(f) + 2) * (size + 2)."""
         fid = self.cycle.finite
         one = self.cycle._ideals._one
+        limit = 1 << ((16 * (fid.norm() + 2) * (size + 2)).bit_length() - 1)
         reps: dict[int, QuadIdeal] = {}
-        bound = 2
-        while len(reps) < size:
-            bound *= 2
-            if bound > 16 * (fid.norm() + 2) * (size + 2):
+        for ideal in qf.ideals_by_norm(self.cycle.field):
+            if len(reps) == size:
+                break
+            if ideal.norm() > limit:
                 raise BoundExceededError("could not find ray class representatives")
-            for ideal in qf.ideals_of_norm_up_to(self.cycle.field, bound):
-                if len(reps) == size:
-                    break
-                if qf.ideal_gcd(ideal, fid) != one:
-                    continue
-                k = self.class_of_ideal(ideal)
-                if k not in reps:
-                    reps[k] = ideal
+            if qf.ideal_gcd(ideal, fid) != one:
+                continue
+            reps.setdefault(self.class_of_ideal(ideal), ideal)
         return [reps[k] for k in range(size)]
 
     def class_of_ideal(self, ideal: QuadIdeal) -> int:
@@ -536,8 +535,9 @@ def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:
     coprime to the conductor too)."""
     if gcd(cl.reps[k].norm(), nf) == 1:
         return cl.reps[k]
-    field = cl.field
-    for ideal in qf.ideals_of_norm_up_to(field, 16 * (nf + 2)):
+    for ideal in qf.ideals_by_norm(cl.field):
+        if ideal.norm() > 16 * (nf + 2):
+            break
         if gcd(ideal.norm(), nf) != 1:
             continue
         if qf.is_principal(qf.ideal_mul(ideal, cl.reps[k].conj())) is not None:

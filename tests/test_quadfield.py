@@ -1,15 +1,18 @@
 import random
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_forge import rayclass
 from lambda_forge.errors import BoundExceededError, InputError
 from lambda_forge.intlinalg import hnf_rows, is_prime
 from lambda_forge.quadfield import (
     QuadField,
     QuadIdeal,
     QuadInt,
+    _ideal_from_pairs,
     class_group,
     ideal_div,
     ideal_from_int,
@@ -343,3 +346,139 @@ def test_residue_index_matches_scan(field):
         for r in f.residues():
             for x in (r, r + shift, r - shift.scale(3)):
                 assert _outcome(group.index_of, x) == _outcome(_scan_index_of, group, x)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the full-norm principality scans and the O(B^2) ideal enumeration
+# that the primitive-part search and the lazy ideal stream replaced.
+
+ORACLE_FIELDS = (GAUSS, K5, EISEN, QuadField(-23))
+
+
+def _scan_is_principal(ideal):
+    for x in norm_solutions(ideal.field, ideal.norm()):
+        if ideal.contains(x):
+            return x
+    return None
+
+
+def _scan_generators_of(ideal):
+    return tuple(x for x in norm_solutions(ideal.field, ideal.norm()) if ideal.contains(x))
+
+
+def _scan_ideals_of_norm_up_to(field, bound):
+    out = []
+    for a in range(1, bound + 1):
+        t, n = field.trace_w, field.norm_w
+        for b in range(a):
+            if (b * b + t * b + n) % a == 0:
+                cmax = isqrt(bound // a)
+                for c in range(1, cmax + 1):
+                    out.append(QuadIdeal(field, a, b, c))
+    return sorted(out, key=lambda i: (i.norm(), i.a, i.b, i.c))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_principality_matches_full_norm_scan(field):
+    """Same generator, and the same generators in the same order, for every
+    ideal of norm <= 200, non-principal ones and c > 1 included."""
+    ideals = _scan_ideals_of_norm_up_to(field, 200)
+    assert any(i.c > 1 for i in ideals)
+    outcomes = set()
+    for ideal in ideals:
+        want = _scan_generators_of(ideal)
+        assert is_principal(ideal) == _scan_is_principal(ideal) == (want[0] if want else None)
+        assert rayclass.generators_of.__wrapped__(ideal) == want
+        outcomes.add((ideal.c > 1, bool(want)))
+    expect = {(False, True), (True, True)}
+    if class_group(field).order > 1:
+        expect |= {(False, False), (True, False)}
+    assert outcomes == expect
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ideal_stream_matches_enumeration(field):
+    for bound in range(-1, 201):
+        assert ideals_of_norm_up_to(field, bound) == _scan_ideals_of_norm_up_to(field, bound), bound
+
+
+def _doubling_find_reps(group, size):
+    """The representative search that re-scanned from norm 1 at each
+    doubling of its bound."""
+    fid = group.cycle.finite
+    one = ideal_from_int(fid.field, 1)
+    reps = {}
+    bound = 2
+    while len(reps) < size:
+        bound *= 2
+        if bound > 16 * (fid.norm() + 2) * (size + 2):
+            raise BoundExceededError("could not find ray class representatives")
+        for ideal in _scan_ideals_of_norm_up_to(fid.field, bound):
+            if len(reps) == size:
+                break
+            if ideal_gcd(ideal, fid) != one:
+                continue
+            k = group.class_of_ideal(ideal)
+            if k not in reps:
+                reps[k] = ideal
+    return [reps[k] for k in range(size)]
+
+
+def _sorted_coprime_class_rep(cl, k, nf):
+    if gcd(cl.reps[k].norm(), nf) == 1:
+        return cl.reps[k]
+    for ideal in _scan_ideals_of_norm_up_to(cl.field, 16 * (nf + 2)):
+        if gcd(ideal.norm(), nf) == 1 and _scan_is_principal(ideal_mul(ideal, cl.reps[k].conj())) is not None:
+            return ideal
+    raise BoundExceededError("no coprime class representative found")
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ray_class_reps_match_doubling_search(field):
+    cl = class_group(field)
+    for fid in _scan_ideals_of_norm_up_to(field, 25):
+        group = rayclass.ray_class_group(rayclass.Cycle(field, fid))
+        assert group._base == [_sorted_coprime_class_rep(cl, k, fid.norm()) for k in range(cl.order)], str(fid)
+        assert group.reps == _doubling_find_reps(group, group.order), str(fid)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ray_class_rep_search_limit(field):
+    """Asked for one class more than there are, both searches classify the
+    same ideals before they refuse."""
+    group = rayclass.ray_class_group(rayclass.Cycle(field, primes_above(2, field)[0][0]))
+    seen = []
+    classify = group.class_of_ideal
+    group.class_of_ideal = lambda ideal: seen.append(ideal) or classify(ideal)
+    try:
+        with pytest.raises(BoundExceededError, match="could not find ray class representatives"):
+            group._find_reps(group.order + 1)
+        streamed, seen[:] = list(seen), []
+        with pytest.raises(BoundExceededError, match="could not find ray class representatives"):
+            _doubling_find_reps(group, group.order + 1)
+    finally:
+        del group.class_of_ideal
+    assert streamed == list(dict.fromkeys(seen))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_normal_form_check_matches_element_norm(field):
+    for a in range(1, 41):
+        for b in range(a):
+            want = None if QuadInt(field, b, 1).norm() % a == 0 else (InputError, "triple does not span an ideal (a | N(b+w) fails)")
+            for c in (1, 3):
+                got = _outcome(QuadIdeal, field, a, b, c)
+                assert (None if isinstance(got, QuadIdeal) else got) == want, (a, b, c)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
+def test_ideal_from_pairs_refusal_messages(field):
+    """The fold's four refusals, as (w, 1) coordinate pairs."""
+    cases = {
+        (): "zero module is not an ideal",
+        ((0, 6),): "module has rank < 2, not an ideal",
+        ((2, 0), (0, 3)): "module is not closed under multiplication by w",
+        ((1, 0), (0, 7)): "triple does not span an ideal (a | N(b+w) fails)",
+    }
+    for pairs, message in cases.items():
+        assert _outcome(_ideal_from_pairs, field, list(pairs)) == (InputError, message)
