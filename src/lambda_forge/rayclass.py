@@ -280,7 +280,10 @@ class _QuadIdeals:
 
     _mul = staticmethod(lambda a, b: qf.ideal_mul(a, b))
     _gcd = staticmethod(lambda a, b: qf.ideal_gcd(a, b))
-    _div = staticmethod(lambda a, d: qf.ideal_div(a, d))  # exact, else InputError
+
+    def _div(self, a: QuadIdeal, d: QuadIdeal) -> QuadIdeal:  # exact, else InputError
+        return a if d == self._one else qf.ideal_div(a, d)
+
     _divides = staticmethod(lambda d, a: qf.ideal_divides(d, a))
     # sorted by (norm, triple); every divisor is supported
     _divisors = staticmethod(lambda a, support: qf.ideal_divisors(a))
@@ -423,9 +426,8 @@ class RationalRayClassGroup(RayClassGroup):
         # integer at all (-1 mod 7 is no power of 2)
         self.reps = [_smallest_supported(orbits[o], n, self.support) for o in achievable]
         self.is_full = len(achievable) == len(orbits)
-        self._table = None
-        if self.order <= 128:  # larger tables materialize lazily
-            check_group_table(self.table)
+        if self.order <= 128:  # built and checked now; larger ones on first use
+            self.table
 
     def class_of_ideal(self, a: int) -> int:
         self.cycle._ideals._check(a)
@@ -437,14 +439,13 @@ class RationalRayClassGroup(RayClassGroup):
             raise InputError(f"class of {a} is not supported at P")
         return k
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            n = self.cycle.finite
-            heads, class_of = self._heads, self._class_of
-            self._table = tuple(tuple(class_of[h1 * h2 % n] for h2 in heads) for h1 in heads)
-            check_group_table(self._table)
-        return self._table
+        n = self.cycle.finite
+        heads, class_of = self._heads, self._class_of
+        table = tuple([tuple([class_of[h1 * h2 % n] for h2 in heads]) for h1 in heads])
+        check_group_table(table)
+        return table
 
     def mul(self, i: int, j: int) -> int:
         return self._class_of[self._heads[i] * self._heads[j] % self.cycle.finite]
@@ -518,7 +519,7 @@ class QuadRayClassGroup(RayClassGroup):
         if ideals._gcd(ideal, self.cycle.finite) != ideals._one:
             raise InputError("ideal not coprime to the conductor")
         for c, base in enumerate(self._base):
-            g = qf.is_principal(qf.ideal_mul(ideal, base.conj()))
+            g = qf.is_principal(ideal if base == ideals._one else qf.ideal_mul(ideal, base.conj()))
             if g is None:
                 continue
             # residue of g / N(base) in (O/f)*
@@ -624,8 +625,8 @@ class DRMonoid:
 
     Elements are (divisor, cofactor class) pairs; multiplication classifies
     the product of canonical representative ideals, so it is definitionally
-    the induced multiplication.  Tables are materialized on demand (the
-    element count can reach the configured monoid bound).
+    the induced multiplication.  ``elements`` and the tables are built on
+    demand (the element count can reach the configured monoid bound).
     """
 
     def __init__(self, cycle: Cycle, support: PrimeSupport = ALL_PRIMES):
@@ -633,16 +634,17 @@ class DRMonoid:
         self.cycle = cycle
         self.support = support
         self.divisors = ideals._divisors(cycle.finite, support)
-        # each cofactor group checks that the field implements the support
-        self.class_groups = {d: ray_class_group(cycle.cofactor(d), support) for d in self.divisors}
-        self.elements: list[DRClass] = []
+        self.class_groups = {}
         self._offsets = {}  # index of the first element with each divisor
+        self.size = 0
         for d in self.divisors:
-            self._offsets[d] = len(self.elements)
-            self.elements += [DRClass(d, u) for u in range(self.class_groups[d].order)]
-        if len(self.elements) > monoid_bound():
-            raise BoundExceededError("ray class monoid larger than monoid bound")
-        self.reps = [ideals._mul(e.divisor, self.class_groups[e.divisor].reps[e.unit_index]) for e in self.elements]
+            # each cofactor group checks that the field implements the support
+            group = self.class_groups[d] = ray_class_group(cycle.cofactor(d), support)
+            self._offsets[d] = self.size
+            self.size += group.order
+            if self.size > monoid_bound():  # refused before the remaining groups are built
+                raise BoundExceededError("ray class monoid larger than monoid bound")
+        self.reps = [ideals._mul(d, r) for d in self.divisors for r in self.class_groups[d].reps]
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._res_index = self._build_residue_index() if cycle.field is None else None
 
@@ -661,9 +663,9 @@ class DRMonoid:
                     out[d * c] = base + u
         return out
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> list[DRClass]:
+        return [DRClass(d, u) for d in self.divisors for u in range(self.class_groups[d].order)]
 
     @property
     def identity(self) -> int:
@@ -707,10 +709,7 @@ class DRMonoid:
         return {
             "cycle": str(self.cycle),
             "support": str(self.support),
-            "elements": [
-                {"d": str(e.divisor), "unit_rep": str(self.class_groups[e.divisor].reps[e.unit_index])}
-                for e in self.elements
-            ],
+            "elements": [{"d": str(d), "unit_rep": str(r)} for d in self.divisors for r in self.class_groups[d].reps],
             "table": self.table(),
         }
 

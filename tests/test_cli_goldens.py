@@ -7,6 +7,10 @@ there."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,54 @@ def test_verbs_do_not_leak_defaults(monkeypatch):
     for fwd, rev in zip(GOLDENS, reversed(GOLDENS)):
         _check_golden(rev)
         _check_golden(fwd)
+
+
+UNDER_O = [
+    ["dr-table", "--cycle", "12*inf", "--output", "csv"],
+    ["ray-class", "--cycle", "100", "--output", "csv"],
+    ["dr-table", "--cycle", "10007*inf", "--json"],
+]
+
+TABLE_CHECK_UNDER_O = textwrap.dedent(
+    """
+    import sys
+    from lambda_forge.errors import InputError
+    from lambda_forge.quadfield import check_group_table
+    from lambda_forge.rayclass import Cycle, RationalRayClassGroup
+
+    if __debug__ or sys.flags.optimize != 1:
+        sys.exit(3)
+    broken = RationalRayClassGroup(Cycle(None, 1000, True))
+    broken._class_of = list(broken._class_of)
+    broken._class_of[3] = broken._class_of[7]
+    for check in (lambda: check_group_table(((0, 1), (1, 1))), lambda: broken.table):
+        try:
+            check()
+        except InputError as exc:
+            print(exc)
+        else:
+            sys.exit(4)
+    """
+)
+
+
+def _run_optimized(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # -B: nothing is written under src/
+    return subprocess.run(
+        [sys.executable, "-O", "-B", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_goldens_and_self_checks_under_python_O():
+    """The refusals and the group-table checks raise errors rather than
+    assert, so they survive ``python -O``."""
+    records = {tuple(r["argv"]): r for r in GOLDENS}
+    for argv in UNDER_O:
+        record = records[tuple(argv)]
+        proc = _run_optimized(["-m", "lambda_forge.cli", *argv])
+        assert (proc.returncode, proc.stdout) == (record["exit"], record["stdout"]), argv
+        assert "Traceback" not in proc.stderr
+    proc = _run_optimized(["-c", TABLE_CHECK_UNDER_O])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["group table row is not a permutation"] * 2

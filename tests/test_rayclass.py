@@ -11,13 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from lambda_forge.errors import DensityRequiredError, InputError
+from lambda_forge import rayclass
+from lambda_forge.errors import BoundExceededError, DensityRequiredError, InputError
 from lambda_forge.intlinalg import factor
 from lambda_forge.quadfield import (
     QuadField,
     QuadInt,
     check_group_table,
+    ideal_div,
     ideal_divides,
+    ideal_divisors,
     ideal_from_int,
     ideal_mul,
     ideals_of_norm_up_to,
@@ -26,7 +29,9 @@ from lambda_forge.quadfield import (
 )
 from lambda_forge.rayclass import (
     Cycle,
+    DRClass,
     PrimeSupport,
+    RationalRayClassGroup,
     cycle_gcd,
     cycle_lcm,
     divisor_cycles,
@@ -514,6 +519,99 @@ def test_dr_json():
     data = dr.to_json()
     assert data["cycle"] == "4*inf" and len(data["elements"]) == dr.size
     assert len(data["table"]) == dr.size
+
+
+def _eager_monoid(cycle, support):
+    """Oracle: the monoid assembled eagerly, as it was before its elements
+    were built on demand -- every cofactor group first, then one DRClass per
+    element, the representatives read off the elements."""
+    ideals = cycle._ideals
+    divs = ideals._divisors(cycle.finite, support)
+    groups = {d: ray_class_group(cycle.cofactor(d), support) for d in divs}
+    elements, offsets = [], {}
+    for d in divs:
+        offsets[d] = len(elements)
+        elements += [DRClass(d, u) for u in range(groups[d].order)]
+    reps = [ideals._mul(e.divisor, groups[e.divisor].reps[e.unit_index]) for e in elements]
+    res_index = [None] * cycle.finite
+    for d, base in offsets.items():
+        for c, u in enumerate(groups[d]._class_of):
+            if u is not None:
+                res_index[d * c] = base + u
+    identity = offsets[1] + groups[1].identity
+    return {
+        "elements": elements,
+        "size": len(elements),
+        "reps": reps,
+        "_offsets": offsets,
+        "_res_index": res_index,
+        "identity": identity,
+    }
+
+
+@pytest.mark.parametrize("text", ["all", "all-except:2", "all-except:3,5", "explicit:3,5!"])
+def test_dr_monoid_matches_eager_oracle(text):
+    support = PrimeSupport.parse(text)
+    for n in range(1, 151):
+        for inf in (False, True):
+            cycle = Cycle(None, n, inf)
+            expected = _eager_monoid(cycle, support)
+            dr = rayclass.DRMonoid(cycle, support)
+            assert {key: getattr(dr, key) for key in expected} == expected, (n, inf)
+
+
+@pytest.mark.parametrize("field", [GAUSS, K5], ids=["Q(i)", "Q(sqrt-5)"])
+def test_quad_division_by_the_unit_ideal_is_skipped(field, monkeypatch):
+    ideals = rayclass._quad_ideals(field)
+    calls = []
+    monkeypatch.setattr(rayclass.qf, "ideal_div", lambda a, d: calls.append(d) or ideal_div(a, d))
+    for a in ideals_of_norm_up_to(field, 30):
+        assert ideals._div(a, ideals._one) is a
+        for d in ideal_divisors(a):
+            assert ideals._div(a, d) == ideal_div(a, d)
+    # every other division still goes through ideal_div, refusals included
+    assert calls and ideals._one not in calls
+    with pytest.raises(InputError):
+        ideals._div(ideal_from_int(field, 3), ideal_from_int(field, 2))
+
+
+def test_rational_group_table_checked_once(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        check_group_table(table)
+
+    monkeypatch.setattr(rayclass, "check_group_table", counted)
+    # order <= 128: built and checked once, at build time
+    small = RationalRayClassGroup(Cycle(None, 255, True))
+    assert small.order == 128 and calls == [128]
+    assert small.table is small.table and calls == [128]
+    # larger: checked once, on first use
+    big = RationalRayClassGroup(Cycle(None, 1000, True))
+    assert big.order == 400 and calls == [128]
+    assert big.table is big.table and calls == [128, 400]
+    # a table built from corrupt data is still refused
+    broken = RationalRayClassGroup(Cycle(None, 1000, True))
+    broken._class_of = list(broken._class_of)
+    broken._class_of[3] = broken._class_of[7]
+    with pytest.raises(InputError, match="permutation"):
+        broken.table
+
+
+def test_oversized_monoid_refused_before_building_every_group(monkeypatch):
+    monkeypatch.setattr(rayclass, "_RCG_CACHE", {})
+    monkeypatch.setattr(rayclass, "_DR_CACHE", {})
+    # phi(1200000) = 320000 elements in the first cofactor group alone
+    with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
+        dr_monoid(Cycle(None, 1_200_000, True))
+    assert len(rayclass._RCG_CACHE) <= 1
+    # the count that passes the bound is the last one built: 16 + 8 > 20
+    rayclass._RCG_CACHE.clear()
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "20")
+    with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
+        dr_monoid(Cycle(None, 60, True))
+    assert sorted(c.finite for c, _ in rayclass._RCG_CACHE) == [30, 60]
 
 
 def test_cycle_and_support_hash_cached_and_consistent():
