@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from . import lambdapoly, modelcheck, rayclass, witt
 from .errors import BoundExceededError, DensityRequiredError, InputError, ModelRefusedError
+from .intlinalg import divisors
 from .quadfield import QuadField, QuadIdeal
 from .rayclass import Cycle, PrimeSupport
 
@@ -105,8 +106,6 @@ def _cmd_ray_class(args) -> str:
 
 
 def _cmd_model_check(args) -> str:
-    from .intlinalg import divisors
-
     with open(args.input) as fh:
         try:
             data = json.load(fh)
@@ -197,7 +196,7 @@ def _cmd_witt(args) -> str:
     ring = _parse_ring(args.ring or "Z")
     if args.frob not in ("p:x^p", "id", "identity"):
         raise InputError("frobenius rule must be p:x^p or identity")
-    if ring.kind == "quotient-poly" and args.frob in ("id", "identity"):
+    if ring.rank > 1 and args.frob in ("id", "identity"):
         raise InputError("identity lifts are only valid over the integers")
     if args.witt_cmd == "convert":
         trunc = _parse_trunc(args.trunc)

@@ -2,9 +2,12 @@
 torsion loci.
 
 Integer polynomials are dense coefficient tuples (constant term first);
-Laurent polynomials carry a lowest degree.  The Chebyshev family is built
-by the three-term recurrence; the product formula over a cyclotomic
-quotient is kept alongside as an independent oracle.  All ideal reasoning
+Laurent polynomials carry a lowest degree; both multiply by one linear
+convolution.  Elements of the cyclic group ring Z[x]/(x^n - 1) are plain
+coefficient tuples of length n, multiplied and mapped by the cyclic
+kernels ``_cyclic_mul`` and ``_cyclic_power_map``, which the Witt layer's
+coefficient ring shares.  The Chebyshev family is built by the three-term
+recurrence and certified by direct substitution.  All ideal reasoning
 in the equalizer check runs inside the Laurent ring, where the generators
 are products of binomials x^k - 1 and membership reduces to exponent
 arithmetic.
@@ -14,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 from .errors import DensityRequiredError, InputError
-from .intlinalg import IntMatrix, divisors, hnf_coords, hnf_rows, lattice_index, smith_invariants
+from .intlinalg import IntMatrix, divisors, hnf_coords, hnf_rows, is_prime, lattice_index, smith_invariants
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
 
@@ -52,12 +56,10 @@ class IntPoly:
         return not self.coeffs
 
     def __add__(self, o: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return IntPoly(_trim(tuple(self[i] + o[i] for i in range(n))))
+        return IntPoly(_trim(tuple(a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0))))
 
     def __sub__(self, o: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return IntPoly(_trim(tuple(self[i] - o[i] for i in range(n))))
+        return IntPoly(_trim(tuple(a - b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0))))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
@@ -65,12 +67,7 @@ class IntPoly:
     def __mul__(self, o: "IntPoly") -> "IntPoly":
         if self.is_zero() or o.is_zero():
             return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(_trim(tuple(out)))
+        return IntPoly(_trim(_convolve(self.coeffs, o.coeffs)))
 
     def scale(self, k: int) -> "IntPoly":
         return IntPoly(_trim(tuple(k * c for c in self.coeffs)))
@@ -127,6 +124,17 @@ def _format_terms(terms, var: str) -> str:
         else:
             parts.append((" - " if c < 0 else " + ") + piece)
     return "".join(parts) or "0"
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of the product of two nonempty dense coefficient
+    tuples, lowest first: the linear convolution, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,12 +263,7 @@ class LaurentPoly:
     def __mul__(self, o: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero() or o.is_zero():
             return LaurentPoly(0, ())
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return LaurentPoly.of(self.low + o.low, tuple(out))
+        return LaurentPoly.of(self.low + o.low, _convolve(self.coeffs, o.coeffs))
 
     def substitute_power(self, a: int) -> "LaurentPoly":
         """x -> x^a (a nonzero; a < 0 composes with the inversion)."""
@@ -320,46 +323,9 @@ def _cyclic_power_map(a: tuple, e: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroupRingElt:
-    """Element of Z[x]/(x^n - 1) as a length-n coefficient vector."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n or self.n < 1:
-            raise InputError("group ring vector length must be n")
-
-    @staticmethod
-    def monomial(n: int, k: int, c: int = 1) -> "GroupRingElt":
-        v = [0] * n
-        v[k % n] += c
-        return GroupRingElt(n, tuple(v))
-
-    @staticmethod
-    def zero(n: int) -> "GroupRingElt":
-        return GroupRingElt(n, (0,) * n)
-
-    def __add__(self, o: "GroupRingElt") -> "GroupRingElt":
-        return GroupRingElt(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __sub__(self, o: "GroupRingElt") -> "GroupRingElt":
-        return GroupRingElt(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __mul__(self, o: "GroupRingElt") -> "GroupRingElt":
-        return GroupRingElt(self.n, _cyclic_mul(self.coeffs, o.coeffs))
-
-    def sigma(self) -> "GroupRingElt":
-        """The involution x -> x^(-1): index negation mod n."""
-        return GroupRingElt(self.n, tuple(self.coeffs[(-i) % self.n] for i in range(self.n)))
-
-    def power_map(self, a: int) -> "GroupRingElt":
-        """x -> x^a, the monoid endomorphism on monomials."""
-        return GroupRingElt(self.n, _cyclic_power_map(self.coeffs, a))
-
-    def augmentation(self) -> int:
-        return sum(self.coeffs)
+def _monomial(n: int, i: int) -> tuple[int, ...]:
+    """x^i in Z[x]/(x^n - 1) as a coefficient tuple."""
+    return tuple(int(j == i % n) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +361,6 @@ def toric_psi(a: int, p: LaurentPoly) -> LaurentPoly:
 
 def frobenius_lift_check(family: str, p: int) -> bool:
     """Does the family's p-th operation reduce to the p-power map mod p?"""
-    from .intlinalg import is_prime
-
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if family == "toric":
@@ -477,42 +441,6 @@ def chebyshev_periodic_generator(n: int) -> IntPoly:
     return q
 
 
-def chebyshev_generator_product_oracle(n: int) -> IntPoly:
-    """Independent route: expand the product over folded root-of-unity pairs
-    inside Z[x]/(cyclotomic), and read off the integer coefficients."""
-    phi = cyclotomic_polynomial(n)
-    deg = phi.degree
-
-    def red(p: IntPoly) -> IntPoly:
-        out = poly_divmod(p, phi)
-        if out is None:
-            raise AssertionError("reduction by a monic cyclotomic polynomial failed")
-        return out[1]
-
-    # zeta^i + zeta^(-i) as a residue polynomial
-    def folded(i: int) -> IntPoly:
-        a = IntPoly.of(*([0] * (i % n) + [1])) if i % n else IntPoly.of(1)
-        b = IntPoly.of(*([0] * ((-i) % n) + [1])) if (-i) % n else IntPoly.of(1)
-        return red(a + b)
-
-    top = n // 2 if n % 2 == 0 else (n - 1) // 2
-    # polynomial in y with coefficients in Z[x]/phi: list of residues
-    coeffs = [IntPoly.of(1)]
-    for i in range(0, top + 1):
-        c = folded(i)
-        new = [IntPoly(())] * (len(coeffs) + 1)
-        for k, ck in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + ck
-            new[k] = new[k] - red(ck * c)
-        coeffs = new
-    out = []
-    for ck in coeffs[: len(coeffs) - 1] + [coeffs[-1]]:
-        if ck.degree > 0:
-            raise AssertionError("product formula did not collapse to integers")
-        out.append(ck[0] if not ck.is_zero() else 0)
-    return IntPoly(_trim(tuple(out)))
-
-
 def exponent_gcd_combination(a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Laurent cofactors (A, B) with A*(x^a - 1) + B*(x^b - 1) = x^gcd(a,b) - 1."""
     if a < 0 or b < 0 or (a == 0 and b == 0):
@@ -588,19 +516,20 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     basis; the cokernel order inside the involution invariants is 1 for odd
     levels and 2 for even."""
     q = chebyshev_periodic_generator(n)
-    y = GroupRingElt.monomial(n, 1) + GroupRingElt.monomial(n, n - 1) if n > 1 else GroupRingElt.monomial(1, 0, 2)
+    one = _monomial(n, 0)
+    y = tuple(a + b for a, b in zip(_monomial(n, 1), _monomial(n, -1)))  # (2,) when n = 1
     rows = []
-    cur = GroupRingElt.monomial(n, 0)
+    cur = one
     for _ in range(q.degree):
-        rows.append(list(cur.coeffs))
-        cur = cur * y
+        rows.append(list(cur))
+        cur = _cyclic_mul(cur, y)
     # the generator must vanish in the group ring: q(y) reduces to zero
-    acc = GroupRingElt.zero(n)
-    power = GroupRingElt.monomial(n, 0)
+    acc = (0,) * n
+    power = one
     for c in q.coeffs:
-        acc = acc + GroupRingElt(n, tuple(c * v for v in power.coeffs))
-        power = power * y
-    if any(acc.coeffs):
+        acc = tuple(a + c * v for a, v in zip(acc, power))
+        power = _cyclic_mul(power, y)
+    if any(acc):
         raise AssertionError("the generator does not annihilate the image")
     image = hnf_rows(rows, n)
     stated = _stated_image_basis(n)
@@ -666,37 +595,37 @@ def torsion_locus_contains_periodic(family: str, n: int, bound: int) -> bool:
 
 def ray_class_algebra_maps(n: int, n2: int):
     """The inclusion u (x -> x^(n2/n)) and the surjection v (monomial
-    reduction) between the cyclic group rings, with the composition law
-    checked on the whole monomial basis."""
+    reduction) between the cyclic group rings, on coefficient tuples, with
+    the composition law checked on the whole monomial basis."""
     if n2 % n:
         raise InputError("the smaller level must divide the larger")
     k = n2 // n
 
-    def u(e: GroupRingElt) -> GroupRingElt:
-        if e.n != n:
+    def u(e: tuple) -> tuple:
+        if len(e) != n:
             raise InputError("wrong source ring")
         out = [0] * n2
-        for i, c in enumerate(e.coeffs):
+        for i, c in enumerate(e):
             out[(i * k) % n2] += c
-        return GroupRingElt(n2, tuple(out))
+        return tuple(out)
 
-    def v(e: GroupRingElt) -> GroupRingElt:
-        if e.n != n2:
+    def v(e: tuple) -> tuple:
+        if len(e) != n2:
             raise InputError("wrong source ring")
         out = [0] * n
-        for i, c in enumerate(e.coeffs):
+        for i, c in enumerate(e):
             out[i % n] += c
-        return GroupRingElt(n, tuple(out))
+        return tuple(out)
 
     for i in range(n):
-        e = GroupRingElt.monomial(n, i)
-        if v(u(e)) != e.power_map(k):
+        e = _monomial(n, i)
+        if v(u(e)) != _cyclic_power_map(e, k):
             raise AssertionError("v after u is not the power operation")
     for i in range(n2):
-        e = GroupRingElt.monomial(n2, i)
-        if u(v(e)) != e.power_map(k):
+        e = _monomial(n2, i)
+        if u(v(e)) != _cyclic_power_map(e, k):
             raise AssertionError("u after v is not the power operation")
-    rows = [list(u(GroupRingElt.monomial(n, i)).coeffs) for i in range(n)]
+    rows = [list(u(_monomial(n, i))) for i in range(n)]
     if len(hnf_rows(rows, n2)) != n:
         raise AssertionError("u failed injectivity")
     return u, v
@@ -706,19 +635,15 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
     """Dimension over F_q of the cotangent space of the level-a cyclic
     group ring along its augmentation: the augmentation ideal modulo its
     square, expected cyclic of order a."""
-    from .intlinalg import is_prime
-
     if a < 1 or not is_prime(q):
         raise InputError("need a >= 1 and q prime")
     if a == 1:
         return 0
-    gens = [GroupRingElt.monomial(a, i) - GroupRingElt.monomial(a, 0) for i in range(1, a)]
-    i_rows = [list(g.coeffs) for g in gens]
-    i_basis = hnf_rows(i_rows, a)
-    sq_rows = []
-    for g1 in gens:
-        for g2 in gens:
-            sq_rows.append(list((g1 * g2).coeffs))
+    # the ideal is spanned by the x^i - 1, 0 < i < a
+    gens = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]
+    i_basis = hnf_rows([list(g) for g in gens], a)
+    # the ring is commutative, so the products g_i * g_j with i <= j span the square
+    sq_rows = [list(_cyclic_mul(g1, g2)) for i, g1 in enumerate(gens) for g2 in gens[i:]]
     # coordinates of the square in the basis of the ideal lattice
     coords = [hnf_coords(r, i_basis, a) for r in hnf_rows(sq_rows, a)]
     if None in coords:

@@ -3,11 +3,12 @@ Frobenius lifts: ghost/coordinate transforms, the Dwork integrality test,
 Teichmueller lifts, periodicity, and periodic Witt lattices compared
 against the cyclic group ring.
 
-The coefficient rings are the integers with the identity lifts and the
-cyclic group rings Z[x]/(x^k - 1), k >= 2, with the power lifts x -> x^p.
-Elements are coefficient tuples; everything is exact.  The inverse ghost
-transform runs in integers over one common denominator per coordinate, so
-rationals appear only in its output.
+The coefficient ring is the cyclic group ring Z[C_k] = Z[x]/(x^k - 1),
+fixed by the one integer k, with the power lifts x -> x^p; k = 1 is the
+integers with the identity lifts.  Elements are coefficient tuples of
+length k, multiplied by the cyclic kernels of ``lambdapoly``; everything
+is exact.  The inverse ghost transform runs in integers over one common
+denominator per coordinate, so rationals appear only in its output.
 
 The membership test realizes the maximal-subring definition through the
 classical congruences g_{pn} = frob_p(g_n) mod p^(v_p(n)+1); for the
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
@@ -56,37 +58,17 @@ def _valuation(m: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class CoeffRing:
-    """The integers, or the cyclic group ring Z[x]/(x^k - 1) with k >= 2.
-
-    ``frob`` is "identity" over the integers and "power" (x -> x^p, a ring
-    endomorphism because x^k - 1 divides x^(pk) - 1) on the cyclic rings;
-    no other ring or lift is accepted.  Elements are coefficient tuples of
-    length ``rank``.
+    """The cyclic group ring Z[C_k] = Z[x]/(x^k - 1), k = ``rank``, with the
+    power lifts x -> x^p (ring endomorphisms because x^k - 1 divides
+    x^(pk) - 1); k = 1 is the integers with the identity lifts.  Elements
+    are coefficient tuples of length k.
     """
 
-    kind: str  # "integers" | "quotient-poly"
-    modulus: IntPoly | None = None
-    frob: str = "identity"
+    rank: int
 
     def __post_init__(self):
-        if self.kind == "integers":
-            if self.modulus is not None or self.frob != "identity":
-                raise InputError("the integer ring has the identity lifts and no modulus")
-            return
-        if self.kind != "quotient-poly":
-            raise InputError(f"unknown ring kind {self.kind!r}")
-        h = self.modulus
-        if not isinstance(h, IntPoly) or h.degree < 2 or h.coeffs != (-1,) + (0,) * (h.degree - 1) + (1,):
-            raise InputError("the quotient ring must be Z[x]/(x^k - 1) with k >= 2")
-        if self.frob == "identity":
-            # x = x^p mod p fails for every modulus of degree > 1
-            raise InputError("identity lifts are only valid over the integers")
-        if self.frob != "power":
-            raise InputError(f"unknown frobenius rule {self.frob!r}")
-
-    @cached_property
-    def rank(self) -> int:
-        return 1 if self.kind == "integers" else self.modulus.degree
+        if type(self.rank) is not int or self.rank < 1:
+            raise InputError(f"the cyclic ring Z[x]/(x^k - 1) needs an integer k >= 1, got {self.rank!r}")
 
     def zero(self) -> tuple:
         return (0,) * self.rank
@@ -131,18 +113,6 @@ class CoeffRing:
                 base = self.mul(base, base)
         return out
 
-    def frob_matrix(self, p: int) -> tuple[tuple[int, ...], ...]:
-        """The lift at p as an integer matrix acting on coefficient columns
-        (row i = image of the basis monomial x^i); built once per prime."""
-        rows = self._frob_matrices.get(p)
-        if rows is None:
-            rows = self._frob_matrices[p] = _power_matrix(self, p)
-        return rows
-
-    @cached_property
-    def _frob_matrices(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        return {}
-
     def apply_frob(self, p: int, a: tuple) -> tuple:
         if self.rank == 1:
             return a
@@ -157,14 +127,14 @@ class CoeffRing:
         return tuple(c // k for c in a)
 
 
-INTEGERS = CoeffRing("integers")
+INTEGERS = CoeffRing(1)
 
 
 def binomial_quotient_ring(k: int) -> CoeffRing:
     """Z[x]/(x^k - 1) with the power lifts, for k >= 2 (k = 1 is Z)."""
     if k < 2:
         raise InputError(f"the cyclic ring Z[x]/(x^k - 1) needs k >= 2, got k = {k} (k = 1 is the ring Z)")
-    return CoeffRing("quotient-poly", IntPoly.of(*([-1] + [0] * (k - 1) + [1])), "power")
+    return CoeffRing(k)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +431,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
                 add_equality(cls_of(u * a), c, frob)
     for p in factor(n).primes():
         ep = _valuation(n, p)
-        frob = ring.frob_matrix(p)
+        frob = _power_matrix(ring, p)
         for c in range(ncls):
             a = dr.reps[c]
             if (a % n) % (p**ep) == 0:
@@ -474,7 +444,7 @@ def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int
         cong: dict[tuple[int, int, int], None] = {}
         for m in range(1, bound // p + 1):
             cong[(cls_of(p * m), cls_of(m), _valuation(m, p) + 1)] = None
-        frob = ring.frob_matrix(p)
+        frob = _power_matrix(ring, p)
         for c_to, c_from, e in cong:
             for row in relation_rows(c_to, c_from, frob):
                 cong_rows.append(row)
@@ -506,7 +476,7 @@ def group_ring_ghost_rows(n: int) -> tuple[CoeffRing, list[list[int]]]:
     """The ghost image of Z[x]/(x^n - 1): row j is the class-indexed tuple
     of the images of x^j under the operations (component at a class with
     representative a is x^(j*a))."""
-    ring = binomial_quotient_ring(n) if n > 1 else INTEGERS
+    ring = CoeffRing(n)
     dr = dr_monoid(Cycle(None, n, True))
     r = ring.rank
     rows = []
@@ -666,20 +636,15 @@ def _rabin_irreducible_mod(p: IntPoly, q: int) -> bool:
         return False
     x = [0, 1]
     top = _modp_powx(q**k, f, q)
-    if _modp_trim([(a - b) % q for a, b in _zip_pad(top, x)]):
+    if _modp_trim([(a - b) % q for a, b in zip_longest(top, x, fillvalue=0)]):
         return False
     for r in {kk for kk in factor(k).primes()}:
         mid = _modp_powx(q ** (k // r), f, q)
-        diff = _modp_trim([(a - b) % q for a, b in _zip_pad(mid, x)])
+        diff = _modp_trim([(a - b) % q for a, b in zip_longest(mid, x, fillvalue=0)])
         g = _modp_gcd(f[:], diff, q)
         if len(g) - 1 != 0:
             return False
     return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def _monic_candidates(m: int, bound: int, const_term: int):
@@ -708,12 +673,10 @@ class FieldProductReport:
     factor_degrees: tuple[int, ...]
 
     def passes(self) -> bool:
-        from .intlinalg import divisors as _divs
-
-        expected = sorted(cyclotomic_polynomial(d).degree for d in _divs(self.n))
+        expected = sorted(cyclotomic_polynomial(d).degree for d in divisors(self.n))
         return (
             self.dimension == self.n
-            and self.idempotents == len(_divs(self.n))
+            and self.idempotents == len(divisors(self.n))
             and sorted(self.factor_degrees) == expected
         )
 

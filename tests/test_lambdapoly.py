@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from lambda_forge.errors import DensityRequiredError, InputError
 from lambda_forge.intlinalg import divisors
 from lambda_forge.lambdapoly import (
-    GroupRingElt,
     IntPoly,
     LaurentPoly,
     chebyshev_equalizer_check,
-    chebyshev_generator_product_oracle,
     chebyshev_image_lattice,
     chebyshev_periodic_generator,
     chebyshev_psi,
@@ -101,6 +99,33 @@ def test_poly_divmod_edge_cases(num, den):
     assert poly_divmod(num, den) == _poly_divmod_fraction(num, den)
 
 
+def _product_reference(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Exponent -> coefficient of a product of two sparse polynomials."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _terms(low: int, coeffs) -> dict[int, int]:
+    return {low + i: c for i, c in enumerate(coeffs) if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_coeffs, b=_coeffs, low_a=st.integers(-5, 5), low_b=st.integers(-5, 5))
+def test_poly_products_and_sums_match_term_reference(a, b, low_a, low_b):
+    p, q = IntPoly.of(*a), IntPoly.of(*b)
+    assert _terms(0, (p * q).coeffs) == _product_reference(_terms(0, a), _terms(0, b))
+    assert _terms(0, (p + q).coeffs) == {k: c for k in range(max(len(a), len(b))) if (c := p[k] + q[k])}
+    assert _terms(0, (p - q).coeffs) == {k: c for k in range(max(len(a), len(b))) if (c := p[k] - q[k])}
+    assert all((p + q).coeffs[-1:]) and all((p - q).coeffs[-1:])  # trimmed
+    s, t = LaurentPoly.of(low_a, tuple(a)), LaurentPoly.of(low_b, tuple(b))
+    prod = s * t
+    assert _terms(prod.low, prod.coeffs) == _product_reference(_terms(low_a, a), _terms(low_b, b))
+    assert prod == LaurentPoly.of(prod.low, prod.coeffs)  # trimmed at both ends
+
+
 def test_laurent_arithmetic():
     a = LaurentPoly.of(-1, (1, 0, 1))  # x^-1 + x
     b = a * a
@@ -155,6 +180,41 @@ def test_generator_examples():
     assert chebyshev_periodic_generator(4) == IntPoly.of(0, -4, 0, 1)
 
 
+def chebyshev_generator_product_oracle(n: int) -> IntPoly:
+    """Independent route: expand the product over folded root-of-unity pairs
+    inside Z[x]/(cyclotomic), and read off the integer coefficients."""
+    phi = cyclotomic_polynomial(n)
+
+    def red(p: IntPoly) -> IntPoly:
+        out = poly_divmod(p, phi)
+        if out is None:
+            raise AssertionError("reduction by a monic cyclotomic polynomial failed")
+        return out[1]
+
+    # zeta^i + zeta^(-i) as a residue polynomial
+    def folded(i: int) -> IntPoly:
+        a = IntPoly.of(*([0] * (i % n) + [1])) if i % n else IntPoly.of(1)
+        b = IntPoly.of(*([0] * ((-i) % n) + [1])) if (-i) % n else IntPoly.of(1)
+        return red(a + b)
+
+    top = n // 2 if n % 2 == 0 else (n - 1) // 2
+    # polynomial in y with coefficients in Z[x]/phi: list of residues
+    coeffs = [IntPoly.of(1)]
+    for i in range(0, top + 1):
+        c = folded(i)
+        new = [IntPoly(())] * (len(coeffs) + 1)
+        for k, ck in enumerate(coeffs):
+            new[k + 1] = new[k + 1] + ck
+            new[k] = new[k] - red(ck * c)
+        coeffs = new
+    out = []
+    for ck in coeffs[: len(coeffs) - 1] + [coeffs[-1]]:
+        if ck.degree > 0:
+            raise AssertionError("product formula did not collapse to integers")
+        out.append(ck[0] if not ck.is_zero() else 0)
+    return IntPoly.of(*out)
+
+
 def test_generator_against_product_oracle():
     for n in range(1, 21):
         assert chebyshev_periodic_generator(n) == chebyshev_generator_product_oracle(n), n
@@ -203,8 +263,6 @@ def test_image_lattice_sigma_invariance():
         for row in rep.image_basis.row_list():
             flipped = [row[(-i) % n] for i in range(n)]
             assert flipped == row or sorted(flipped) == sorted(row)
-            e = GroupRingElt(n, tuple(row))
-            assert e.sigma().coeffs == tuple(flipped)
 
 
 def test_torsion_contains_periodic():
@@ -269,13 +327,25 @@ def test_gm_periodic_exponent_matches_pairwise_scan():
 
 def test_ray_class_algebra_maps():
     u, v = ray_class_algebra_maps(2, 4)
-    x_small = GroupRingElt.monomial(2, 1)
-    assert v(u(x_small)) == x_small.power_map(2)
+    x_small = (0, 1)
+    assert u(x_small) == (0, 0, 1, 0)  # x -> x^2
+    assert v(u(x_small)) == (1, 0)  # x^2 in Z[x]/(x^2 - 1)
+    assert v((1, 2, 3, 4)) == (4, 6)
     u, v = ray_class_algebra_maps(3, 3)
-    e = GroupRingElt.monomial(3, 2)
+    e = (0, 0, 1)
     assert u(e) == e and v(e) == e
     with pytest.raises(InputError):
         ray_class_algebra_maps(3, 4)
+
+
+def test_ray_class_algebra_maps_refuse_the_wrong_source_ring():
+    u, v = ray_class_algebra_maps(2, 6)
+    for bad in ((), (1,), (1, 0, 0), (1,) * 6):
+        with pytest.raises(InputError, match="wrong source ring"):
+            u(bad)
+    for bad in ((), (1, 0), (1,) * 5, (1,) * 7):
+        with pytest.raises(InputError, match="wrong source ring"):
+            v(bad)
 
 
 def test_cyclotomic_polynomials():

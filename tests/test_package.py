@@ -47,3 +47,19 @@ def test_quadfield_does_not_import_hnf_rows():
         if any(alias.name == "hnf_rows" for alias in node.names):
             found.append(f"quadfield.py:{node.lineno}")
     assert not found, found
+
+
+def test_no_function_local_package_imports():
+    """Package modules import each other at the top: none of them forms a
+    cycle that a function-local ``from .`` import would have to break."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                ]
+    assert not found, found

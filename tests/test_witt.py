@@ -36,27 +36,25 @@ T12 = TruncationSet.divisors_of(12)
 
 
 def test_ring_validation():
-    with pytest.raises(InputError):
-        CoeffRing("quotient-poly", IntPoly.of(-1, 0, 1), "identity")
-    with pytest.raises(InputError):
-        CoeffRing("quotient-poly", IntPoly.of(1, 1, 1), "power")  # x->x^p not an endo
-    # x^2 and (x - 1)^2 carry the power lifts, but the twist rule of the
-    # periodic lattice holds only for x^k - 1
-    for modulus in (IntPoly.of(0, 0, 1), IntPoly.of(1, -2, 1)):
-        with pytest.raises(InputError):
-            CoeffRing("quotient-poly", modulus, "power")
+    # the ring is Z[x]/(x^k - 1), fixed by one integer k >= 1
+    for k in (0, -1, 2.0, "4", True):
+        with pytest.raises(InputError, match="integer k >= 1"):
+            CoeffRing(k)
     for k in (-1, 0, 1):
         with pytest.raises(InputError, match="k >= 2"):
             binomial_quotient_ring(k)
+    assert all(CoeffRing(k) == binomial_quotient_ring(k) for k in range(2, 9))
+    assert CoeffRing(1) == INTEGERS == group_ring_ghost_rows(1)[0]
+    assert group_ring_ghost_rows(6)[0] == CoeffRing(6)
     r = binomial_quotient_ring(4)
     assert r.rank == 4
     # frobenius is a lift and the maps commute on the generator
     x = r.gen()
     assert r.apply_frob(2, x) == r.pow(x, 2)
     assert r.apply_frob(3, r.apply_frob(5, x)) == r.apply_frob(5, r.apply_frob(3, x))
-    # row i is the image of x^i; each matrix is built once per ring
-    assert r.frob_matrix(2) == ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0))
-    assert r.frob_matrix(2) is r.frob_matrix(2) and INTEGERS.frob_matrix(5) == ((1,),)
+    # row i is the image of x^i
+    assert witt._power_matrix(r, 2) == ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0))
+    assert witt._power_matrix(INTEGERS, 5) == ((1,),)
     # a negative power used to loop forever (and over Z would give a float)
     for ring in (INTEGERS, r):
         with pytest.raises(InputError, match="negative powers"):
@@ -76,17 +74,22 @@ def _reduce_reference(coeffs: list, h: IntPoly) -> tuple:
     return tuple(coeffs[:d])
 
 
+def _modulus(ring: CoeffRing) -> IntPoly:
+    """x^k - 1 for the ring's rank k."""
+    return IntPoly.of(-1, *([0] * (ring.rank - 1)), 1)
+
+
 def _mul_reference(ring: CoeffRing, a: tuple, b: tuple) -> tuple:
     out = [0] * (2 * ring.rank - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _reduce_reference(out, ring.modulus)
+    return _reduce_reference(out, _modulus(ring))
 
 
 def _frob_matrix_reference(ring: CoeffRing, p: int) -> tuple:
     """Row i is the reduced image (x^p)^i, built multiplicatively."""
-    img = _reduce_reference([0] * p + [1], ring.modulus)
+    img = _reduce_reference([0] * p + [1], _modulus(ring))
     rows, cur = [], ring.from_int(1)
     for _ in range(ring.rank):
         rows.append(cur)
@@ -97,8 +100,8 @@ def _frob_matrix_reference(ring: CoeffRing, p: int) -> tuple:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_cyclic_ring_matches_general_reduction(data):
-    k = data.draw(st.integers(2, 6))
-    ring = binomial_quotient_ring(k)
+    k = data.draw(st.integers(1, 6))
+    ring = CoeffRing(k)
     entry = data.draw(st.sampled_from([st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)]))
     a, b = (tuple(data.draw(entry) for _ in range(k)) for _ in range(2))
     assert ring.mul(a, b) == _mul_reference(ring, a, b)
@@ -109,7 +112,7 @@ def test_cyclic_ring_matches_general_reduction(data):
     assert ring.pow(a, e) == ref
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     rows = _frob_matrix_reference(ring, p)
-    assert ring.frob_matrix(p) == rows
+    assert witt._power_matrix(ring, p) == rows
     assert ring.apply_frob(p, a) == tuple(sum(c * rows[i][j] for i, c in enumerate(a)) for j in range(k))
 
 
