@@ -1,7 +1,8 @@
 """Exact arithmetic in imaginary quadratic orders: elements, ideals in a
-fixed two-generator normal form, norms, principality by a norm search on an
-ideal's primitive part, class groups from reduced binary quadratic forms,
-and residue unit groups.
+fixed two-generator normal form (products by Dirichlet composition), norms,
+principality by lattice reduction of an ideal's primitive part under the
+norm form, class groups from reduced binary quadratic forms, and residue
+unit groups.
 
 Only imaginary quadratic fields are supported (the unit group is finite and
 the norm form is positive definite, so every search here terminates with a
@@ -269,26 +270,43 @@ def ideal_from_int(field: QuadField, n: int) -> QuadIdeal:
 
 
 def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
+    """The product by Dirichlet composition (Cohen, GTM 138, Alg. 5.4.7).
+
+    The primitive parts [a1, b1 + w] and [a2, b2 + w] multiply to the module
+    spanned by a1*a2, a1*(b2 + w), a2*(b1 + w) and
+    (b1 + w)(b2 + w) = b1*b2 - n + s*w with s = b1 + b2 + t, whose
+    w-coordinates have gcd e = x1*a1 + x2*a2 + x3*s.  The product has norm
+    a1*a2 and content e, so it is e*[a1*a2/e^2, B + w], where e*B is the
+    constant term of the element x1*a1*(b2 + w) + x2*a2*(b1 + w) +
+    x3*(b1 + w)(b2 + w) with w-coordinate e.
+    """
     if x.field != y.field:
         raise InputError("ideals from different fields")
     f = x.field
-    a1, b1, a2, b2, c = x.a, x.b, y.a, y.b, x.c * y.c
-    # the four basis products, with (b1 + w)(b2 + w) = b1*b2 - n + (b1 + b2 + t)*w
-    return _ideal_from_pairs(
-        f,
-        [
-            (0, a1 * a2 * c),
-            (a1 * c, a1 * b2 * c),
-            (a2 * c, a2 * b1 * c),
-            ((b1 + b2 + f.trace_w) * c, (b1 * b2 - f.norm_w) * c),
-        ],
-    )
+    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+    s = b1 + b2 + f.trace_w
+    # two extended gcds of nonnegative integers, y1*a1 + y2*a2 = g and
+    # z*g + x3*s = e, inline: every class lookup multiplies ideals
+    y1, y2, g, r1, r2, r = 1, 0, a1, 0, 1, a2
+    while r:
+        q = g // r
+        y1, y2, g, r1, r2, r = r1, r2, r, y1 - q * r1, y2 - q * r2, g - q * r
+    z, x3, e, r1, r3, r = 1, 0, g, 0, 1, s
+    while r:
+        q = e // r
+        z, x3, e, r1, r3, r = r1, r3, r, z - q * r1, x3 - q * r3, e - q * r
+    a = a1 * a2 // (e * e)
+    b = (z * (y1 * a1 * b2 + y2 * a2 * b1) + x3 * (b1 * b2 - f.norm_w)) // e % a
+    return QuadIdeal(f, a, b, x.c * y.c * e)
 
 
 def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
-    """The ideal sum x + y, i.e. the gcd in the divisibility order."""
+    """The ideal sum x + y, i.e. the gcd in the divisibility order; the unit
+    ideal at once when the norms are coprime."""
     if x.field != y.field:
         raise InputError("ideals from different fields")
+    if gcd(x.a * x.c * x.c, y.a * y.c * y.c) == 1:
+        return QuadIdeal(x.field, 1, 0, 1)
     return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
 
 
@@ -309,43 +327,47 @@ def ideal_divides(d: QuadIdeal, x: QuadIdeal) -> bool:
     return d.contains(g1) and d.contains(g2)
 
 
-def norm_solutions(field: QuadField, n: int) -> list[QuadInt]:
-    """All integers of the field with norm exactly n (n >= 0).
-
-    The norm form is positive definite: 4*N(u+v*w) = (2u+tv)^2 + |disc|*v^2,
-    so the search region is a finite ellipse.
-    """
-    if n < 0:
-        return []
-    if n == 0:
-        return [QuadInt(field, 0, 0)]
-    t = field.trace_w
-    absd = -field.disc
-    out = []
-    vmax = isqrt(4 * n // absd)
-    for v in range(-vmax, vmax + 1):
-        rem = 4 * n - absd * v * v
-        s = isqrt(rem)
-        if s * s != rem:
-            continue
-        for sign in ((s, -s) if s else (s,)):
-            if (sign - t * v) % 2 == 0:
-                out.append(QuadInt(field, (sign - t * v) // 2, v))
-    return out
-
-
 def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
-    """All generators of the ideal, in ``norm_solutions`` order; empty if it
-    is not principal.
+    """All generators of the ideal, sorted by (v, -(2u + t*v)) on the
+    generators u + v*w of its primitive part; empty if it is not principal.
 
     The ideal c*J with primitive part J = [a, b + w] is principal iff J is,
-    and then c times J's generators generate it.  J's generators are the
-    elements u + v*w of norm a lying in J (equal norms force equality), i.e.
-    with a | u - b*v; scaling by c > 0 keeps the order of a search over the
-    elements of norm N(c*J).
+    and then c times J's generators generate it.  Every nonzero element of J
+    has norm a multiple of a, and exactly J's generators have norm a, so J
+    is principal iff its shortest vector under the norm form has norm a.
+    Gauss-Lagrange reduction of the basis a, b + w (Cohen, GTM 138, 5.3)
+    finds that vector in O(log a) steps; the generators are it times each
+    root of unity.
     """
-    a, b, c = ideal.a, ideal.b, ideal.c
-    return tuple(x.scale(c) for x in norm_solutions(ideal.field, a) if (x.a - b * x.b) % a == 0)
+    f = ideal.field
+    t, n, a = f.trace_w, f.norm_w, ideal.a
+    # the basis x1, x2 as (u, v) coordinates of u + v*w, with their norms
+    u1, v1, n1 = a, 0, a * a
+    u2, v2 = ideal.b, 1
+    n2 = u2 * u2 + t * u2 + n
+    while True:
+        if n2 < n1:
+            u1, v1, n1, u2, v2, n2 = u2, v2, n2, u1, v1, n1
+        # x2 -= q*x1, q = round(Tr(x1 * conj(x2)) / (2*N(x1))); then x1 is
+        # the shortest vector once q = 0 and N(x2) >= N(x1)
+        q = (2 * u1 * u2 + t * (u1 * v2 + u2 * v1) + 2 * n * v1 * v2 + n1) // (2 * n1)
+        if not q:
+            break
+        u2 -= q * u1
+        v2 -= q * v1
+        n2 = u2 * u2 + t * u2 * v2 + n * v2 * v2
+    if n1 != a:
+        return ()
+    if f.d == -1 or f.d == -3:  # w is a root of unity of order 4 or 6
+        gens = []
+        for _ in range(4 if f.d == -1 else 6):
+            gens.append((u1, v1))
+            u1, v1 = -n * v1, u1 + t * v1  # times w
+    else:
+        gens = [(u1, v1), (-u1, -v1)]
+    gens.sort(key=lambda g: (g[1], -2 * g[0] - t * g[1]))
+    c = ideal.c
+    return tuple(QuadInt(f, c * u, c * v) for u, v in gens)
 
 
 def is_principal(ideal: QuadIdeal) -> QuadInt | None:

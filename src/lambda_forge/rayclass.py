@@ -18,7 +18,7 @@ base field's ideal arithmetic at construction (``_RationalIdeals`` or the
 cofactors, labels, monoid classes and shift maps call that object.  Code
 keeps two paths only where the mathematics differs: ``ray_class_group``
 picks the rational or quadratic group (unit residues mod n against
-principality searches), ``DRMonoid`` classifies rational ideals by their
+principality tests), ``DRMonoid`` classifies rational ideals by their
 residue mod n, ``f_equiv_generator`` has one witness search per field, and
 the pushout check builds its residue data per field.
 
@@ -300,7 +300,11 @@ _quad_ideals = lru_cache(maxsize=None)(_QuadIdeals)  # one per field
 def f_equiv(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     """Definition route: equal gcd with f_fin and equal cofactor ray class,
     i.e. equal ``f_label``."""
-    return f_label(a, f, support) == f_label(b, f, support)
+    check = f._ideals._check
+    check(a, support)
+    label_a = _label(a, f, support)
+    check(b, support)
+    return label_a == _label(b, f, support)
 
 
 def f_label(a, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> tuple:
@@ -455,7 +459,7 @@ class QuadRayClassGroup(RayClassGroup):
     """Over an imaginary quadratic field class c * (orbit count) + o is the
     complete invariant pair (ideal class c at trivial conductor, unit orbit
     o of a normalized generator residue); every comparison reduces to
-    principality searches."""
+    principality tests."""
 
     def _build(self):
         field = self.cycle.field

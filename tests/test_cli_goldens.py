@@ -69,6 +69,9 @@ UNDER_O = [
     ["dr-table", "--cycle", "12*inf", "--output", "csv"],
     ["ray-class", "--cycle", "100", "--output", "csv"],
     ["dr-table", "--cycle", "10007*inf", "--json"],
+    ["f-equiv", "--field", "d:-5", "--cycle", "[2, 1+w, 1]", "--a", "[3, 1+w, 1]", "--b", "[3, 2+w, 1]", "--json"],
+    ["dr-mul", "--field", "d:-3", "--cycle", "[7, 2+w, 1]", "--a", "[3, 1+w, 1]", "--b", "[7, 4+w, 1]", "--json"],
+    ["ray-class", "--field", "d:-5", "--cycle", "[3, 1+w, 1]", "--json"],
 ]
 
 TABLE_CHECK_UNDER_O = textwrap.dedent(

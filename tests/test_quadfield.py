@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lambda_forge import rayclass
 from lambda_forge.errors import BoundExceededError, InputError
-from lambda_forge.intlinalg import hnf_rows, is_prime
+from lambda_forge.intlinalg import divisors, hnf_rows, is_prime
 from lambda_forge.quadfield import (
     QuadField,
     QuadIdeal,
@@ -18,10 +18,10 @@ from lambda_forge.quadfield import (
     ideal_from_int,
     ideal_from_module,
     ideal_gcd,
+    ideal_generators,
     ideal_mul,
     ideals_of_norm_up_to,
     is_principal,
-    norm_solutions,
     primes_above,
     principal_ideal,
     reduced_forms,
@@ -177,20 +177,6 @@ def test_ideal_div_exactness():
     assert ideal_div(a, b) == ideal_from_int(GAUSS, 3)
     with pytest.raises(InputError):
         ideal_div(ideal_from_int(GAUSS, 3), ideal_from_int(GAUSS, 2))
-
-
-def test_norm_solutions_complete():
-    # brute-force oracle on a small box
-    for field in (GAUSS, K5):
-        for n in range(1, 30):
-            got = set(norm_solutions(field, n))
-            brute = {
-                QuadInt(field, a, b)
-                for a in range(-40, 41)
-                for b in range(-40, 41)
-                if QuadInt(field, a, b).norm() == n
-            }
-            assert got == brute
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +335,57 @@ def test_residue_index_matches_scan(field):
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the full-norm principality scans and the O(B^2) ideal enumeration
-# that the primitive-part search and the lazy ideal stream replaced.
+# Oracles: the norm-ellipse scans that lattice reduction replaced (on the
+# full norm, and on the primitive part), and the O(B^2) ideal enumeration
+# that the lazy ideal stream replaced.
 
 ORACLE_FIELDS = (GAUSS, K5, EISEN, QuadField(-23))
+
+
+def norm_solutions(field, n):
+    """All integers of the field with norm exactly n (n >= 0).
+
+    The norm form is positive definite: 4*N(u+v*w) = (2u+tv)^2 + |disc|*v^2,
+    so the search region is a finite ellipse.
+    """
+    if n < 0:
+        return []
+    if n == 0:
+        return [QuadInt(field, 0, 0)]
+    t = field.trace_w
+    absd = -field.disc
+    out = []
+    vmax = isqrt(4 * n // absd)
+    for v in range(-vmax, vmax + 1):
+        rem = 4 * n - absd * v * v
+        s = isqrt(rem)
+        if s * s != rem:
+            continue
+        for sign in ((s, -s) if s else (s,)):
+            if (sign - t * v) % 2 == 0:
+                out.append(QuadInt(field, (sign - t * v) // 2, v))
+    return out
+
+
+def test_norm_solutions_complete():
+    # brute-force oracle on a small box
+    for field in (GAUSS, K5):
+        for n in range(1, 30):
+            got = set(norm_solutions(field, n))
+            brute = {
+                QuadInt(field, a, b)
+                for a in range(-40, 41)
+                for b in range(-40, 41)
+                if QuadInt(field, a, b).norm() == n
+            }
+            assert got == brute
+
+
+def _scan_ideal_generators(ideal):
+    """The primitive-part scan: the elements of norm a in J = [a, b + w],
+    i.e. with a | u - b*v, scaled by c."""
+    a, b, c = ideal.a, ideal.b, ideal.c
+    return tuple(x.scale(c) for x in norm_solutions(ideal.field, a) if (x.a - b * x.b) % a == 0)
 
 
 def _scan_is_principal(ideal):
@@ -482,3 +515,112 @@ def test_ideal_from_pairs_refusal_messages(field):
     }
     for pairs, message in cases.items():
         assert _outcome(_ideal_from_pairs, field, list(pairs)) == (InputError, message)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the four-pair fold that Dirichlet composition replaced in
+# ideal_mul and that ideal_gcd skips for coprime norms, and the scan that
+# lattice reduction replaced in ideal_generators; over fields with both
+# shapes of w and class numbers 1, 2, 3 and 5.
+
+REDUCTION_FIELDS = tuple(QuadField(d) for d in (-1, -2, -3, -5, -6, -7, -15, -23, -47, -163))
+
+
+def _fold_mul(x, y):
+    f = x.field
+    a1, b1, a2, b2, c = x.a, x.b, y.a, y.b, x.c * y.c
+    return _ideal_from_pairs(
+        f,
+        [
+            (0, a1 * a2 * c),
+            (a1 * c, a1 * b2 * c),
+            (a2 * c, a2 * b1 * c),
+            ((b1 + b2 + f.trace_w) * c, (b1 * b2 - f.norm_w) * c),
+        ],
+    )
+
+
+def _fold_gcd(x, y):
+    return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
+
+
+@st.composite
+def _ideals(draw, field):
+    """c*[a, b + w] for a divisor a of N(b + w): every primitive part with
+    a <= 2000 can be drawn, and many larger ones."""
+    b = draw(st.integers(0, 2000))
+    divs = divisors(QuadInt(field, b, 1).norm())
+    a = divs[draw(st.integers(0, len(divs) - 1))]
+    return QuadIdeal(field, a, b % a, draw(st.integers(1, 4)))
+
+
+@st.composite
+def _field_and_ideals(draw, count):
+    field = draw(st.sampled_from(REDUCTION_FIELDS))
+    return field, [draw(_ideals(field)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_and_ideals(1))
+def test_ideal_generators_match_scan(case):
+    _, (ideal,) = case
+    want = _scan_ideal_generators(ideal)
+    assert ideal_generators(ideal) == want
+    assert is_principal(ideal) == (want[0] if want else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_and_ideals(2))
+def test_ideal_mul_and_gcd_match_fold(case):
+    _, (x, y) = case
+    xy = ideal_mul(x, y)
+    assert xy == _fold_mul(x, y)
+    assert ideal_gcd(x, y) == _fold_gcd(x, y)
+    assert ideal_gcd(x, xy) == _fold_gcd(x, xy) == x
+
+
+@pytest.mark.parametrize("field", REDUCTION_FIELDS, ids=lambda f: f"d={f.d}")
+def test_reduction_and_composition_on_small_ideals(field):
+    """Every ideal of norm <= 120, and every pair of norm <= 30: coprime
+    norms, non-principal ideals and c > 1 all occur."""
+    ideals = ideals_of_norm_up_to(field, 120)
+    for ideal in ideals:
+        assert ideal_generators(ideal) == _scan_ideal_generators(ideal)
+    small = [i for i in ideals if i.norm() <= 30]
+    coprime = 0
+    for x in small:
+        for y in small:
+            assert ideal_mul(x, y) == _fold_mul(x, y)
+            assert ideal_gcd(x, y) == _fold_gcd(x, y)
+            coprime += gcd(x.norm(), y.norm()) == 1
+    assert coprime and any(i.c > 1 for i in small)
+
+
+def _prime_of_form(field, u, v):
+    """u + v*w, v stepped by 2 until its norm is prime."""
+    while not is_prime(QuadInt(field, u, v).norm()):
+        v += 2
+    return QuadInt(field, u, v)
+
+
+def test_principality_at_norms_above_1e20():
+    """Prime ideals whose norm ellipse has about 10^10 rows: the reduction
+    finds the generator, or refuses, in O(log N) steps."""
+    for field, u in ((GAUSS, 10**10 + 1), (K5, 10**10 + 1)):
+        g0 = _prime_of_form(field, u, 2)
+        ideal = principal_ideal(g0)
+        assert ideal.c == 1 and ideal.a == g0.norm() > 10**20
+        for scaled in (ideal, QuadIdeal(field, ideal.a, ideal.b, 3)):
+            gens = ideal_generators(scaled)
+            assert len(gens) == len(unit_group(field)) and g0.scale(scaled.c) in gens
+            g = is_principal(scaled)
+            assert g == gens[0] and g.norm() == scaled.norm() and scaled.contains(g)
+            assert principal_ideal(g) == scaled
+    # a split prime p = 3 mod 20 is not of the form x^2 + 5y^2
+    p = 10**20 + 3
+    while not is_prime(p):
+        p += 20
+    b = pow(-5 % p, (p + 1) // 4, p)  # sqrt(-5) mod p, as p = 3 mod 4
+    ideal = QuadIdeal(K5, p, b, 1)
+    assert ideal_generators(ideal) == () and is_principal(ideal) is None
+    assert is_principal(ideal_mul(ideal, ideal.conj())) == QuadInt(K5, p, 0)
