@@ -222,7 +222,7 @@ def _cmd_witt(args) -> str:
         ok = witt.dwork_check(g)
         return _emit(args, {"witt_vector": ok}, "true" if ok else "false")
     if args.witt_cmd == "periodic":
-        if not args.n:
+        if args.n is None:
             raise InputError("witt periodic needs --n")
         comparison = witt.ray_class_algebra_witt_iso_check(args.n, args.bound)
         # the lattice ring defaults to the size-n group ring of the

@@ -1,10 +1,14 @@
-"""Exact integer arithmetic: factorization, primality, integer matrices,
-Hermite/Smith normal forms, and lattice indices.
+"""Exact integer arithmetic: factorization, primality, Hermite/Smith
+normal forms, lattice indices and integer kernels.
 
-Everything operates on Python ints (arbitrary precision).  Matrices are
-row-major lists of lists; the row span of a matrix is "the lattice" it
+Everything operates on Python ints (arbitrary precision).  A matrix is a
+plain sequence of rows (lists or tuples, never mutated) with its column
+count passed alongside; the row span of a matrix is "the lattice" it
 presents.  One fixed Hermite convention is used everywhere: row-style,
-positive pivots, entries above a pivot reduced into [0, pivot).
+positive pivots, entries above a pivot reduced into [0, pivot).  One
+elimination, the Hermite fold ``_add_to_echelon``, serves every routine:
+Hermite forms and lattice indices directly, kernels on [M | I], and Smith
+invariants by alternating row and column Hermite forms.
 """
 
 from __future__ import annotations
@@ -152,35 +156,7 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and lattices
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]  # row-major
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
-            raise InputError("entries length must be rows*cols")
-
-    @staticmethod
-    def from_rows(rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
-        if not rows:
-            return IntMatrix(0, 0 if cols is None else cols, ())
-        n = len(rows[0]) if cols is None else cols
-        if any(len(r) != n for r in rows):
-            raise InputError("ragged rows")
-        return IntMatrix(len(rows), n, tuple(x for r in rows for x in r))
-
-    def row_list(self) -> list[list[int]]:
-        n = self.cols
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(self.rows)]
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+# Integer lattices
 
 
 def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], ncols: int, width: int | None = None) -> bool:
@@ -223,14 +199,15 @@ def _add_to_echelon(basis: list[list[int]], pivots: list[int], vec: list[int], n
     return False
 
 
-def hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Row-style HNF of the lattice spanned by ``rows``; zero rows dropped.
-    Pivots positive, entries above each pivot reduced into [0, pivot)."""
+def hnf_rows(rows, ncols: int) -> list[list[int]]:
+    """Row-style HNF of the lattice spanned by ``rows`` (lists or tuples,
+    left untouched); zero rows dropped.  Pivots positive, entries above
+    each pivot reduced into [0, pivot)."""
     basis: list[list[int]] = []  # kept in echelon order
     pivots: list[int] = []
     for r in rows:
         if any(r):
-            _add_to_echelon(basis, pivots, r[:], ncols)
+            _add_to_echelon(basis, pivots, list(r), ncols)
     # reduce entries above pivots; ascending pivot order per row, so a
     # subtraction never disturbs an already-reduced earlier column
     for ai in range(len(basis)):
@@ -241,18 +218,6 @@ def hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
                 for k in range(j, ncols):
                     basis[ai][k] -= q * basis[bi][k]
     return basis
-
-
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Hermite normal form of the row lattice of ``m``.
-
-    The zero matrix maps to the zero matrix (row count preserved); otherwise
-    zero rows are dropped.
-    """
-    basis = hnf_rows(m.row_list(), m.cols)
-    if not basis:
-        return IntMatrix(m.rows, m.cols, (0,) * (m.rows * m.cols))
-    return IntMatrix.from_rows(basis, m.cols)
 
 
 def _pivot(row: list[int], ncols: int) -> int:
@@ -281,24 +246,24 @@ def in_row_span(vec: list[int], hnf_basis: list[list[int]], ncols: int) -> bool:
     return hnf_coords(vec, hnf_basis, ncols) is not None
 
 
-def lattice_index(sub: IntMatrix, sup: IntMatrix) -> int | str:
-    """Index [sup : sub] of one row lattice in another.
+def lattice_index(sub, sup, ncols: int) -> int | str:
+    """Index [sup : sub] of one row lattice in another, both given by rows
+    of length ``ncols``.
 
     Returns "infinite" when the ranks differ; rejects sub not contained in
     sup (checked by membership solves).
     """
-    if sub.cols != sup.cols:
+    if any(len(r) != ncols for r in (*sub, *sup)):
         raise InputError("ambient dimensions differ")
-    n = sub.cols
-    hs = hnf_rows(sub.row_list(), n)
-    hp = hnf_rows(sup.row_list(), n)
+    hs = hnf_rows(sub, ncols)
+    hp = hnf_rows(sup, ncols)
     for row in hs:
-        if not in_row_span(row, hp, n):
+        if not in_row_span(row, hp, ncols):
             raise InputError("sub lattice is not contained in sup lattice")
     if len(hs) != len(hp):
         return "infinite"
-    num = prod(row[_pivot(row, n)] for row in hs)
-    den = prod(row[_pivot(row, n)] for row in hp)
+    num = prod(row[_pivot(row, ncols)] for row in hs)
+    den = prod(row[_pivot(row, ncols)] for row in hp)
     if num % den:
         raise AssertionError("sublattice pivot product does not divide the lattice's")
     return num // den
@@ -321,75 +286,25 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return hnf_rows(kernel, m)
 
 
-def smith_invariants(rows: list[list[int]], ncols: int) -> list[int]:
-    """Nontrivial invariant factors (each dividing the next) of the cokernel
-    ZZ^ncols / row-span, including 0 entries for free rank.
+def smith_invariants(rows, ncols: int) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of the cokernel ZZ^ncols / row-span
+    of rows of length ncols, a list of length ncols: 1 entries included,
+    0 entries for free rank.
 
-    Returned list has length ncols: d_1 | d_2 | ... (1 entries included).
+    Row and column Hermite forms alternate (the column form is the row
+    form of the transpose) until each row holds a single nonzero entry.
+    Each pass either clears the first pivot's row and column, after which
+    that block stays apart, or replaces the pivot by a proper divisor, so
+    the alternation ends (Kannan and Bachem 1979; Cohen, GTM 138, 2.4).
     """
-    work = [r[:] for r in rows]
-    m = len(work)
-    n = ncols
-    invs: list[int] = []
-    top = 0
-    leftcol = 0
-    while top < m and leftcol < n:
-        # find a nonzero entry
-        found = None
-        for i in range(top, m):
-            for j in range(leftcol, n):
-                if work[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i0, j0 = found
-        work[top], work[i0] = work[i0], work[top]
-        for r in work:
-            r[leftcol], r[j0] = r[j0], r[leftcol]
-        while True:
-            # clear column
-            again = False
-            for i in range(top + 1, m):
-                a, c = work[top][leftcol], work[i][leftcol]
-                if c == 0:
-                    continue
-                if c % a == 0:
-                    q = c // a
-                    for k in range(leftcol, n):
-                        work[i][k] -= q * work[top][k]
-                else:
-                    x, y, g = xgcd(a, c)
-                    rt = [x * work[top][k] + y * work[i][k] for k in range(n)]
-                    ri = [-(c // g) * work[top][k] + (a // g) * work[i][k] for k in range(n)]
-                    work[top][leftcol:] = rt[leftcol:]
-                    work[i][leftcol:] = ri[leftcol:]
-            # clear row
-            for j in range(leftcol + 1, n):
-                a, c = work[top][leftcol], work[top][j]
-                if c == 0:
-                    continue
-                if c % a == 0:
-                    q = c // a
-                    for r in work:
-                        r[j] -= q * r[leftcol]
-                else:
-                    x, y, g = xgcd(a, c)
-                    for r in work:
-                        r[leftcol], r[j] = x * r[leftcol] + y * r[j], -(c // g) * r[leftcol] + (a // g) * r[j]
-                    again = True
-            if not again and all(work[i][leftcol] == 0 for i in range(top + 1, m)):
-                break
-        invs.append(abs(work[top][leftcol]))
-        top += 1
-        leftcol += 1
-    # enforce divisibility chain
+    work = hnf_rows(rows, ncols)
+    while any(sum(map(bool, r)) > 1 for r in work):
+        work = hnf_rows(list(zip(*work)), len(work))
+    invs = [max(r) for r in work]  # the one nonzero entry, a positive pivot
+    # enforce the divisibility chain
     for i in range(len(invs)):
         for j in range(i + 1, len(invs)):
             a, b = invs[i], invs[j]
             g = gcd(a, b)
-            invs[i], invs[j] = g, a // g * b if g else 0
-    invs.sort(key=lambda d: (d == 0, d))
+            invs[i], invs[j] = g, a // g * b
     return invs + [0] * (ncols - len(invs))

@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import DensityRequiredError, InputError
-from .intlinalg import IntMatrix, divisors, hnf_coords, hnf_rows, is_prime, lattice_index, smith_invariants
+from .intlinalg import divisors, hnf_coords, hnf_rows, is_prime, lattice_index, smith_invariants
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
 
@@ -496,14 +496,14 @@ class PeriodicLocusReport:
     cycle: Cycle
     family: str
     generator: IntPoly | int  # polynomial for chebyshev, exponent for toric
-    image_basis: IntMatrix | None
+    image_basis: tuple[tuple[int, ...], ...] | None  # HNF rows
     cokernel_order: int | None
 
     def to_json(self) -> dict:
         out = {"cycle": str(self.cycle), "family": self.family}
         if self.family == "chebyshev":
             out["Q"] = list(self.generator.coeffs)
-            out["image_basis"] = self.image_basis.row_list()
+            out["image_basis"] = [list(r) for r in self.image_basis]
             out["cokernel_order"] = self.cokernel_order
         else:
             out["exponent"] = self.generator
@@ -521,7 +521,7 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     rows = []
     cur = one
     for _ in range(q.degree):
-        rows.append(list(cur))
+        rows.append(cur)
         cur = _cyclic_mul(cur, y)
     # the generator must vanish in the group ring: q(y) reduces to zero
     acc = (0,) * n
@@ -532,14 +532,13 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     if any(acc):
         raise AssertionError("the generator does not annihilate the image")
     image = hnf_rows(rows, n)
-    stated = _stated_image_basis(n)
-    if image != hnf_rows([list(r) for r in stated], n):
+    if image != hnf_rows(_stated_image_basis(n), n):
         raise AssertionError("image lattice differs from the stated basis")
     inv = _sigma_invariant_basis(n)
-    cok = lattice_index(IntMatrix.from_rows([list(r) for r in image], n), IntMatrix.from_rows(inv, n))
+    cok = lattice_index(image, inv, n)
     if cok != (1 if n % 2 else 2):
         raise AssertionError("cokernel order mismatch")
-    return PeriodicLocusReport(Cycle(None, n, False), "chebyshev", q, IntMatrix.from_rows([list(r) for r in image], n), cok)
+    return PeriodicLocusReport(Cycle(None, n, False), "chebyshev", q, tuple(map(tuple, image)), cok)
 
 
 def _stated_image_basis(n: int) -> list[list[int]]:
@@ -637,13 +636,18 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
     square, expected cyclic of order a."""
     if a < 1 or not is_prime(q):
         raise InputError("need a >= 1 and q prime")
-    if a == 1:
-        return 0
+    return sum(1 for d in _cotangent_invariants(a) if d % q == 0)
+
+
+@lru_cache(maxsize=128)
+def _cotangent_invariants(a: int) -> tuple[int, ...]:
+    """Invariant factors of the augmentation ideal of the level-a group ring
+    modulo its square; they do not depend on the residue characteristic."""
     # the ideal is spanned by the x^i - 1, 0 < i < a
     gens = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]
-    i_basis = hnf_rows([list(g) for g in gens], a)
+    i_basis = hnf_rows(gens, a)
     # the ring is commutative, so the products g_i * g_j with i <= j span the square
-    sq_rows = [list(_cyclic_mul(g1, g2)) for i, g1 in enumerate(gens) for g2 in gens[i:]]
+    sq_rows = [_cyclic_mul(g1, g2) for i, g1 in enumerate(gens) for g2 in gens[i:]]
     # coordinates of the square in the basis of the ideal lattice
     coords = [hnf_coords(r, i_basis, a) for r in hnf_rows(sq_rows, a)]
     if None in coords:
@@ -656,4 +660,4 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
         order *= d
     if order != a:
         raise AssertionError("cotangent quotient has unexpected order")
-    return sum(1 for d in invs if d % q == 0)
+    return tuple(invs)

@@ -26,16 +26,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
-from .intlinalg import (
-    IntMatrix,
-    divisors,
-    factor,
-    hnf_rows,
-    in_row_span,
-    is_prime,
-    lattice_index,
-    left_kernel,
-    )
+from .intlinalg import divisors, factor, hnf_rows, in_row_span, is_prime, lattice_index, left_kernel
 from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, cyclotomic_polynomial, poly_divmod
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
 
@@ -370,7 +361,7 @@ class PeriodicWittLattice:
 
     def contains(self, vec: list[int]) -> bool:
         n_vars = len(self.class_reps) * self.ring.rank
-        return in_row_span(vec, [list(r) for r in self.basis], n_vars)
+        return in_row_span(vec, self.basis, n_vars)
 
 
 def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLattice:
@@ -528,20 +519,18 @@ def ray_class_algebra_witt_iso_check(n: int, bound: int = 64) -> RayClassWittCom
     Witt lattice over that same ring: injectivity, containment, equality,
     and scan stability.  Instability makes the verdict inconclusive rather
     than false."""
+    if n < 1 or bound < 4:
+        raise InputError("need n >= 1 and bound >= 4")
     ring, rows = group_ring_ghost_rows(n)
     lattice = periodic_witt_lattice(n, ring, bound)
     nvars = len(rows[0])
-    image_h = hnf_rows([r[:] for r in rows], nvars)
+    image_h = hnf_rows(rows, nvars)
     injective = len(image_h) == n
     contained = all(lattice.contains(row) for row in rows)
-    lat_rows = [list(r) for r in lattice.basis]
-    equal = image_h == lat_rows
+    equal = tuple(map(tuple, image_h)) == lattice.basis
     index = None
     if contained and len(image_h) == lattice.rank:
-        index = lattice_index(
-            IntMatrix.from_rows([r[:] for r in image_h], nvars),
-            IntMatrix.from_rows(lat_rows, nvars),
-        )
+        index = lattice_index(image_h, lattice.basis, nvars)
     return RayClassWittComparison(
         n, bound, injective, contained, equal, lattice.stable, lattice.rank, len(image_h), index, lattice
     )
@@ -696,7 +685,7 @@ def periodic_witt_field_product_check(n: int) -> FieldProductReport:
     read off the minimal polynomial of the generating tuple."""
     ring, rows = group_ring_ghost_rows(n)
     nvars = len(rows[0])
-    if len(hnf_rows([r[:] for r in rows], nvars)) != n:
+    if len(hnf_rows(rows, nvars)) != n:
         raise AssertionError("ghost image has unexpected rank")
     # the generator: image of x; its n-th power returns to the identity row
     dr = dr_monoid(Cycle(None, n, True))
@@ -752,7 +741,7 @@ def _solve_equalities_and_congruences(eq_rows, cong_rows, moduli, nvars) -> list
             key = tuple(proj) if lead > 0 else tuple(-x for x in proj)
             merged[key] = lcm(merged.get(key, 1), m)
     if not merged:
-        return hnf_rows([list(r) for r in kernel], nvars)
+        return hnf_rows(kernel, nvars)
     # integer solutions of C' t + diag(m) s = 0; project to t
     cprime = list(merged)
     ncong = len(cprime)

@@ -99,6 +99,15 @@ def test_witt_periodic_solves_each_lattice_once(monkeypatch):
     assert solves == [witt.binomial_quotient_ring(2), witt.INTEGERS]
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_witt_periodic_refuses_levels_below_one(n, capsys):
+    """--n 0 is given, not missing, and a negative level is refused by the
+    comparison itself before any coefficient ring is built."""
+    code, out = run_cli(["witt", "periodic", "--n", n, "--bound", "16"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: need n >= 1 and bound >= 4\n"
+
+
 def test_unknown_flag_rejected():
     code, _ = run_cli(["chebyshev", "--n", "2", "--frobnicate"])
     assert code == 1

@@ -72,6 +72,9 @@ UNDER_O = [
     ["f-equiv", "--field", "d:-5", "--cycle", "[2, 1+w, 1]", "--a", "[3, 1+w, 1]", "--b", "[3, 2+w, 1]", "--json"],
     ["dr-mul", "--field", "d:-3", "--cycle", "[7, 2+w, 1]", "--a", "[3, 1+w, 1]", "--b", "[7, 4+w, 1]", "--json"],
     ["ray-class", "--field", "d:-5", "--cycle", "[3, 1+w, 1]", "--json"],
+    ["cotangent", "--a", "12", "--q", "5", "--output", "csv"],
+    ["periodic-locus", "--family", "chebyshev", "--n", "12", "--json"],
+    ["witt", "periodic", "--n", "3", "--bound", "32", "--ring", "Z", "--json"],
 ]
 
 TABLE_CHECK_UNDER_O = textwrap.dedent(

@@ -1,4 +1,6 @@
+import copy
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,8 @@ from hypothesis import strategies as st
 from lambda_forge.errors import InputError
 from lambda_forge.intlinalg import (
     Factorization,
-    IntMatrix,
     divisors,
     factor,
-    hnf,
     hnf_coords,
     hnf_rows,
     in_row_span,
@@ -60,13 +60,14 @@ def test_divisors():
     assert divisors(1) == [1]
 
 
+IDENTITY_2 = [[1, 0], [0, 1]]
+
+
 def test_hnf_examples():
-    ident = IntMatrix.identity(3)
-    assert hnf(ident) == ident
-    m = IntMatrix.from_rows([[2, 0], [1, 1]])
-    assert hnf(m).row_list() == [[1, 1], [0, 2]]
-    zero = IntMatrix(2, 2, (0, 0, 0, 0))
-    assert hnf(zero) == zero
+    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert hnf_rows(ident, 3) == ident
+    assert hnf_rows([[2, 0], [1, 1]], 2) == [[1, 1], [0, 2]]
+    assert hnf_rows([[0, 0], [0, 0]], 2) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,25 +79,23 @@ def test_hnf_examples():
     )
 )
 def test_hnf_idempotent_and_spanning(rows):
-    h1 = hnf_rows([r[:] for r in rows], 3)
-    h2 = hnf_rows([r[:] for r in h1], 3)
+    h1 = hnf_rows(rows, 3)
+    h2 = hnf_rows(h1, 3)
     assert h1 == h2
     for r in rows:
         assert not any(r) or in_row_span(r, h1, 3)
 
 
 def test_lattice_index_examples():
-    assert lattice_index(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]])) == 2
-    assert lattice_index(IntMatrix.identity(2), IntMatrix.identity(2)) == 1
-    assert lattice_index(IntMatrix.from_rows([[1, 1], [-1, 1]]), IntMatrix.identity(2)) == 2
+    assert lattice_index([[2]], [[1]], 1) == 2
+    assert lattice_index(IDENTITY_2, IDENTITY_2, 2) == 1
+    assert lattice_index([[1, 1], [-1, 1]], IDENTITY_2, 2) == 2
 
 
 def test_lattice_index_rank_and_membership():
-    sub = IntMatrix.from_rows([[2, 0]])
-    sup = IntMatrix.identity(2)
-    assert lattice_index(sub, sup) == "infinite"
+    assert lattice_index([[2, 0]], IDENTITY_2, 2) == "infinite"
     with pytest.raises(InputError):
-        lattice_index(IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[2, 0], [0, 2]]))
+        lattice_index([[1, 1], [0, 1]], [[2, 0], [0, 2]], 2)
 
 
 def test_lattice_index_det_consistency():
@@ -109,7 +108,7 @@ def test_lattice_index_det_consistency():
             continue
         mult = rng.randrange(1, 4)
         rows_sub = [[mult * x for x in r] for r in rows_sup]
-        idx = lattice_index(IntMatrix.from_rows(rows_sub), IntMatrix.from_rows(rows_sup))
+        idx = lattice_index(rows_sub, rows_sup, 2)
         assert idx == mult**2
 
 
@@ -131,10 +130,10 @@ MATRICES = st.integers(1, 6).flatmap(
 @given(MATRICES, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 def test_left_kernel_and_coords_random(rows, mults):
     m, n = len(rows), len(rows[0])
-    kernel = left_kernel([r[:] for r in rows], n)
+    kernel = left_kernel(rows, n)
     for x in kernel:
         assert all(sum(x[i] * rows[i][j] for i in range(m)) == 0 for j in range(n))
-    basis = hnf_rows([r[:] for r in rows], n)
+    basis = hnf_rows(rows, n)
     assert len(kernel) == m - len(basis)
     assert set(smith_invariants(kernel, m)) <= {0, 1}  # saturated
     # coordinates rebuild every vector of the span
@@ -153,6 +152,167 @@ def test_smith_invariants():
     assert smith_invariants([[1, 0], [0, 1]], 2) == [1, 1]
     assert smith_invariants([[4]], 1) == [4]
     assert smith_invariants([], 2) == [0, 0]
+
+
+def _smith_reference(rows: list[list[int]], ncols: int) -> list[int]:
+    """Reference Smith invariants by direct elimination, independent of the
+    Hermite fold: pivot search, then xgcd clearing of the pivot's column
+    and row until both are zero."""
+    work = [r[:] for r in rows]
+    m = len(work)
+    n = ncols
+    invs: list[int] = []
+    top = 0
+    leftcol = 0
+    while top < m and leftcol < n:
+        # find a nonzero entry
+        found = None
+        for i in range(top, m):
+            for j in range(leftcol, n):
+                if work[i][j]:
+                    found = (i, j)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        i0, j0 = found
+        work[top], work[i0] = work[i0], work[top]
+        for r in work:
+            r[leftcol], r[j0] = r[j0], r[leftcol]
+        while True:
+            # clear column
+            again = False
+            for i in range(top + 1, m):
+                a, c = work[top][leftcol], work[i][leftcol]
+                if c == 0:
+                    continue
+                if c % a == 0:
+                    q = c // a
+                    for k in range(leftcol, n):
+                        work[i][k] -= q * work[top][k]
+                else:
+                    x, y, g = xgcd(a, c)
+                    rt = [x * work[top][k] + y * work[i][k] for k in range(n)]
+                    ri = [-(c // g) * work[top][k] + (a // g) * work[i][k] for k in range(n)]
+                    work[top][leftcol:] = rt[leftcol:]
+                    work[i][leftcol:] = ri[leftcol:]
+            # clear row
+            for j in range(leftcol + 1, n):
+                a, c = work[top][leftcol], work[top][j]
+                if c == 0:
+                    continue
+                if c % a == 0:
+                    q = c // a
+                    for r in work:
+                        r[j] -= q * r[leftcol]
+                else:
+                    x, y, g = xgcd(a, c)
+                    for r in work:
+                        r[leftcol], r[j] = x * r[leftcol] + y * r[j], -(c // g) * r[leftcol] + (a // g) * r[j]
+                    again = True
+            if not again and all(work[i][leftcol] == 0 for i in range(top + 1, m)):
+                break
+        invs.append(abs(work[top][leftcol]))
+        top += 1
+        leftcol += 1
+    # enforce divisibility chain
+    for i in range(len(invs)):
+        for j in range(i + 1, len(invs)):
+            a, b = invs[i], invs[j]
+            g = gcd(a, b)
+            invs[i], invs[j] = g, a // g * b if g else 0
+    invs.sort(key=lambda d: (d == 0, d))
+    return invs + [0] * (ncols - len(invs))
+
+
+@st.composite
+def smith_matrices(draw):
+    """0..8 rows of 1..8 entries in [-50, 50], some columns zeroed, and some
+    rows replaced by zero or by a combination of two other rows."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    rows = [
+        [0 if j in zero_cols else x for j, x in enumerate(r)]
+        for r in draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=m, max_size=m))
+    ]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ():
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i1, i2 = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[i] = [c * x + d * y for x, y in zip(rows[i1], rows[i2])]
+    return rows, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(smith_matrices())
+def test_smith_invariants_match_reference(matrix):
+    rows, n = matrix
+    assert smith_invariants(rows, n) == _smith_reference(rows, n)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """sympy is an oracle only, never a runtime dependency."""
+    return pytest.importorskip("sympy")
+
+
+def _sympy_matrix(sympy, rows, n):
+    return sympy.Matrix(len(rows), n, [x for r in rows for x in r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(smith_matrices())
+def test_smith_invariants_match_sympy(sympy, matrix):
+    from sympy.matrices.normalforms import invariant_factors
+
+    rows, n = matrix
+    theirs = [int(d) for d in invariant_factors(_sympy_matrix(sympy, rows, n), domain=sympy.ZZ)]
+    assert smith_invariants(rows, n) == theirs + [0] * (n - len(theirs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(smith_matrices())
+def test_hnf_rows_match_sympy(sympy, matrix):
+    """sympy's Hermite form is column-style: the columns of the form of the
+    transpose span the row lattice."""
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rows, n = matrix
+    h = hermite_normal_form(_sympy_matrix(sympy, rows, n).T)
+    theirs = [[int(x) for x in h.col(j)] for j in range(h.cols)]
+    ours = hnf_rows(rows, n)
+    assert all(in_row_span(r, ours, n) for r in theirs)
+    assert all(in_row_span(r, hnf_rows(theirs, n), n) for r in ours)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**10) | st.sampled_from([(2**31 - 1) * (2**61 - 1), 1_000_003**2 * 999_983]))
+def test_factor_matches_sympy(sympy, n):
+    assert factor(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+
+def test_kernel_input_contract():
+    """Tuple rows are accepted and give the list-row answers; no kernel
+    function mutates its argument; lattice_index refuses rows of the wrong
+    length."""
+    rows = [[4, 6, 0], [2, -2, 8], [6, 4, 8], [0, 0, 0]]
+    sup = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    basis = hnf_rows(rows, 3)
+    before = copy.deepcopy((rows, sup, basis))
+    calls = [
+        lambda r: hnf_rows(r, 3),
+        lambda r: hnf_coords(r[1], basis, 3),
+        lambda r: in_row_span(r[2], basis, 3),
+        lambda r: lattice_index(r, sup, 3),
+        lambda r: left_kernel(r, 3),
+        lambda r: smith_invariants(r, 3),
+    ]
+    for call in calls:
+        assert call(tuple(map(tuple, rows))) == call(rows)
+        assert (rows, sup, basis) == before
+    for sub, sup2 in [([[1, 0]], [[1, 0, 0]]), ([[1, 0, 0], [1, 0]], sup), (rows, [[1, 0, 0], [0, 1]])]:
+        with pytest.raises(InputError, match="ambient dimensions differ"):
+            lattice_index(sub, sup2, 3)
 
 
 def test_xgcd():

@@ -250,18 +250,17 @@ def test_image_lattice_examples():
     rep4 = chebyshev_image_lattice(4)
     assert rep4.cokernel_order == 2
     # missing generator at the middle monomial: only 2x^2 present
-    basis = rep4.image_basis.row_list()
-    mid = [row[2] for row in basis]
+    mid = [row[2] for row in rep4.image_basis]
     assert 2 in mid and 1 not in mid
     rep1 = chebyshev_image_lattice(1)
-    assert rep1.image_basis.rows == 1 and rep1.cokernel_order == 1
+    assert len(rep1.image_basis) == 1 and rep1.cokernel_order == 1
 
 
 def test_image_lattice_sigma_invariance():
     for n in range(1, 15):
         rep = chebyshev_image_lattice(n)
-        for row in rep.image_basis.row_list():
-            flipped = [row[(-i) % n] for i in range(n)]
+        for row in rep.image_basis:
+            flipped = tuple(row[(-i) % n] for i in range(n))
             assert flipped == row or sorted(flipped) == sorted(row)
 
 
