@@ -244,13 +244,8 @@ class LaurentPoly:
         if o.is_zero():
             return self
         low = min(self.low, o.low)
-        hi = max(self.low + len(self.coeffs), o.low + len(o.coeffs))
-        out = [0] * (hi - low)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] += c
-        for i, c in enumerate(o.coeffs):
-            out[o.low - low + i] += c
-        return LaurentPoly.of(low, tuple(out))
+        shifted = lambda p: IntPoly((0,) * (p.low - low) + p.coeffs)
+        return LaurentPoly.of(low, (shifted(self) + shifted(o)).coeffs)
 
     def __sub__(self, o: "LaurentPoly") -> "LaurentPoly":
         return self + o.scale(-1)
@@ -532,43 +527,25 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     if any(acc):
         raise AssertionError("the generator does not annihilate the image")
     image = hnf_rows(rows, n)
-    if image != hnf_rows(_stated_image_basis(n), n):
+    if image != hnf_rows(_involution_basis(n, 2), n):
         raise AssertionError("image lattice differs from the stated basis")
-    inv = _sigma_invariant_basis(n)
-    cok = lattice_index(image, inv, n)
+    cok = lattice_index(image, _involution_basis(n, 1), n)
     if cok != (1 if n % 2 else 2):
         raise AssertionError("cokernel order mismatch")
     return PeriodicLocusReport(Cycle(None, n, False), "chebyshev", q, tuple(map(tuple, image)), cok)
 
 
-def _stated_image_basis(n: int) -> list[list[int]]:
-    rows = []
-    e = lambda i, c=1: [c if j == i % n else 0 for j in range(n)]
-    if n == 1:
-        return [e(0)]
-    half = (n - 1) // 2 if n % 2 else n // 2 - 1
-    rows.append(e(0))
-    for i in range(1, half + 1):
+def _involution_basis(n: int, middle: int) -> list[list[int]]:
+    """Rows e_0, e_i + e_(n-i) for 0 < i < n/2 and, for even n,
+    middle * e_(n/2): the involution invariants when middle is 1, the
+    stated image of the periodic quotient when it is 2."""
+    rows = [[1] + [0] * (n - 1)]
+    for i in range(1, (n + 1) // 2):
         v = [0] * n
-        v[i] += 1
-        v[(n - i) % n] += 1
+        v[i] = v[n - i] = 1
         rows.append(v)
     if n % 2 == 0:
-        rows.append(e(n // 2, 2))
-    return rows
-
-
-def _sigma_invariant_basis(n: int) -> list[list[int]]:
-    rows = [[1 if j == 0 else 0 for j in range(n)]]
-    for i in range(1, n // 2 + (1 if n % 2 else 0)):
-        v = [0] * n
-        v[i] += 1
-        v[n - i] += 1
-        rows.append(v)
-    if n % 2 == 0 and n > 1:
-        v = [0] * n
-        v[n // 2] = 1
-        rows.append(v)
+        rows.append([middle if j == n // 2 else 0 for j in range(n)])
     return rows
 
 

@@ -9,6 +9,8 @@ integers with the identity lifts.  Elements are coefficient tuples of
 length k, multiplied by the cyclic kernels of ``lambdapoly``; everything
 is exact.  The inverse ghost transform runs in integers over one common
 denominator per coordinate, so rationals appear only in its output.
+The irreducibility test behind the field product runs on the same
+``IntPoly`` arithmetic as ``lambdapoly``, reduced mod (f, q).
 
 The membership test realizes the maximal-subring definition through the
 classical congruences g_{pn} = frob_p(g_n) mod p^(v_p(n)+1); for the
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
@@ -565,75 +566,33 @@ def is_irreducible_smalldeg(p: IntPoly) -> bool:
     return True
 
 
-def _modp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _modp_mul(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    # reduce mod monic f
-    d = len(f) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * f[j]) % q
-    return _modp_trim(out[:d])
-
-
-def _modp_powx(e: int, f: list[int], q: int) -> list[int]:
-    out = [1]
-    base = _modp_mul([0, 1], [1], f, q)  # x reduced mod f
-    while e:
-        if e & 1:
-            out = _modp_mul(out, base, f, q)
-        base = _modp_mul(base, base, f, q)
-        e >>= 1
-    return out
-
-
-def _modp_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _modp_trim(a[:]), _modp_trim(b[:])
-    while b:
-        # a mod b with b made monic
-        inv = pow(b[-1], -1, q)
-        bm = [(c * inv) % q for c in b]
-        r = a[:]
-        for i in range(len(r) - 1, len(bm) - 2, -1):
-            c = r[i]
-            if c:
-                r[i] = 0
-                for j in range(len(bm) - 1):
-                    r[i - len(bm) + 1 + j] = (r[i - len(bm) + 1 + j] - c * bm[j]) % q
-        a, b = b, _modp_trim(r)
-    return a
-
-
 def _rabin_irreducible_mod(p: IntPoly, q: int) -> bool:
-    """Rabin's criterion for irreducibility of p mod q (monic, squarefree
-    reduction assumed checked by the gcd steps themselves)."""
-    f = [c % q for c in p.coeffs]
-    k = p.degree
-    if _modp_trim(f[:]) != f or len(f) - 1 != k:
-        return False
-    x = [0, 1]
-    top = _modp_powx(q**k, f, q)
-    if _modp_trim([(a - b) % q for a, b in zip_longest(top, x, fillvalue=0)]):
-        return False
-    for r in {kk for kk in factor(k).primes()}:
-        mid = _modp_powx(q ** (k // r), f, q)
-        diff = _modp_trim([(a - b) % q for a, b in zip_longest(mid, x, fillvalue=0)])
-        g = _modp_gcd(f[:], diff, q)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    """Rabin's criterion for the monic p mod q: x^(q^k) = x mod p, and
+    x^(q^(k/r)) - x is coprime to p for each prime r dividing k = deg p.
+    Residues mod (p, q) are the remainders of ``poly_divmod`` by the monic
+    reduction f of p, with coefficients taken mod q."""
+    f, k, x = p.mod_coeffs(q), p.degree, IntPoly.x()
+
+    def reduce(g: IntPoly) -> IntPoly:
+        return poly_divmod(g, f)[1].mod_coeffs(q)
+
+    def frobenius_gap(j: int) -> IntPoly:
+        """x^(q^j) - x mod (f, q), by square and multiply."""
+        e, out, base = q**j, IntPoly.of(1), reduce(x)
+        while e:
+            if e & 1:
+                out = reduce(out * base)
+            base = reduce(base * base)
+            e >>= 1
+        return (out - x).mod_coeffs(q)
+
+    def gcd_mod(a: IntPoly, b: IntPoly) -> IntPoly:
+        while not b.is_zero():
+            b = b.scale(pow(b.lead(), -1, q)).mod_coeffs(q)  # monic divisor
+            a, b = b, poly_divmod(a, b)[1].mod_coeffs(q)
+        return a
+
+    return frobenius_gap(k).is_zero() and all(gcd_mod(f, frobenius_gap(k // r)).degree == 0 for r in factor(k).primes())
 
 
 def _monic_candidates(m: int, bound: int, const_term: int):

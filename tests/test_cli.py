@@ -168,8 +168,8 @@ def test_cotangent_command():
 def test_bound_refusal_exit_2(monkeypatch):
     import lambda_forge.rayclass as rc
 
-    monkeypatch.setattr(rc, "_DR_CACHE", {})
-    monkeypatch.setattr(rc, "_RCG_CACHE", {})
+    rc._dr_monoid.cache_clear()
+    rc._ray_class_group.cache_clear()
     monkeypatch.setenv("LAMBDA_FORGE_BOUND", "4")
     code, _ = run_cli(["dr-table", "--cycle", "12*inf"])
     assert code == 2
@@ -182,8 +182,8 @@ def test_bound_refusal_exit_2(monkeypatch):
 def test_malformed_bound_rejected(value, monkeypatch, capsys):
     import lambda_forge.rayclass as rc
 
-    monkeypatch.setattr(rc, "_DR_CACHE", {})
-    monkeypatch.setattr(rc, "_RCG_CACHE", {})
+    rc._dr_monoid.cache_clear()
+    rc._ray_class_group.cache_clear()
     monkeypatch.setenv("LAMBDA_FORGE_BOUND", value)
     code, out = run_cli(["dr-table", "--cycle", "12*inf"])
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -113,8 +114,14 @@ def _terms(low: int, coeffs) -> dict[int, int]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_coeffs, b=_coeffs, low_a=st.integers(-5, 5), low_b=st.integers(-5, 5))
-def test_poly_products_and_sums_match_term_reference(a, b, low_a, low_b):
+@given(
+    a=_coeffs,
+    b=_coeffs,
+    low_a=st.integers(-5, 5),
+    low_b=st.integers(-5, 5),
+    shape=st.sampled_from(("free", "disjoint", "cancel")),
+)
+def test_poly_products_and_sums_match_term_reference(a, b, low_a, low_b, shape):
     p, q = IntPoly.of(*a), IntPoly.of(*b)
     assert _terms(0, (p * q).coeffs) == _product_reference(_terms(0, a), _terms(0, b))
     assert _terms(0, (p + q).coeffs) == {k: c for k in range(max(len(a), len(b))) if (c := p[k] + q[k])}
@@ -124,6 +131,20 @@ def test_poly_products_and_sums_match_term_reference(a, b, low_a, low_b):
     prod = s * t
     assert _terms(prod.low, prod.coeffs) == _product_reference(_terms(low_a, a), _terms(low_b, b))
     assert prod == LaurentPoly.of(prod.low, prod.coeffs)  # trimmed at both ends
+    # Laurent sums: the second operand as drawn, above the first's support,
+    # or cancelling the first at both ends (b fills the degrees between)
+    if shape == "disjoint":
+        t = LaurentPoly.of(s.low + len(s.coeffs) + abs(low_b), tuple(b))
+    elif shape == "cancel":
+        mid = [0] + b[: max(len(s.coeffs) - 2, 0)]
+        t = LaurentPoly.of(s.low, tuple(m - c for c, m in zip_longest(s.coeffs, mid, fillvalue=0)))
+    for u in (t, t.scale(-1)):
+        s_terms, u_terms = _terms(s.low, s.coeffs), _terms(u.low, u.coeffs)
+        keys = s_terms.keys() | u_terms.keys()
+        for total, sign in ((s + u, 1), (s - u, -1)):
+            expected = {k: c for k in keys if (c := s_terms.get(k, 0) + sign * u_terms.get(k, 0))}
+            assert _terms(total.low, total.coeffs) == expected
+            assert total == LaurentPoly.of(total.low, total.coeffs)  # trimmed at both ends
 
 
 def test_laurent_arithmetic():

@@ -1,11 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import json
 from pathlib import Path
 
 import lambda_forge
 
 SRC = Path(lambda_forge.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_bare_asserts():
@@ -63,3 +65,12 @@ def test_no_function_local_package_imports():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert not found, found
+
+
+def test_bench_records_load():
+    """Every benchmark record at the repo root is one JSON document."""
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        with path.open() as fh:
+            assert isinstance(json.load(fh), dict), path.name

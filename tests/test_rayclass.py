@@ -600,18 +600,27 @@ def test_rational_group_table_checked_once(monkeypatch):
 
 
 def test_oversized_monoid_refused_before_building_every_group(monkeypatch):
-    monkeypatch.setattr(rayclass, "_RCG_CACHE", {})
-    monkeypatch.setattr(rayclass, "_DR_CACHE", {})
+    groups = rayclass._ray_class_group
+    groups.cache_clear()
+    rayclass._dr_monoid.cache_clear()
     # phi(1200000) = 320000 elements in the first cofactor group alone
     with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
         dr_monoid(Cycle(None, 1_200_000, True))
-    assert len(rayclass._RCG_CACHE) <= 1
+    assert groups.cache_info().currsize <= 1
     # the count that passes the bound is the last one built: 16 + 8 > 20
-    rayclass._RCG_CACHE.clear()
+    groups.cache_clear()
     monkeypatch.setenv("LAMBDA_FORGE_BOUND", "20")
     with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
         dr_monoid(Cycle(None, 60, True))
-    assert sorted(c.finite for c, _ in rayclass._RCG_CACHE) == [30, 60]
+    built = groups.cache_info()
+    assert built.currsize == 2
+    # exactly the groups of 60 and 30 were built: both are hits now
+    ray_class_group(Cycle(None, 60, True))
+    ray_class_group(Cycle(None, 30, True))
+    after = groups.cache_info()
+    assert after.hits == built.hits + 2 and after.misses == built.misses and after.currsize == 2
+    groups.cache_clear()
+    rayclass._dr_monoid.cache_clear()
 
 
 def test_cycle_and_support_hash_cached_and_consistent():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from lambda_forge import witt
 from lambda_forge.errors import InputError, ModelRefusedError
 from lambda_forge.intlinalg import divisors, hnf_rows, is_prime, left_kernel
-from lambda_forge.lambdapoly import IntPoly
+from lambda_forge.lambdapoly import IntPoly, cyclotomic_polynomial
 from lambda_forge.rayclass import Cycle, dr_monoid, f_equiv
 from lambda_forge.witt import (
     INTEGERS,
@@ -485,10 +486,81 @@ def test_irreducibility_tester():
     assert is_irreducible_smalldeg(IntPoly.of(1, 1, 1))
     assert not is_irreducible_smalldeg(IntPoly.of(-1, 0, 1))
     assert not is_irreducible_smalldeg(IntPoly.of(2, 3, 1))
-    from lambda_forge.lambdapoly import cyclotomic_polynomial
-
     for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         assert is_irreducible_smalldeg(cyclotomic_polynomial(d)), d
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """sympy is an oracle only, never a runtime dependency."""
+    return pytest.importorskip("sympy")
+
+
+def _monic_sympy_poly(sympy, p: IntPoly, **opts):
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), **opts)
+
+
+_monic = st.lists(st.integers(-20, 20), min_size=2, max_size=8).map(lambda c: IntPoly.of(*c, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_monic, q=st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_rabin_matches_sympy(sympy, p, q):
+    assert witt._rabin_irreducible_mod(p, q) == _monic_sympy_poly(sympy, p, modulus=q).is_irreducible
+
+
+def _has_small_monic_factor(coeffs: tuple[int, ...], q: int) -> bool:
+    """A monic polynomial of degree 1 to deg/2 divides coeffs mod q: plain
+    search with its own long division."""
+    d = len(coeffs) - 1
+    for m in range(1, d // 2 + 1):
+        for tail in itertools.product(range(q), repeat=m):
+            g = tail + (1,)
+            r = [c % q for c in coeffs]
+            for i in range(d, m - 1, -1):
+                c = r[i]
+                for j in range(m + 1):
+                    r[i - m + j] = (r[i - m + j] - c * g[j]) % q
+            if not any(r[:m]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_rabin_matches_factor_search(q):
+    # every monic polynomial of degree 2..4 mod q: reducible exactly when
+    # a monic factor of degree <= 2 divides it, and the irreducibles are
+    # as many as Gauss's count (1/k) sum_{d | k} mu(d) q^(k/d)
+    gauss = {2: (q * q - q) // 2, 3: (q**3 - q) // 3, 4: (q**4 - q * q) // 4}
+    for k in (2, 3, 4):
+        count = 0
+        for tail in itertools.product(range(q), repeat=k):
+            coeffs = tail + (1,)
+            irreducible = witt._rabin_irreducible_mod(IntPoly.of(*coeffs), q)
+            assert irreducible == (not _has_small_monic_factor(coeffs, q)), (coeffs, q)
+            count += irreducible
+        assert count == gauss[k], (k, q)
+
+
+# a factor of degree <= 2 keeps the bounded divisor search of a reducible
+# input short; degree <= 5 keeps it short for irreducible ones
+_small_monic = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(lambda c: IntPoly.of(*c, 1))
+_low_factor = st.lists(st.integers(-9, 9), min_size=1, max_size=2).map(lambda c: IntPoly.of(*c, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_small_monic, g=st.none() | _low_factor)
+def test_irreducible_smalldeg_matches_sympy(sympy, p, g):
+    if g is not None and p.degree + g.degree <= 5:
+        p = p * g
+    assert is_irreducible_smalldeg(p) == _monic_sympy_poly(sympy, p).is_irreducible
+
+
+def test_cyclotomic_polynomial_matches_sympy(sympy):
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert list(cyclotomic_polynomial(n).coeffs) == [int(c) for c in reversed(expected)], n
 
 
 def test_universal_lift_components_forced():
