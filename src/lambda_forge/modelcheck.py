@@ -47,6 +47,8 @@ class FiniteIdSet:
     special: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if self.size < 0:
+            raise InputError("size must be non-negative")
         if self.m < 1 or self.m > 10**4:
             raise InputError("modulus must be positive and within the enumeration bound")
         units = [u % self.m for u in range(1, self.m + 1) if gcd(u, self.m) == 1]

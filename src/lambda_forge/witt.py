@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import product
+from math import comb, gcd, isqrt, lcm
 
 from .errors import InputError, ModelRefusedError
 from .intlinalg import divisors, factor, hnf_rows, in_row_span, is_prime, lattice_index, left_kernel
-from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, cyclotomic_polynomial, poly_divmod
+from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, cyclotomic_polynomial, poly_divides, poly_divmod
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
 
 
@@ -541,27 +542,29 @@ def is_irreducible_smalldeg(p: IntPoly) -> bool:
     """Exact irreducibility over Q for small monic integer polynomials.
 
     First tries the mod-q Rabin test for a few primes (irreducible mod q
-    implies irreducible over Q); polynomials reducible modulo every tried
-    prime fall back to a bounded search over monic integer divisors, which
-    is only feasible in small degree.
+    implies irreducible over Q).  A polynomial reducible modulo every tried
+    prime falls back to a search over the monic integer divisors of degree
+    m <= deg/2 within Mignotte's bound: such a divisor g has |g_k| <=
+    C(m, k) * ||p||_2, and its constant term divides p(0).  The search is
+    only feasible in small degree.
     """
     if p.lead() != 1:
         raise InputError("monic input required")
     if p.degree <= 1:
         return p.degree == 1
     for q in (2, 3, 5, 7, 11, 13):
-        if p.lead() % q == 0:
-            continue
         if _rabin_irreducible_mod(p, q):
             return True
     if p.degree > 8:
         raise InputError("irreducibility fallback limited to degree 8")
-    norm1 = sum(abs(c) for c in p.coeffs)
+    if p[0] == 0:
+        return False  # x divides p
+    norm2 = isqrt(sum(c * c for c in p.coeffs)) + 1
+    consts = [s * d for d in divisors(abs(p[0])) for s in (1, -1)]
     for m in range(1, p.degree // 2 + 1):
-        bound = (2**m) * norm1  # generous coefficient bound for monic divisors
-        for cand in _monic_candidates(m, bound, p[0]):
-            out = poly_divmod(p, cand)
-            if out is not None and out[1].is_zero():
+        middle = [range(-comb(m, k) * norm2, comb(m, k) * norm2 + 1) for k in range(1, m)]
+        for coeffs in product(consts, *middle):
+            if poly_divides(IntPoly.of(*coeffs, 1), p):
                 return False
     return True
 
@@ -593,24 +596,6 @@ def _rabin_irreducible_mod(p: IntPoly, q: int) -> bool:
         return a
 
     return frobenius_gap(k).is_zero() and all(gcd_mod(f, frobenius_gap(k // r)).degree == 0 for r in factor(k).primes())
-
-
-def _monic_candidates(m: int, bound: int, const_term: int):
-    """Monic degree-m integer polynomials whose constant term divides the
-    target's constant term and whose coefficients are bounded."""
-    consts = [d for d in range(-abs(const_term), abs(const_term) + 1) if d and const_term % d == 0]
-    if const_term == 0:
-        consts = list(range(-bound, bound + 1))
-
-    def rec(i: int, acc: list[int]):
-        if i == m:
-            yield IntPoly.of(*acc, 1)
-            return
-        for c in range(-bound, bound + 1):
-            yield from rec(i + 1, acc + [c])
-
-    for c0 in consts:
-        yield from rec(1, [c0])
 
 
 @dataclass(frozen=True)

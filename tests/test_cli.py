@@ -178,6 +178,23 @@ def test_bound_refusal_exit_2(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ray-class", "--cycle", "99999999999*inf"],
+        ["f-equiv", "--cycle", "99999999999", "--a", "1", "--b", "2"],
+        ["periodic-locus", "--family", "toric", "--cycle", "99999999999*inf"],
+    ],
+)
+def test_oversized_rational_conductor_refused_before_enumerating(argv, capsys):
+    """phi(n) unit residues over the residue bound are refused before any
+    residue list of length n is built."""
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "refused: 66663457344 unit residues mod 99999999999 over residue bound\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_malformed_bound_rejected(value, monkeypatch, capsys):
     import lambda_forge.rayclass as rc
@@ -210,6 +227,7 @@ def test_frob_flag_validation():
         (["periodic-locus", "--family", "toric", "--cycle", "10", "--jobs", "2"], None),
         (["witt", "convert", "--ring", "x^1-1", "--ghost", "1", "--trunc", "div:1"], None),
         (["witt", "convert", "--ring", "x^0-1", "--ghost", "1", "--trunc", "div:1"], None),
+        (["model-check", "--input"], '{"size": -1, "m": 1, "galois": {"1": []}, "special": {}}'),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

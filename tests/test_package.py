@@ -67,6 +67,23 @@ def test_no_function_local_package_imports():
     assert not found, found
 
 
+def test_no_module_level_mutable_containers():
+    """Process-global state lives in ``lru_cache``s, which can be counted
+    and cleared: no module holds a dict, list or set besides ``__all__``."""
+    literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or ast.unparse(node).startswith("__all__ ="):
+                continue
+            value = node.value
+            called = isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id
+            if isinstance(value, literals) or called in ("dict", "list", "set"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_bench_records_load():
     """Every benchmark record at the repo root is one JSON document."""
     paths = sorted(ROOT.glob("BENCH_*.json"))

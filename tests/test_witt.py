@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -472,10 +473,16 @@ def test_iso_check_trivial_level():
 
 
 def test_field_product_check():
-    for n in (1, 4, 6, 12):
+    start = time.perf_counter()
+    for n in range(1, 31):
+        if n in (21, 28):  # Phi_21 and Phi_28 have degree 12
+            with pytest.raises(InputError, match="limited to degree 8"):
+                periodic_witt_field_product_check(n)
+            continue
         rep = periodic_witt_field_product_check(n)
         assert rep.passes()
         assert rep.dimension == n
+    assert time.perf_counter() - start < 30
     r4 = periodic_witt_field_product_check(4)
     assert r4.idempotents == 3 and sorted(r4.factor_degrees) == [1, 1, 2]
     r6 = periodic_witt_field_product_check(6)
@@ -486,8 +493,15 @@ def test_irreducibility_tester():
     assert is_irreducible_smalldeg(IntPoly.of(1, 1, 1))
     assert not is_irreducible_smalldeg(IntPoly.of(-1, 0, 1))
     assert not is_irreducible_smalldeg(IntPoly.of(2, 3, 1))
-    for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+    for d in (*range(1, 13), 14, 15, 16, 18, 20, 24, 30):  # d <= 12 and every d with phi(d) <= 8
         assert is_irreducible_smalldeg(cyclotomic_polynomial(d)), d
+    # irreducible over Q but reducible modulo every prime
+    assert is_irreducible_smalldeg(IntPoly.of(1, 0, -10, 0, 1))
+    # reducible: x divides the first, and the second has only the linear factor x - 2
+    assert not is_irreducible_smalldeg(IntPoly.of(0, 1, 1))
+    assert not is_irreducible_smalldeg(IntPoly.of(-2, 1) * IntPoly.of(3, 1, 1))
+    # reducible, with no factor of degree below 4
+    assert not is_irreducible_smalldeg(cyclotomic_polynomial(8) * cyclotomic_polynomial(12))
 
 
 @pytest.fixture(scope="module")
