@@ -167,21 +167,24 @@ def _parse_ring(text: str) -> witt.CoeffRing:
     return witt.binomial_quotient_ring(int(m.group(1)))
 
 
-def _parse_trunc(text: str) -> witt.TruncationSet:
-    if text.startswith("div:"):
-        return witt.TruncationSet.divisors_of(_int(text[4:], "the truncation bound"))
-    if text.startswith("upto:"):
-        return witt.TruncationSet.upto(_int(text[5:], "the truncation bound"))
-    raise InputError("truncation must look like div:6 or upto:8")
-
-
-def _parse_components(ring: witt.CoeffRing, text: str, trunc: witt.TruncationSet) -> dict[int, tuple]:
+def _parse_vector(ring: witt.CoeffRing, trunc: str, text: str) -> tuple[witt.TruncationSet, dict[int, tuple]]:
+    """The truncation set of a div:N or upto:N spec and the components on
+    it.  The component count is checked against the size the spec implies
+    (d(N) or N) before the set is built."""
     parts = text.split(";") if ring.rank > 1 else text.split(",")
-    idx = trunc.sorted()
-    if len(parts) != len(idx):
-        raise InputError(f"expected {len(idx)} components for the truncation set")
+    if trunc.startswith("div:"):
+        n = _int(trunc[4:], "the truncation bound")
+        make, size = witt.TruncationSet.divisors_of, len(divisors(n))
+    elif trunc.startswith("upto:"):
+        n = _int(trunc[5:], "the truncation bound")
+        make, size = witt.TruncationSet.upto, max(n, 0)
+    else:
+        raise InputError("truncation must look like div:6 or upto:8")
+    if len(parts) != size:
+        raise InputError(f"expected {size} components for the truncation set")
+    trunc_set = make(n)
     out = {}
-    for a, part in zip(idx, parts):
+    for a, part in zip(trunc_set.sorted(), parts):
         if ring.rank == 1:
             out[a] = (_int(part, "a component"),)
         else:
@@ -189,7 +192,7 @@ def _parse_components(ring: witt.CoeffRing, text: str, trunc: witt.TruncationSet
             if len(vec) != ring.rank:
                 raise InputError("component has wrong length for the ring")
             out[a] = vec
-    return out
+    return trunc_set, out
 
 
 def _cmd_witt(args) -> str:
@@ -199,9 +202,9 @@ def _cmd_witt(args) -> str:
     if ring.rank > 1 and args.frob in ("id", "identity"):
         raise InputError("identity lifts are only valid over the integers")
     if args.witt_cmd == "convert":
-        trunc = _parse_trunc(args.trunc)
         if args.ghost:
-            g = witt.GhostVector.make(ring, trunc, _parse_components(ring, args.ghost, trunc))
+            trunc, comps = _parse_vector(ring, args.trunc, args.ghost)
+            g = witt.GhostVector.make(ring, trunc, comps)
             coords, flags = witt.witt_from_ghost(g)
             data = {
                 "coordinates": {str(d): [str(c) for c in coords.coord(d)] for d in trunc.sorted()},
@@ -209,7 +212,8 @@ def _cmd_witt(args) -> str:
             }
             text = "; ".join(f"w_{d}={coords.coord(d)}" for d in trunc.sorted())
         elif args.witt:
-            w = witt.WittCoords.make(ring, trunc, _parse_components(ring, args.witt, trunc))
+            trunc, comps = _parse_vector(ring, args.trunc, args.witt)
+            w = witt.WittCoords.make(ring, trunc, comps)
             g = witt.ghost_from_witt(w)
             data = {"ghost": {str(a): list(g.component(a)) for a in trunc.sorted()}}
             text = "; ".join(f"g_{a}={g.component(a)}" for a in trunc.sorted())
@@ -217,8 +221,9 @@ def _cmd_witt(args) -> str:
             raise InputError("convert needs --ghost or --witt")
         return _emit(args, data, text)
     if args.witt_cmd == "check":
-        trunc = _parse_trunc(args.trunc)
-        g = witt.GhostVector.make(ring, trunc, _parse_components(ring, args.ghost, trunc))
+        if not args.ghost:
+            raise InputError("check needs --ghost")
+        g = witt.GhostVector.make(ring, *_parse_vector(ring, args.trunc, args.ghost))
         ok = witt.dwork_check(g)
         return _emit(args, {"witt_vector": ok}, "true" if ok else "false")
     if args.witt_cmd == "periodic":

@@ -22,13 +22,16 @@ principality tests), ``DRMonoid`` classifies rational ideals by their
 residue mod n, ``f_equiv_generator`` has one witness search per field, and
 the pushout check builds its residue data per field.
 
-Ray class groups are built by enumeration and quotient; the closed formulas
-((Z/n)* and friends) live only in the tests.
+Ray class groups are built by enumeration and quotient.  A rational group
+is proved at build time, in one pass, to be the unit residues mod n (or the
+subgroup an explicit support reaches) modulo the sign: its classes are the
+cosets.  Its table is built and checked on first use.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -397,41 +400,63 @@ class RationalRayClassGroup(RayClassGroup):
 
     def _build(self):
         n = self.cycle.finite
-        if n > residue_bound():  # factored only past the bound, off the hot path
-            phi = prod(p ** (e - 1) * (p - 1) for p, e in factor(n).factors)
-            if phi > residue_bound():
-                raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
+        folded = not self.cycle.infinity
+        phi = prod(p ** (e - 1) * (p - 1) for p, e in factor(n).factors)
+        if phi > residue_bound():
+            raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
         # orbits of the unit residues, smallest first; without the real
         # place the sign folds r with n - r
         if n == 1:
             orbits = [(0,)]
-        elif self.cycle.infinity:
-            orbits = [(r,) for r in range(1, n) if gcd(r, n) == 1]
-        else:
+        elif folded:
             orbits = [(r, n - r) if 2 * r < n else (r,) for r in range(1, n // 2 + 1) if gcd(r, n) == 1]
-        orbit_of: list[int | None] = [None] * n
-        for k, orbit in enumerate(orbits):
-            for x in orbit:
-                orbit_of[x] = k
-        if self.support.mode == "explicit":
-            gens = [orbit_of[p % n] for p in self.support._listed_primes if gcd(p, n) == 1]
-            achievable = _subgroup_closure(gens, lambda i, j: orbit_of[orbits[i][0] * orbits[j][0] % n], orbit_of[1 % n])
-            index = {o: k for k, o in enumerate(achievable)}
-            class_of = [None if o is None else index.get(o) for o in orbit_of]
         else:
-            achievable = list(range(len(orbits)))
-            class_of = orbit_of
+            orbits = [(r,) for r in range(1, n) if gcd(r, n) == 1]
+        primes = [p for p in self.support._listed_primes if n % p]  # the others divide no unit
+        group = None  # an explicit support reaches the group that P and the sign generate
+        if self.support.mode == "explicit":
+            group = _residue_closure([p % n for p in primes] + [n - 1] * folded, n)
+            orbits = [orbit for orbit in orbits if orbit[0] in group]
         # class index per residue mod n; None for the non-units and for the
         # classes that P does not reach
-        self._class_of = class_of
-        self._heads = [orbits[o][0] for o in achievable]
-        # the orbit's residues are searched together: under an explicit
-        # support some residues of a reachable orbit have no supported
-        # integer at all (-1 mod 7 is no power of 2)
-        self.reps = [_smallest_supported(orbits[o], n, self.support) for o in achievable]
-        self.is_full = len(achievable) == len(orbits)
-        if self.order <= 128:  # built and checked now; larger ones on first use
-            self.table
+        self._class_of = [None] * n
+        for k, orbit in enumerate(orbits):
+            for x in orbit:
+                self._class_of[x] = k
+        self._heads = [orbit[0] for orbit in orbits]
+        self.is_full = group is None or len(group) == phi
+        if group is not None:  # a class's first product is its representative
+            first, products = {}, _products(primes)
+            while len(first) < len(orbits):
+                m = next(products)
+                first.setdefault(self._class_of[m % n], m)
+            self.reps = [first[k] for k in range(len(orbits))]
+        else:
+            # a class's least positive supported member: its head (1 for n = 1) unless a listed prime divides it
+            self.reps, excluded = [orbit[0] for orbit in orbits] if n > 1 else [1], prod(primes)
+            for k, orbit in enumerate(orbits if excluded > 1 else ()):
+                i = 0
+                while gcd(self.reps[k], excluded) != 1:
+                    i += 1
+                    self.reps[k] = i // len(orbit) * n + orbit[i % len(orbit)]
+        self._check_cosets(phi, group)
+
+    def _check_cosets(self, phi: int, group: set[int] | None):
+        """InputError unless the classes are the cosets of H in C and 1 is
+        in class 0, for H = {1, -1} without the real place and {1} with it,
+        and C the subgroup ``group`` of (Z/n)* (None: all phi units of
+        it).  Then ``table`` is the table of the abelian group C/H with
+        its identity in slot 0.  Proof: each head lies in C, its coset in its
+        own class, so the K heads name K distinct cosets; K * |H| = |C|
+        makes them all of C; and |C| residues have a class, so no other has."""
+        n, heads, class_of = self.cycle.finite, self._heads, self._class_of
+        folded = not self.cycle.infinity
+        in_c, size = ((lambda h: gcd(h, n) == 1), phi) if group is None else (group.__contains__, len(group))
+        ok = len(class_of) == n and n - class_of.count(None) == size == len(heads) * (2 if folded and n > 2 else 1)
+        if not (ok and class_of[1 % n] == 0 and all(
+            0 <= h < n and in_c(h) and class_of[h] == k == class_of[-h % n if folded else h] for k, h in enumerate(heads)
+        )):
+            raise InputError(f"the ray classes mod {n} are not the cosets of a unit subgroup")
 
     def class_of_ideal(self, a: int) -> int:
         self.cycle._ideals._check(a)
@@ -551,17 +576,18 @@ def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:
     raise BoundExceededError("no coprime class representative found")
 
 
-def _subgroup_closure(gens: list[int], mul, identity: int) -> list[int]:
-    out = {identity}
-    frontier = [identity]
+def _residue_closure(gens: list[int], n: int) -> set[int]:
+    """The residues mod n of the products of ``gens``, 1 included."""
+    out = {1 % n}
+    frontier = [1 % n]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = mul(x, g)
+            y = x * g % n
             if y not in out:
                 out.add(y)
                 frontier.append(y)
-    return sorted(out)
+    return out
 
 
 def _smallest_supported(residues, n: int, support: PrimeSupport, skip: int | None = None) -> int:
@@ -583,19 +609,22 @@ def _smallest_supported(residues, n: int, support: PrimeSupport, skip: int | Non
             base += n
     targets = set(residues)
     primes = support._listed_primes
-    reachable = _subgroup_closure([p % n for p in primes], lambda x, y: x * y % n, 1 % n)
-    if targets.isdisjoint(reachable):
+    if targets.isdisjoint(_residue_closure([p % n for p in primes], n)):
         raise DensityRequiredError(f"no supported integer reaches these residues mod {n}: the support is not dense")
     # with skip a supported integer in the class, a second one exists iff
     # some listed q is coprime to c = n / gcd(skip, n): skip * q^ord_c(q)
     # is one; otherwise every listed p has the same valuation in each
     if skip is not None and all(n // gcd(skip, n) % p == 0 for p in primes):
         raise DensityRequiredError(f"{skip} is the only supported integer in its class mod {n}: the support is not dense")
+    return next(m for m in _products(primes) if m % n in targets and m != skip)
+
+
+def _products(primes: tuple[int, ...] | list[int]):
+    """The products of the given primes (ascending) in increasing order."""
     heap = [1]
     while True:
         m = heapq.heappop(heap)
-        if m % n in targets and m != skip:
-            return m
+        yield m
         for p in primes:  # each product once: m * p for p up to m's least prime
             heapq.heappush(heap, m * p)
             if m % p == 0:
@@ -755,7 +784,11 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     got = set(mapping)
     if len(mapping) != len(got) or got != target:
         raise InputError("residue description failed: not a bijection")
-    pairs = _all_or_random_pairs(dr.size, check_pairs, rng)
+    if check_pairs is None:
+        pairs = [(i, j) for i in range(dr.size) for j in range(dr.size)]
+    else:
+        rng = rng or random.Random(0)
+        pairs = [(rng.randrange(dr.size), rng.randrange(dr.size)) for _ in range(check_pairs)]
     reps = dr.reps
     for i, j in pairs:
         # classify the product directly (no table cache: pairs rarely repeat)
@@ -767,46 +800,30 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     return dr, mapping
 
 
-def _all_or_random_pairs(n: int, count, rng):
-    if count is None:
-        return [(i, j) for i in range(n) for j in range(n)]
-    import random
-
-    rng = rng or random.Random(0)
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
-
-
 def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     """Build the pushout of the residue monoid at the P-part against the ray
     class group over their shared unit group, and verify the canonical map
-    to the ray class monoid is a monoid isomorphism."""
+    to the ray class monoid is a monoid isomorphism.
+
+    The pushout is the set of pairs (residue a, ray class b) modulo
+    g.(a, b) = (g a, g^(-1) b) for the units g.  The orbit of (a, b) maps
+    to [lift(a)] * [rep(b)]; it must not depend on the lift or the orbit
+    member, and must be bijective and multiplicative.
+    """
     if not support.chebotarev_dense:
         raise DensityRequiredError("the pushout description needs a dense support")
     dr = dr_monoid(cycle, support)
-    if cycle.field is None:
-        return _pushout_check_rational(cycle, support, dr)
-    return _pushout_check_quadratic(cycle, dr)
-
-
-def _pushout_matches(dr: DRMonoid, cl: RayClassGroup, n_res: int, unit_classes, act, res_mul, lifts) -> bool:
-    """Is the canonical map from the pushout onto DR a monoid isomorphism?
-
-    The pushout is the set of pairs (residue a, ray class b) modulo
-    g.(a, b) = (g a, g^(-1) b) for the units g.  ``unit_classes[k]`` is the
-    ray class of unit k, ``act(k, a)`` the residue of unit k times residue a,
-    ``res_mul`` multiplies residues and ``lifts(a)`` gives two ideals with
-    residue a.  The orbit of (a, b) maps to [lift(a)] * [rep(b)]; it must
-    not depend on the lift or the orbit member, and must be bijective and
-    multiplicative.
-    """
+    cl = ray_class_group(cycle, support)
+    n_res, units, res_mul, lifts = (_rational_residues if cycle.field is None else _quad_residues)(cycle, support)
     ident = cl.identity
+    unit_classes = [cl.class_of_ideal(next(lifts(g))) for g in units]
     cl_inv = [next(x for x in range(cl.order) if cl.mul(c, x) == ident) for c in unit_classes]
     orbit_of: dict[tuple[int, int], int] = {}
     orbits = []
     for pair in ((a, b) for a in range(n_res) for b in range(cl.order)):
         if pair in orbit_of:
             continue
-        orb = sorted({(act(k, pair[0]), cl.mul(inv, pair[1])) for k, inv in enumerate(cl_inv)})
+        orb = sorted({(res_mul(g, pair[0]), cl.mul(inv, pair[1])) for g, inv in zip(units, cl_inv)})
         for x in orb:
             orbit_of[x] = len(orbits)
         orbits.append(orb)
@@ -832,54 +849,37 @@ def _pushout_matches(dr: DRMonoid, cl: RayClassGroup, n_res: int, unit_classes, 
     return True
 
 
-def _pushout_check_rational(cycle: Cycle, support: PrimeSupport, dr: DRMonoid) -> bool:
+def _rational_residues(cycle: Cycle, support: PrimeSupport):
+    """The pushout's residues over Q: their count n_P, the units among
+    them, their product, and lifts(a), the smallest two P-supported integers
+    congruent to a mod n_P and to 1 mod n / n_P (the second on demand)."""
     n = cycle.finite
     n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
-    n_cop = n // n_p
-    cl = ray_class_group(cycle, support)
-    units = [a for a in range(n_p) if gcd(a, n_p) == 1]
-    # residue a at the P-part lifts to P-supported integers congruent to a
-    # there and to 1 away from it
-    u, v, _ = xgcd(n_p, n_cop)
-    lift_residue = lambda a: (a * v * n_cop + u * n_p) % n
+    u, v, _ = xgcd(n_p, n // n_p)
 
-    def lifts(a: int) -> tuple[int, int]:
-        residue = (lift_residue(a),)
-        m = _smallest_supported(residue, n, support)
-        return m, _smallest_supported(residue, n, support, skip=m)
+    def lifts(a: int):
+        residue = ((a * v * (n // n_p) + u * n_p) % n,)
+        yield (m := _smallest_supported(residue, n, support))
+        yield _smallest_supported(residue, n, support, skip=m)
 
-    unit_classes = [cl.class_of_ideal(_smallest_supported((lift_residue(g),), n, support)) for g in units]
-    return _pushout_matches(
-        dr, cl, n_p, unit_classes, lambda k, a: units[k] * a % n_p, lambda a1, a2: a1 * a2 % n_p, lifts
-    )
+    return n_p, [a for a in range(n_p) if gcd(a, n_p) == 1], lambda a1, a2: a1 * a2 % n_p, lifts
 
 
-def _pushout_check_quadratic(cycle: Cycle, dr: DRMonoid) -> bool:
-    field = cycle.field
+def _quad_residues(cycle: Cycle, support: PrimeSupport):
+    """As ``_rational_residues``, for the residues mod f as indices into
+    ``f.residues()``; lifts are principal ideals of nonzero elements (f = (1)
+    reduces 1 to 0: the rational generator of f shifts it to one)."""
     fid = cycle.finite
     residues = fid.residues()  # already reduced
     index = {r: i for i, r in enumerate(residues)}
-    units = qf.residue_units(fid).elements
-    cl = ray_class_group(cycle)
-    # lifts must be nonzero elements (f = (1) reduces 1 to 0): shifting by
-    # the rational generator of f gives a nonzero element of the residue
-    shift = QuadInt(field, fid.a * fid.c, 0)
+    shift = QuadInt(cycle.field, fid.a * fid.c, 0)
 
-    def lifts(i: int) -> tuple[QuadIdeal, QuadIdeal]:
-        # the map is on element residues: the lifts must be PRINCIPAL ideals
-        r = residues[i]
-        return qf.principal_ideal(r + shift if r.is_zero() else r), qf.principal_ideal(r + shift)
+    def lifts(i: int):
+        yield qf.principal_ideal(residues[i] + shift if residues[i].is_zero() else residues[i])
+        yield qf.principal_ideal(residues[i] + shift)
 
-    unit_classes = [cl.class_of_ideal(qf.principal_ideal(u + shift if u.is_zero() else u)) for u in units]
-    return _pushout_matches(
-        dr,
-        cl,
-        len(residues),
-        unit_classes,
-        lambda k, i: index[fid.reduce(residues[i] * units[k])],
-        lambda i, j: index[fid.reduce(residues[i] * residues[j])],
-        lifts,
-    )
+    units = [index[g] for g in qf.residue_units(fid).elements]
+    return len(residues), units, lambda i, j: index[fid.reduce(residues[i] * residues[j])], lifts
 
 
 def dr_canonical_map(f_big: Cycle, f_small: Cycle, support: PrimeSupport = ALL_PRIMES) -> list[int]:

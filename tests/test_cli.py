@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -208,6 +209,17 @@ def test_malformed_bound_rejected(value, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["convert", "check"])
+def test_witt_component_count_refused_from_the_truncation_spec(verb, capsys):
+    # one component where upto:300000 needs 300000: the count is compared
+    # with the spec's size, before the 300000-member set is built
+    start = time.perf_counter()
+    code, out = run_cli(["witt", verb, "--ghost", "1", "--trunc", "upto:300000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: expected 300000 components for the truncation set\n"
+
+
 def test_frob_flag_validation():
     code, _ = run_cli(["witt", "check", "--ring", "x^4-1", "--frob", "id", "--ghost", "0;0;0;0", "--trunc", "div:4"])
     assert code == 1
@@ -228,6 +240,7 @@ def test_frob_flag_validation():
         (["witt", "convert", "--ring", "x^1-1", "--ghost", "1", "--trunc", "div:1"], None),
         (["witt", "convert", "--ring", "x^0-1", "--ghost", "1", "--trunc", "div:1"], None),
         (["model-check", "--input"], '{"size": -1, "m": 1, "galois": {"1": []}, "special": {}}'),
+        (["witt", "check", "--trunc", "div:6"], None),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -583,20 +584,149 @@ def test_rational_group_table_checked_once(monkeypatch):
         check_group_table(table)
 
     monkeypatch.setattr(rayclass, "check_group_table", counted)
-    # order <= 128: built and checked once, at build time
-    small = RationalRayClassGroup(Cycle(None, 255, True))
-    assert small.order == 128 and calls == [128]
-    assert small.table is small.table and calls == [128]
-    # larger: checked once, on first use
-    big = RationalRayClassGroup(Cycle(None, 1000, True))
-    assert big.order == 400 and calls == [128]
-    assert big.table is big.table and calls == [128, 400]
+    # the build proves the group by its cosets and builds no table; the
+    # table is built and checked once, on first use, at every order
+    for n, order in ((255, 128), (1000, 400)):
+        group = RationalRayClassGroup(Cycle(None, n, True))
+        assert group.order == order and calls == []
+        assert group.table is group.table and calls == [order]
+        calls.clear()
     # a table built from corrupt data is still refused
     broken = RationalRayClassGroup(Cycle(None, 1000, True))
     broken._class_of = list(broken._class_of)
     broken._class_of[3] = broken._class_of[7]
     with pytest.raises(InputError, match="permutation"):
         broken.table
+
+
+ORACLE_SUPPORTS = ("all", "all-except:2", "all-except:3,5", "explicit:2,3!")
+
+
+def _orbit_search_oracle(n: int, infinity: bool, support: PrimeSupport, products: list[int]):
+    """Heads, classes and representatives of the rational ray class group
+    mod n by a search per orbit: the orbits of the unit residues, the ones
+    the listed primes reach under an explicit support, and the smallest
+    supported integer in each reached orbit (under an explicit support, the
+    first of the sorted ``products`` that lies in it)."""
+    if n == 1:
+        orbits = [(0,)]
+    elif infinity:
+        orbits = [(r,) for r in range(1, n) if gcd(r, n) == 1]
+    else:
+        orbits = [(r, n - r) if 2 * r < n else (r,) for r in range(1, n // 2 + 1) if gcd(r, n) == 1]
+    orbit_of = [None] * n
+    for k, orbit in enumerate(orbits):
+        for x in orbit:
+            orbit_of[x] = k
+    if support.mode != "explicit":
+        reps = [_smallest_supported(orbit, n, support) for orbit in orbits]
+        return [orbit[0] for orbit in orbits], orbit_of, reps
+    reached, frontier = {orbit_of[1 % n]}, [1 % n]
+    while frontier:
+        x = frontier.pop()
+        for p in support._listed_primes:
+            y = orbit_of[x * p % n]
+            if y is not None and y not in reached:
+                reached.add(y)
+                frontier.append(orbits[y][0])
+    achievable = sorted(reached)
+    index = {o: k for k, o in enumerate(achievable)}
+    class_of = [None if o is None else index.get(o) for o in orbit_of]
+    reps = [next(m for m in products if m % n in orbits[o]) for o in achievable]
+    return [orbits[o][0] for o in achievable], class_of, reps
+
+
+@pytest.mark.parametrize("text", ORACLE_SUPPORTS)
+def test_rational_groups_match_the_orbit_search(text):
+    support = PrimeSupport.parse(text)
+    products = _products_below(support._listed_primes, 2**400) if support.mode == "explicit" else []
+    with time_limit(60):
+        for n in range(1, 401):
+            for infinity in (False, True):
+                group = RationalRayClassGroup(Cycle(None, n, infinity), support)
+                expected = _orbit_search_oracle(n, infinity, support, products)
+                assert (group._heads, group._class_of, group.reps) == expected, (n, infinity)
+
+
+def _corruptions(group):
+    """Ways to break one class, one head or the reached subgroup, each a
+    function of the group's (class_of, heads) and the reached subgroup
+    (None under a dense support)."""
+    n = group.cycle.finite
+    classed = [r for r in range(n) if group._class_of[r] is not None]
+    order = len(group._heads)
+    r = classed[-1]
+    folded = not group.cycle.infinity
+    # unclassed residues whose coset has two members, like a head's
+    outside = [x for x in range(n) if group._class_of[x] is None and not (folded and 2 * x % n == 0)]
+
+    def reclass(class_of, heads, reached):
+        class_of[r] = (class_of[r] + 1) % order if order > 1 else None
+
+    def rehead(class_of, heads, reached):
+        heads[-1] = heads[0] if order > 1 else n
+
+    def add_residue(class_of, heads, reached):
+        class_of[next(x for x in range(n) if class_of[x] is None)] = 0
+
+    def drop_class(class_of, heads, reached):
+        for x in range(n):
+            if class_of[x] == order - 1:
+                class_of[x] = None
+        heads.pop()
+
+    def drop_head(class_of, heads, reached):
+        heads.pop()
+
+    def swap_classes(class_of, heads, reached):  # the identity leaves slot 0
+        heads[0], heads[1] = heads[1], heads[0]
+        class_of[:] = [{0: 1, 1: 0}.get(k, k) for k in class_of]
+
+    def move_class(class_of, heads, reached):  # onto residues outside C
+        h, x = heads[-1], outside[0]
+        class_of[h] = class_of[-h % n if folded else h] = None
+        class_of[x] = class_of[-x % n if folded else x] = order - 1
+        heads[-1] = x
+
+    def shrink_reached(class_of, heads, reached):
+        reached.remove(r)
+
+    def grow_reached(class_of, heads, reached):
+        reached.add(next(x for x in range(n) if x not in reached))
+
+    out = [reclass, rehead, drop_class, drop_head]
+    if len(classed) < n:
+        out.append(add_residue)
+    if order > 1:
+        out.append(swap_classes)
+    if outside:
+        out.append(move_class)
+    if group.support.mode == "explicit":
+        out.append(shrink_reached)
+        if len(classed) < n:
+            out.append(grow_reached)
+    return out
+
+
+@pytest.mark.parametrize("text", ORACLE_SUPPORTS)
+def test_coset_check_refuses_each_corruption(text, monkeypatch):
+    support = PrimeSupport.parse(text)
+    check = RationalRayClassGroup._check_cosets
+    for n in list(range(1, 40)) + [255, 256, 997, 1000]:
+        for infinity in (False, True):
+            cycle = Cycle(None, n, infinity)
+            for corrupt in _corruptions(RationalRayClassGroup(cycle, support)):
+
+                def corrupted_check(group, phi, reached, corrupt=corrupt):
+                    group._class_of, group._heads = list(group._class_of), list(group._heads)
+                    reached = None if reached is None else set(reached)
+                    corrupt(group._class_of, group._heads, reached)
+                    check(group, phi, reached)
+
+                monkeypatch.setattr(RationalRayClassGroup, "_check_cosets", corrupted_check)
+                with pytest.raises(InputError, match="cosets"):
+                    RationalRayClassGroup(cycle, support)
+                monkeypatch.setattr(RationalRayClassGroup, "_check_cosets", check)
 
 
 def test_oversized_monoid_refused_before_building_every_group(monkeypatch):
