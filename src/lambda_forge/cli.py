@@ -172,14 +172,16 @@ def _parse_vector(ring: witt.CoeffRing, trunc: str, text: str) -> tuple[witt.Tru
     it.  The component count is checked against the size the spec implies
     (d(N) or N) before the set is built."""
     parts = text.split(";") if ring.rank > 1 else text.split(",")
-    if trunc.startswith("div:"):
-        n = _int(trunc[4:], "the truncation bound")
-        make, size = witt.TruncationSet.divisors_of, len(divisors(n))
-    elif trunc.startswith("upto:"):
-        n = _int(trunc[5:], "the truncation bound")
-        make, size = witt.TruncationSet.upto, max(n, 0)
-    else:
+    kind, _, bound = trunc.partition(":")
+    if kind not in ("div", "upto"):
         raise InputError("truncation must look like div:6 or upto:8")
+    n = _int(bound, "the truncation bound")
+    if n < 1:
+        raise InputError(f"the truncation bound must be at least 1, got {n}")
+    if kind == "div":
+        make, size = witt.TruncationSet.divisors_of, len(divisors(n))
+    else:
+        make, size = witt.TruncationSet.upto, n
     if len(parts) != size:
         raise InputError(f"expected {size} components for the truncation set")
     trunc_set = make(n)

@@ -31,7 +31,6 @@ cosets.  Its table is built and checked on first use.
 from __future__ import annotations
 
 import heapq
-import random
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -765,9 +764,13 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     """Explicit isomorphism DR_P((n)inf) = (Z/n_P)deg x (Z/n^P)* over Q.
 
     Returns (monoid, mapping) where mapping[i] is the (residue mod n_P,
-    residue mod n^P) pair of element i.  Verifies bijectivity always and
-    multiplicativity on all pairs (check_pairs=None) or on check_pairs
-    random pairs.
+    residue mod n^P) pair of element i.  Verifies that mapping is a
+    bijection onto T = (Z/n_P) x (Z/n^P)*, and that exactly size residues x
+    mod n have a class, each with image (x mod n_P, x mod n^P).  By the CRT
+    the classed residues are then the preimage of T, closed under products,
+    and mul(i, j), the class of reps[i] * reps[j] mod n, maps to mapping[i] *
+    mapping[j]: a proof for every pair.  ``check_pairs`` and ``rng`` are
+    accepted and ignored.
     """
     _require_rational(cycle)
     if not cycle.infinity:
@@ -775,7 +778,7 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     if not support.chebotarev_dense:
         raise DensityRequiredError("residue description requires a Chebotarev dense support")
     n = cycle.finite
-    n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
+    n_p = _p_part(n, support)
     n_cop = n // n_p
     dr = dr_monoid(cycle, support)
     mapping = [(rep % n_p, rep % n_cop) for rep in dr.reps]
@@ -784,19 +787,9 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     got = set(mapping)
     if len(mapping) != len(got) or got != target:
         raise InputError("residue description failed: not a bijection")
-    if check_pairs is None:
-        pairs = [(i, j) for i in range(dr.size) for j in range(dr.size)]
-    else:
-        rng = rng or random.Random(0)
-        pairs = [(rng.randrange(dr.size), rng.randrange(dr.size)) for _ in range(check_pairs)]
-    reps = dr.reps
-    for i, j in pairs:
-        # classify the product directly (no table cache: pairs rarely repeat)
-        k = dr.class_of_ideal(reps[i] * reps[j])
-        ai, bi = mapping[i]
-        aj, bj = mapping[j]
-        if mapping[k] != ((ai * aj) % n_p, (bi * bj) % n_cop):
-            raise InputError("residue description failed: not multiplicative")
+    classed = [(x, k) for x, k in enumerate(dr._res_index) if k is not None]
+    if len(classed) != dr.size or any(mapping[k] != (x % n_p, x % n_cop) for x, k in classed):
+        raise InputError("residue description failed: not multiplicative")
     return dr, mapping
 
 
@@ -854,7 +847,7 @@ def _rational_residues(cycle: Cycle, support: PrimeSupport):
     them, their product, and lifts(a), the smallest two P-supported integers
     congruent to a mod n_P and to 1 mod n / n_P (the second on demand)."""
     n = cycle.finite
-    n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
+    n_p = _p_part(n, support)
     u, v, _ = xgcd(n_p, n // n_p)
 
     def lifts(a: int):
@@ -863,6 +856,11 @@ def _rational_residues(cycle: Cycle, support: PrimeSupport):
         yield _smallest_supported(residue, n, support, skip=m)
 
     return n_p, [a for a in range(n_p) if gcd(a, n_p) == 1], lambda a1, a2: a1 * a2 % n_p, lifts
+
+
+def _p_part(n: int, support: PrimeSupport) -> int:
+    """n_P: the part of n at the primes of the support."""
+    return prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
 
 
 def _quad_residues(cycle: Cycle, support: PrimeSupport):

@@ -225,6 +225,13 @@ def test_frob_flag_validation():
     assert code == 1
 
 
+# the exact message of each malformed truncation bound
+BOUND_MESSAGES = {
+    ("witt", "convert", "--ghost", "1", "--trunc", spec): f"error: the truncation bound must be at least 1, got {n}\n"
+    for spec, n in [("div:0", 0), ("div:-3", -3), ("upto:0", 0), ("upto:-5", -5)]
+}
+
+
 @pytest.mark.parametrize(
     "argv, input_text",
     [
@@ -241,6 +248,7 @@ def test_frob_flag_validation():
         (["witt", "convert", "--ring", "x^0-1", "--ghost", "1", "--trunc", "div:1"], None),
         (["model-check", "--input"], '{"size": -1, "m": 1, "galois": {"1": []}, "special": {}}'),
         (["witt", "check", "--trunc", "div:6"], None),
+        *((list(argv), None) for argv in BOUND_MESSAGES),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):
@@ -252,3 +260,5 @@ def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if tuple(argv) in BOUND_MESSAGES:
+        assert err == BOUND_MESSAGES[tuple(argv)]

@@ -82,14 +82,20 @@ TABLE_CHECK_UNDER_O = textwrap.dedent(
     import sys
     from lambda_forge.errors import InputError
     from lambda_forge.quadfield import check_group_table
-    from lambda_forge.rayclass import Cycle, RationalRayClassGroup
+    from lambda_forge.rayclass import Cycle, RationalRayClassGroup, dr_iso_residue, dr_monoid
 
     if __debug__ or sys.flags.optimize != 1:
         sys.exit(3)
     broken = RationalRayClassGroup(Cycle(None, 1000, True))
     broken._class_of = list(broken._class_of)
     broken._class_of[3] = broken._class_of[7]
-    for check in (lambda: check_group_table(((0, 1), (1, 1))), lambda: broken.table):
+    dr_monoid(Cycle(None, 12, True))._res_index[5] = None
+    checks = (
+        lambda: check_group_table(((0, 1), (1, 1))),
+        lambda: broken.table,
+        lambda: dr_iso_residue(Cycle(None, 12, True)),
+    )
+    for check in checks:
         try:
             check()
         except InputError as exc:
@@ -119,4 +125,6 @@ def test_goldens_and_self_checks_under_python_O():
         assert "Traceback" not in proc.stderr
     proc = _run_optimized(["-c", TABLE_CHECK_UNDER_O])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["group table row is not a permutation"] * 2
+    assert proc.stdout.splitlines() == ["group table row is not a permutation"] * 2 + [
+        "residue description failed: not multiplicative"
+    ]

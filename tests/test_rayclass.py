@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -467,6 +467,151 @@ def test_dr_iso_residue_refusals():
         dr_iso_residue(Cycle.parse("6"))
     with pytest.raises(DensityRequiredError):
         dr_iso_residue(Cycle.parse("6*inf"), PrimeSupport.parse("explicit:2,3"))
+
+
+RESIDUE_SUPPORTS = (
+    "all",
+    "all-except:2",
+    "all-except:3,5",
+    "all-except:7",
+    "explicit:2,3!",
+    "explicit:5!",
+    "explicit:2!",
+    "explicit:2,3,5,7,11,13!",
+)
+
+
+def _all_pairs_residue_oracle(cycle, support):
+    """Oracle: the residue description checked pair by pair, as it was
+    before the residue proof -- the same refusals, bijectivity onto
+    (Z/n_P) x (Z/n^P)*, then every product read from a freshly built
+    monoid's ``mul`` (symmetric by construction, so pairs i <= j)."""
+    if not cycle.infinity:
+        raise InputError("no real place")
+    if not support.chebotarev_dense:
+        raise DensityRequiredError("not dense")
+    n = cycle.finite
+    n_p = prod(p**e for p, e in factor(n).factors if support.allows_prime(p))
+    n_cop = n // n_p
+    dr = rayclass.DRMonoid(cycle, support)
+    mapping = [(rep % n_p, rep % n_cop) for rep in dr.reps]
+    if sorted(mapping) != [(a, b) for a in range(n_p) for b in range(n_cop) if gcd(b, n_cop) == 1]:
+        raise InputError("not a bijection")
+    for i in range(dr.size):
+        for j in range(i, dr.size):
+            (ai, bi), (aj, bj) = mapping[i], mapping[j]
+            if mapping[dr.mul(i, j)] != (ai * aj % n_p, bi * bj % n_cop):
+                raise InputError("not multiplicative")
+    return mapping
+
+
+def _outcome(call):
+    """The value of call(), or the class of the refusal it raises."""
+    try:
+        return call()
+    except (InputError, DensityRequiredError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", RESIDUE_SUPPORTS)
+def test_residue_proof_matches_the_all_pairs_oracle(text):
+    support = PrimeSupport.parse(text)
+    for n in range(1, 90):
+        for infinity in (False, True):
+            cycle = Cycle(None, n, infinity)
+            expected = _outcome(lambda: _all_pairs_residue_oracle(cycle, support))
+            assert _outcome(lambda: dr_iso_residue(cycle, support)[1]) == expected, (n, infinity)
+
+
+@pytest.fixture
+def fresh_monoids():
+    """Monoids built afresh and dropped afterwards, so that a test may
+    corrupt the cached ones."""
+    rayclass._dr_monoid.cache_clear()
+    yield
+    rayclass._dr_monoid.cache_clear()
+
+
+@pytest.mark.parametrize("text", ["all", "all-except:3,5"])
+@pytest.mark.parametrize("corruption", ["reclass", "unclass", "move_rep"])
+def test_residue_proof_refuses_each_corruption(text, corruption, fresh_monoids):
+    support = PrimeSupport.parse(text)
+    for n in range(2, 150):
+        cycle = Cycle(None, n, True)
+        rayclass._dr_monoid.cache_clear()
+        dr = dr_monoid(cycle, support)
+        classed = [x for x in range(n) if dr._res_index[x] is not None]
+        x = classed[n % len(classed)]
+        if corruption == "reclass":  # into another class
+            dr._res_index[x] = (dr._res_index[x] + 1) % dr.size
+        elif corruption == "unclass":
+            dr._res_index[x] = None
+        else:
+            dr.reps[n % dr.size] += 1
+        with pytest.raises(InputError, match="^residue description failed"):
+            dr_iso_residue(cycle, support)
+
+
+def _seed_product(dr, i, j, k):
+    """Pre-seed the memo so that dr.mul(i, j) answers k."""
+    dr._mul_cache[min(i, j), max(i, j)] = k
+
+
+def _break_canonical_surjectivity():
+    small = dr_monoid(Cycle.parse("2*inf"))
+    small._res_index[1] = small._res_index[0]
+    dr_canonical_map(Cycle.parse("4*inf"), Cycle.parse("2*inf"))
+
+
+def _break_canonical_multiplicativity():
+    big, small = dr_monoid(Cycle.parse("4*inf")), dr_monoid(Cycle.parse("2*inf"))
+    img = [small.class_of_ideal(rep) for rep in big.reps]
+    k = big.mul(0, 0)
+    _seed_product(big, 0, 0, next(x for x in range(big.size) if img[x] != img[k]))
+    dr_canonical_map(Cycle.parse("4*inf"), Cycle.parse("2*inf"))
+
+
+def _break_shift_injectivity():
+    src, dst = dr_monoid(Cycle.parse("2*inf")), dr_monoid(Cycle.parse("4*inf"))
+    r0, r1 = (2 * rep % 4 for rep in src.reps)
+    dst._res_index[r1] = dst._res_index[r0]
+    dr_shift_map(Cycle.parse("2*inf"), 2)
+
+
+def _break_projection_after_shift():
+    # shifting by 1 maps DR(6*inf) to itself, where the canonical map
+    # compares the memo with itself and cannot see the wrong product
+    dr = dr_monoid(Cycle.parse("6*inf"))
+    _seed_product(dr, dr.identity, 1, 2)
+    dr_shift_map(Cycle.parse("6*inf"), 1)
+
+
+def _break_shift_after_projection():
+    # a wrong product of 3 in DR(6*inf) with the right image in DR(2*inf):
+    # only the square through DR(6*inf) sees it
+    f, fa = Cycle.parse("2*inf"), Cycle.parse("6*inf")
+    proj = dr_canonical_map(fa, f)
+    dst = dr_monoid(fa)
+    c = dst.class_of_ideal(3)
+    k = dst.mul(c, 0)
+    _seed_product(dst, c, 0, next(x for x in range(dst.size) if x != k and proj[x] == proj[k]))
+    dr_shift_map(f, 3)
+
+
+@pytest.mark.parametrize(
+    "message, corrupt_and_check",
+    [
+        ("canonical map failed surjectivity", _break_canonical_surjectivity),
+        ("canonical map failed multiplicativity", _break_canonical_multiplicativity),
+        ("shift map failed injectivity", _break_shift_injectivity),
+        ("projection after shift is not multiplication by the class", _break_projection_after_shift),
+        ("shift after projection is not multiplication by the class", _break_shift_after_projection),
+    ],
+    ids=["surjectivity", "multiplicativity", "injectivity", "projection-after-shift", "shift-after-projection"],
+)
+def test_change_of_conductor_checks_refuse_a_corrupt_monoid(message, corrupt_and_check, fresh_monoids):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        corrupt_and_check()
 
 
 def test_pushout_examples():
