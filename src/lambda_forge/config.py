@@ -1,6 +1,6 @@
 """Size bounds.
 
-LAMBDA_FORGE_BOUND in the environment overrides both defaults (a single
+LAMBDA_FORGE_BOUND in the environment overrides every default (a single
 global scale is enough at desk scale).  It must be an integer >= 1;
 anything else is an InputError.
 """
@@ -29,3 +29,7 @@ def residue_bound() -> int:
 
 def monoid_bound() -> int:
     return _env_bound() or 10**4
+
+
+def degree_bound() -> int:
+    return _env_bound() or 4096

@@ -6,8 +6,9 @@ Laurent polynomials carry a lowest degree; both multiply by one linear
 convolution.  Elements of the cyclic group ring Z[x]/(x^n - 1) are plain
 coefficient tuples of length n, multiplied and mapped by the cyclic
 kernels ``_cyclic_mul`` and ``_cyclic_power_map``, which the Witt layer's
-coefficient ring shares.  The Chebyshev family is built by the three-term
-recurrence and certified by direct substitution.  All ideal reasoning
+coefficient ring shares.  The Chebyshev family and its periodic
+generators are read off closed forms, each certified exactly, and refuse
+levels over ``config.degree_bound()``.  All ideal reasoning
 in the equalizer check runs inside the Laurent ring, where the generators
 are products of binomials x^k - 1 and membership reduces to exponent
 arithmetic.
@@ -16,11 +17,13 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import zip_longest
-from math import gcd
+from functools import lru_cache, wraps
+from itertools import count, zip_longest
+from math import comb, gcd
+from operator import mul
 
-from .errors import DensityRequiredError, InputError
+from .config import degree_bound
+from .errors import BoundExceededError, DensityRequiredError, InputError
 from .intlinalg import divisors, hnf_coords, hnf_rows, is_prime, lattice_index, smith_invariants
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
@@ -43,10 +46,6 @@ class IntPoly:
     @staticmethod
     def x() -> "IntPoly":
         return IntPoly((0, 1))
-
-    @staticmethod
-    def const(c: int) -> "IntPoly":
-        return IntPoly((c,) if c else ())
 
     @property
     def degree(self) -> int:
@@ -81,24 +80,10 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(_trim(tuple(i * c for i, c in enumerate(self.coeffs))[1:]))
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self) -> "IntPoly":
-        g = self.content()
-        if g <= 1:
-            p = self
-        else:
-            p = IntPoly(tuple(c // g for c in self.coeffs))
-        return p if p.lead() >= 0 else -p
-
     def compose(self, inner: "IntPoly") -> "IntPoly":
         out = IntPoly(())
         for c in reversed(self.coeffs):
-            out = out * inner + IntPoly.const(c)
+            out = out * inner + IntPoly.of(c)
         return out
 
     def mod_coeffs(self, p: int) -> "IntPoly":
@@ -173,30 +158,14 @@ def poly_divides(den: IntPoly, num: IntPoly) -> bool:
     return out is not None and out[1].is_zero()
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Z (positive leading coefficient)."""
-    a, b = a.primitive(), b.primitive()
+def _gcd_mod(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
+    """A gcd of a and b over F_p (p prime), by Euclid's algorithm with each
+    divisor made monic; coefficients are reduced mod p."""
+    a, b = a.mod_coeffs(p), b.mod_coeffs(p)
     while not b.is_zero():
-        # pseudo-remainder keeps everything integral
-        k = a.degree - b.degree + 1
-        if k < 1:
-            a, b = b, a
-            continue
-        scaled = a.scale(b.lead() ** k)
-        out = poly_divmod(scaled, b)
-        if out is None:
-            raise AssertionError("pseudo-division by the leading power failed")
-        a, b = b, out[1].primitive()
-    return a.primitive()
-
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f with every repeated factor taken once (monic input, monic output)."""
-    g = poly_gcd(f, f.derivative())
-    out = poly_divmod(f, g)
-    if out is None or not out[1].is_zero():
-        raise AssertionError("gcd with the derivative does not divide the polynomial")
-    return out[0].primitive()
+        b = b.scale(pow(b.lead(), -1, p)).mod_coeffs(p)
+        a, b = b, poly_divmod(a, b)[1].mod_coeffs(p)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +254,14 @@ class LaurentPoly:
 
 
 def substitute_x_plus_xinv(p: IntPoly) -> LaurentPoly:
-    """Evaluate an integer polynomial at y = x + x^(-1)."""
-    y = LaurentPoly.of(-1, (1, 0, 1))
-    out = LaurentPoly(0, ())
-    for c in reversed(p.coeffs):
-        out = out * y + LaurentPoly.of(0, (c,))
-    return out
+    """Evaluate an integer polynomial at y = x + x^(-1), by Horner's rule on
+    one flat list: after k steps acc[i] is the coefficient of x^(i - k), and
+    multiplying by x + x^(-1) adds the list shifted up two to the list."""
+    acc = [p.lead()]
+    for c in reversed(p.coeffs[:-1]):
+        acc = [a + b for a, b in zip([0, 0] + acc, acc + [0, 0])]
+        acc[len(acc) // 2] += c
+    return LaurentPoly.of(-p.degree, tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +298,35 @@ def _monomial(n: int, i: int) -> tuple[int, ...]:
 # The two polynomial families
 
 
+def _degree_bounded(fn):
+    """Refuse a level n over ``degree_bound()`` before fn and its cache."""
+
+    @wraps(fn)
+    def bounded(n: int) -> IntPoly:
+        if n > degree_bound():
+            raise BoundExceededError(f"Chebyshev degree {n} over degree bound")
+        return fn(n)
+
+    return bounded
+
+
+@_degree_bounded
 @lru_cache(maxsize=None)
 def chebyshev_psi(n: int) -> IntPoly:
-    """The unique polynomial sending x + x^(-1) to x^n + x^(-n); built by
-    the three-term recurrence and certified by direct substitution."""
+    """The unique polynomial sending x + x^(-1) to x^n + x^(-n): the Dickson
+    formula gives y^(n-2k) the coefficient (-1)^k (C(n-k, k) + C(n-k-1, k-1))
+    = (-1)^k n/(n-k) C(n-k, k), certified by direct substitution."""
     if n < 0:
         raise InputError("nonnegative index required")
     if n == 0:
         return IntPoly.of(2)
-    if n == 1:
-        return IntPoly.x()
-    prev, cur = IntPoly.of(2), IntPoly.x()
-    y = IntPoly.x()
-    for _ in range(n - 1):
-        prev, cur = cur, y * cur - prev
-    target = LaurentPoly.of(-n, (1,) + (0,) * (2 * n - 1) + (1,))
-    if substitute_x_plus_xinv(cur) != target:
-        raise AssertionError("recurrence output failed the defining identity")
-    return cur
+    coeffs = [0] * n + [1]
+    for k in range(1, n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * (comb(n - k, k) + comb(n - k - 1, k - 1))
+    psi = IntPoly(tuple(coeffs))
+    if substitute_x_plus_xinv(psi) != LaurentPoly.of(-n, (1,) + (0,) * (2 * n - 1) + (1,)):
+        raise AssertionError("the coefficient formula failed the defining identity")
+    return psi
 
 
 def toric_psi(a: int, p: LaurentPoly) -> LaurentPoly:
@@ -418,22 +400,49 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return num
 
 
+@_degree_bounded
 @lru_cache(maxsize=None)
 def chebyshev_periodic_generator(n: int) -> IntPoly:
     """The monic squarefree generator of the conductor-(n) periodic locus
     of the Chebyshev line: the squarefree part of psi_n - 2."""
     if n < 1:
         raise InputError("positive level required")
-    q = squarefree_part(chebyshev_psi(n) - IntPoly.of(2))
+    return _periodic_generator(chebyshev_psi(n) - IntPoly.of(2), n)
+
+
+def _periodic_generator(f: IntPoly, n: int) -> IntPoly:
+    """The squarefree part of f = psi_n - 2.  As x^n + x^(-n) - 2 =
+    x^(-n) (x^n - 1)^2, f = L V^2 with V monic and L = y - 2 for odd n,
+    y^2 - 4 for even n.  L is divided out exactly and V read off the
+    quotient's top half (V * V checked); q = L V divides f and f divides
+    q^2, so q is the squarefree part once gcd(q, q') = 1 mod some prime
+    (q is monic).  The least prime not dividing 2n always serves."""
+    L = IntPoly.of(-2, 1) if n % 2 else IntPoly.of(-4, 0, 1)
+    out = poly_divmod(f, L)
+    if out is None or not out[1].is_zero():
+        raise AssertionError("psi_n - 2 is not divisible by L")
+    w, m = out[0], out[0].degree // 2
+    v = [0] * m + [1]
+    for k in range(m - 1, -1, -1):
+        # the coefficient of y^(m+k) in V^2: 2 v_k + v_i v_(m+k-i) over k < i < m
+        higher = v[k + 1 : m]
+        v[k] = (w.coeffs[m + k] - sum(map(mul, higher, reversed(higher)))) // 2
+    root = IntPoly(tuple(v))
+    if root * root != w:
+        raise AssertionError("psi_n - 2 is not L times a square")
+    q = L * root
     if q.lead() != 1:
         raise AssertionError("squarefree part should be monic here")
-    g = poly_gcd(q, q.derivative())
-    if g.degree != 0:
+    if _gcd_mod(q, q.derivative(), _squarefree_prime(n)).degree != 0:
         raise AssertionError("generator is not squarefree")
-    expected_deg = (n + 1) // 2 if n % 2 else n // 2 + 1
-    if q.degree != expected_deg:
+    if q.degree != ((n + 1) // 2 if n % 2 else n // 2 + 1):
         raise AssertionError("generator degree mismatch")
     return q
+
+
+def _squarefree_prime(n: int) -> int:
+    """The least prime not dividing 2n."""
+    return next(p for p in count(3, 2) if n % p and is_prime(p))
 
 
 def exponent_gcd_combination(a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -511,22 +520,14 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     basis; the cokernel order inside the involution invariants is 1 for odd
     levels and 2 for even."""
     q = chebyshev_periodic_generator(n)
-    one = _monomial(n, 0)
     y = tuple(a + b for a, b in zip(_monomial(n, 1), _monomial(n, -1)))  # (2,) when n = 1
-    rows = []
-    cur = one
+    powers = [_monomial(n, 0)]  # y^0 .. y^(deg q)
     for _ in range(q.degree):
-        rows.append(cur)
-        cur = _cyclic_mul(cur, y)
+        powers.append(_cyclic_mul(powers[-1], y))
     # the generator must vanish in the group ring: q(y) reduces to zero
-    acc = (0,) * n
-    power = one
-    for c in q.coeffs:
-        acc = tuple(a + c * v for a, v in zip(acc, power))
-        power = _cyclic_mul(power, y)
-    if any(acc):
+    if any(sum(c * power[j] for c, power in zip(q.coeffs, powers)) for j in range(n)):
         raise AssertionError("the generator does not annihilate the image")
-    image = hnf_rows(rows, n)
+    image = hnf_rows(powers[:-1], n)
     if image != hnf_rows(_involution_basis(n, 2), n):
         raise AssertionError("image lattice differs from the stated basis")
     cok = lattice_index(image, _involution_basis(n, 1), n)

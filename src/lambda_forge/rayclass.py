@@ -882,7 +882,8 @@ def _quad_residues(cycle: Cycle, support: PrimeSupport):
 
 def dr_canonical_map(f_big: Cycle, f_small: Cycle, support: PrimeSupport = ALL_PRIMES) -> list[int]:
     """The canonical surjective monoid map DR(f_big) -> DR(f_small), as the
-    image index per element; verified on the full table."""
+    image index per element; verified on the full table, the big side
+    classed afresh (``big.mul`` is ``small.mul`` when f_big = f_small)."""
     if not f_small.divides(f_big):
         raise InputError("the smaller cycle must divide the bigger one")
     big = dr_monoid(f_big, support)
@@ -892,7 +893,7 @@ def dr_canonical_map(f_big: Cycle, f_small: Cycle, support: PrimeSupport = ALL_P
         raise InputError("canonical map failed surjectivity")
     for i in range(big.size):
         for j in range(big.size):
-            if img[big.mul(i, j)] != small.mul(img[i], img[j]):
+            if img[big.class_of_ideal(f_big._ideals._mul(big.reps[i], big.reps[j]))] != small.mul(img[i], img[j]):
                 raise InputError("canonical map failed multiplicativity")
     return img
 

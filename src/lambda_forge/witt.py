@@ -29,7 +29,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .errors import InputError, ModelRefusedError
 from .intlinalg import divisors, factor, hnf_rows, in_row_span, is_prime, lattice_index, left_kernel
-from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, cyclotomic_polynomial, poly_divides, poly_divmod
+from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, _gcd_mod, cyclotomic_polynomial, poly_divides, poly_divmod
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
 
 
@@ -589,13 +589,7 @@ def _rabin_irreducible_mod(p: IntPoly, q: int) -> bool:
             e >>= 1
         return (out - x).mod_coeffs(q)
 
-    def gcd_mod(a: IntPoly, b: IntPoly) -> IntPoly:
-        while not b.is_zero():
-            b = b.scale(pow(b.lead(), -1, q)).mod_coeffs(q)  # monic divisor
-            a, b = b, poly_divmod(a, b)[1].mod_coeffs(q)
-        return a
-
-    return frobenius_gap(k).is_zero() and all(gcd_mod(f, frobenius_gap(k // r)).degree == 0 for r in factor(k).primes())
+    return frobenius_gap(k).is_zero() and all(_gcd_mod(f, frobenius_gap(k // r), q).degree == 0 for r in factor(k).primes())
 
 
 @dataclass(frozen=True)

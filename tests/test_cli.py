@@ -196,6 +196,32 @@ def test_oversized_rational_conductor_refused_before_enumerating(argv, capsys):
     assert err == "refused: 66663457344 unit residues mod 99999999999 over residue bound\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chebyshev", "--n", "20000", "--json"],
+        ["periodic-locus", "--family", "chebyshev", "--n", "20000", "--json"],
+    ],
+)
+def test_chebyshev_degree_over_the_bound_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "refused: Chebyshev degree 20000 over degree bound\n"
+    assert elapsed < 1, elapsed
+
+
+def test_chebyshev_degree_bound_covers_cached_levels(monkeypatch, capsys):
+    assert run_cli(["chebyshev", "--n", "12"])[0] == 0
+    assert run_cli(["periodic-locus", "--family", "chebyshev", "--n", "12"])[0] == 0
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "11")
+    assert run_cli(["chebyshev", "--n", "12"]) == (2, "")
+    assert run_cli(["periodic-locus", "--family", "chebyshev", "--n", "12"]) == (2, "")
+    assert capsys.readouterr().err == "refused: Chebyshev degree 12 over degree bound\n" * 2
+    assert run_cli(["chebyshev", "--n", "11"])[0] == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_malformed_bound_rejected(value, monkeypatch, capsys):
     import lambda_forge.rayclass as rc

@@ -1,17 +1,21 @@
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_forge import lambdapoly
 from lambda_forge.errors import DensityRequiredError, InputError
-from lambda_forge.intlinalg import divisors
+from lambda_forge.intlinalg import divisors, is_prime
 from lambda_forge.lambdapoly import (
     IntPoly,
     LaurentPoly,
+    _gcd_mod,
+    _periodic_generator,
+    _squarefree_prime,
     chebyshev_equalizer_check,
     chebyshev_image_lattice,
     chebyshev_periodic_generator,
@@ -23,14 +27,50 @@ from lambda_forge.lambdapoly import (
     gm_periodic_exponent,
     poly_divides,
     poly_divmod,
-    poly_gcd,
     ray_class_algebra_maps,
-    squarefree_part,
     substitute_x_plus_xinv,
     toric_psi,
     torsion_locus_contains_periodic,
 )
 from lambda_forge.rayclass import Cycle, PrimeSupport, f_equiv
+
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by the gcd of its coefficients, with positive leading
+    coefficient."""
+    g = 0
+    for c in p.coeffs:
+        g = gcd(g, c)
+    if g > 1:
+        p = IntPoly(tuple(c // g for c in p.coeffs))
+    return p if p.lead() >= 0 else -p
+
+
+def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd over Z (positive leading coefficient), by
+    pseudo-remainders: the oracle for the closed-form generator."""
+    a, b = _primitive(a), _primitive(b)
+    while not b.is_zero():
+        # pseudo-remainder keeps everything integral
+        k = a.degree - b.degree + 1
+        if k < 1:
+            a, b = b, a
+            continue
+        scaled = a.scale(b.lead() ** k)
+        out = poly_divmod(scaled, b)
+        if out is None:
+            raise AssertionError("pseudo-division by the leading power failed")
+        a, b = b, _primitive(out[1])
+    return _primitive(a)
+
+
+def squarefree_part(f: IntPoly) -> IntPoly:
+    """f with every repeated factor taken once (monic input, monic output)."""
+    g = poly_gcd(f, f.derivative())
+    out = poly_divmod(f, g)
+    if out is None or not out[1].is_zero():
+        raise AssertionError("gcd with the derivative does not divide the polynomial")
+    return _primitive(out[0])
 
 
 def test_intpoly_arithmetic():
@@ -171,6 +211,46 @@ def test_chebyshev_defining_identity():
         assert lhs == rhs, n
 
 
+def _psi_by_recurrence(top: int) -> list[IntPoly]:
+    """psi_0 .. psi_top by psi_(n+1) = y psi_n - psi_(n-1)."""
+    out = [IntPoly.of(2), IntPoly.x()]
+    while len(out) <= top:
+        out.append(IntPoly.x() * out[-1] - out[-2])
+    return out
+
+
+def test_psi_matches_the_three_term_recurrence():
+    for n, psi in enumerate(_psi_by_recurrence(400)):
+        assert chebyshev_psi(n) == psi, n
+
+
+def test_substitution_identity_refuses_one_changed_coefficient():
+    for n in (4, 9, 30):
+        target = LaurentPoly.monomial(n) + LaurentPoly.monomial(-n)
+        for i in range(n + 1):
+            for delta in (1, -2):
+                changed = list(chebyshev_psi(n).coeffs)
+                changed[i] += delta
+                assert substitute_x_plus_xinv(IntPoly.of(*changed)) != target, (n, i, delta)
+
+
+@pytest.fixture
+def fresh_psi():
+    """A cold psi cache before and after, so that a test may corrupt the
+    coefficient formula."""
+    chebyshev_psi.__wrapped__.cache_clear()
+    yield
+    chebyshev_psi.__wrapped__.cache_clear()
+
+
+def test_psi_certificate_refuses_a_wrong_coefficient(monkeypatch, fresh_psi):
+    # C(6, 2) off by one changes only the y^4 coefficient of psi_8
+    monkeypatch.setattr(lambdapoly, "comb", lambda a, b: comb(a, b) + ((a, b) == (6, 2)))
+    assert chebyshev_psi(7) == _psi_by_recurrence(7)[7]
+    with pytest.raises(AssertionError, match="^the coefficient formula failed the defining identity$"):
+        chebyshev_psi(8)
+
+
 def test_chebyshev_commutation():
     for a in range(1, 31):
         for b in range(1, 31):
@@ -239,6 +319,67 @@ def chebyshev_generator_product_oracle(n: int) -> IntPoly:
 def test_generator_against_product_oracle():
     for n in range(1, 21):
         assert chebyshev_periodic_generator(n) == chebyshev_generator_product_oracle(n), n
+
+
+def test_generator_matches_the_squarefree_part_oracle():
+    for n in range(1, 151):
+        assert chebyshev_periodic_generator(n) == squarefree_part(chebyshev_psi(n) - IntPoly.of(2)), n
+
+
+_Y = IntPoly.x()
+_ODD_L, _EVEN_L = IntPoly.of(-2, 1), IntPoly.of(-4, 0, 1)  # y - 2 and y^2 - 4
+
+
+@pytest.mark.parametrize(
+    "n, f, message",
+    [
+        # psi_n - 1 is 1 at y = 2 and y = -2
+        (7, chebyshev_psi(7) - IntPoly.of(1), "psi_n - 2 is not divisible by L"),
+        (8, chebyshev_psi(8) - IntPoly.of(1), "psi_n - 2 is not divisible by L"),
+        # L (V^2 + 1): the top half of V^2 + 1 still gives V
+        (7, chebyshev_psi(7) - IntPoly.of(2) + _ODD_L, "psi_n - 2 is not L times a square"),
+        (8, chebyshev_psi(8) - IntPoly.of(2) + _EVEN_L, "psi_n - 2 is not L times a square"),
+        # L V^2 with V sharing a root with L: q = (y - 2)^2 (y + 2), and
+        # (y - 2)^2 (y + 2) (y + 1), of the right degrees
+        (5, _ODD_L * _EVEN_L * _EVEN_L, "generator is not squarefree"),
+        (6, _EVEN_L * (_ODD_L * (_Y + IntPoly.of(1))) * (_ODD_L * (_Y + IntPoly.of(1))), "generator is not squarefree"),
+        # psi_5 - 2 read as level 7: a certified generator of the wrong degree
+        (7, chebyshev_psi(5) - IntPoly.of(2), "generator degree mismatch"),
+    ],
+    ids=["odd-not-divisible", "even-not-divisible", "odd-not-square", "even-not-square", "odd-repeated", "even-repeated", "degree"],
+)
+def test_generator_certificate_refuses(n, f, message):
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        _periodic_generator(f, n)
+
+
+def test_squarefree_check_refuses_a_repeated_factor():
+    def squarefree_mod(q: IntPoly, p: int) -> bool:
+        return _gcd_mod(q, q.derivative(), p).degree == 0
+
+    two, minus_two = IntPoly.of(-2, 1), IntPoly.of(2, 1)
+    for p in (3, 5, 7, 11):
+        assert not squarefree_mod(two * two * minus_two, p)
+        assert squarefree_mod(two * minus_two, p)
+    # 2 = -2 mod 2, so y^2 - 4 is a square there: the prime must be odd
+    assert not squarefree_mod(two * minus_two, 2)
+
+
+def test_squarefree_prime_is_the_least_prime_not_dividing_2n():
+    for n in range(1, 501):
+        p = _squarefree_prime(n)
+        assert is_prime(p) and (2 * n) % p, n
+        assert all((2 * n) % r == 0 for r in range(2, p) if is_prime(r)), n
+
+
+def test_gcd_mod_examples():
+    y = IntPoly.x()
+    a = (y - IntPoly.of(1)) * (y - IntPoly.of(2))
+    b = (y - IntPoly.of(2)) * (y - IntPoly.of(3))
+    assert _gcd_mod(a, b, 5) == IntPoly.of(3, 1)  # y - 2 = y + 3 mod 5
+    assert _gcd_mod(a.scale(7), b.scale(3), 5) == IntPoly.of(3, 1)
+    assert _gcd_mod(a, b, 2) == IntPoly.of(0, 1, 1)  # a = b = y (y + 1) mod 2
+    assert _gcd_mod(a, IntPoly.of(1), 5).degree == 0
 
 
 def test_generator_degree_and_divisibility():

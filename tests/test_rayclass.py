@@ -564,10 +564,11 @@ def _break_canonical_surjectivity():
 
 
 def _break_canonical_multiplicativity():
-    big, small = dr_monoid(Cycle.parse("4*inf")), dr_monoid(Cycle.parse("2*inf"))
-    img = [small.class_of_ideal(rep) for rep in big.reps]
-    k = big.mul(0, 0)
-    _seed_product(big, 0, 0, next(x for x in range(big.size) if img[x] != img[k]))
+    # the canonical map classes the big side's products afresh and reads
+    # the small side's from its memo, so a wrong product there is seen
+    small = dr_monoid(Cycle.parse("2*inf"))
+    k = small.mul(0, 0)
+    _seed_product(small, 0, 0, next(x for x in range(small.size) if x != k))
     dr_canonical_map(Cycle.parse("4*inf"), Cycle.parse("2*inf"))
 
 
@@ -578,12 +579,24 @@ def _break_shift_injectivity():
     dr_shift_map(Cycle.parse("2*inf"), 2)
 
 
-def _break_projection_after_shift():
-    # shifting by 1 maps DR(6*inf) to itself, where the canonical map
-    # compares the memo with itself and cannot see the wrong product
+def _break_canonical_multiplicativity_onto_itself():
+    # big and small are the same cached monoid, so the wrong product is
+    # seen only because the big side is classed afresh
     dr = dr_monoid(Cycle.parse("6*inf"))
     _seed_product(dr, dr.identity, 1, 2)
-    dr_shift_map(Cycle.parse("6*inf"), 1)
+    dr_canonical_map(Cycle.parse("6*inf"), Cycle.parse("6*inf"))
+
+
+def _break_projection_after_shift():
+    # swap the representatives of two unit classes of DR(3*inf) once its
+    # products are all memoised: the classes and products stay right, so
+    # the canonical map DR(6*inf) -> DR(3*inf) passes, but the shift by 2
+    # now sends each of the two classes where the other belongs
+    src = dr_monoid(Cycle.parse("3*inf"))
+    src.table()
+    i, j = [k for k, rep in enumerate(src.reps) if rep % 3][:2]
+    src.reps[i], src.reps[j] = src.reps[j], src.reps[i]
+    dr_shift_map(Cycle.parse("3*inf"), 2)
 
 
 def _break_shift_after_projection():
@@ -603,11 +616,12 @@ def _break_shift_after_projection():
     [
         ("canonical map failed surjectivity", _break_canonical_surjectivity),
         ("canonical map failed multiplicativity", _break_canonical_multiplicativity),
+        ("canonical map failed multiplicativity", _break_canonical_multiplicativity_onto_itself),
         ("shift map failed injectivity", _break_shift_injectivity),
         ("projection after shift is not multiplication by the class", _break_projection_after_shift),
         ("shift after projection is not multiplication by the class", _break_shift_after_projection),
     ],
-    ids=["surjectivity", "multiplicativity", "injectivity", "projection-after-shift", "shift-after-projection"],
+    ids=["surjectivity", "multiplicativity", "multiplicativity-onto-itself", "injectivity", "projection-after-shift", "shift-after-projection"],
 )
 def test_change_of_conductor_checks_refuse_a_corrupt_monoid(message, corrupt_and_check, fresh_monoids):
     with pytest.raises(InputError, match=f"^{message}$"):
