@@ -1,4 +1,7 @@
-"""Size bounds.
+"""Size bounds: the unit residues of a rational conductor (10^6), the
+elements of a ray class monoid (10^4), the Chebyshev degree (4096), and
+the periodic Witt lattice's variable count and congruence sweep (2048
+each).
 
 LAMBDA_FORGE_BOUND in the environment overrides every default (a single
 global scale is enough at desk scale).  It must be an integer >= 1;
@@ -33,3 +36,7 @@ def monoid_bound() -> int:
 
 def degree_bound() -> int:
     return _env_bound() or 4096
+
+
+def lattice_bound() -> int:
+    return _env_bound() or 2048

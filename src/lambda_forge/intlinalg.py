@@ -149,10 +149,54 @@ def factor(n: int) -> Factorization:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted."""
+    return divisors_of_factors(factor(n).factors)
+
+
+def divisors_of_factors(factors) -> list[int]:
+    """All positive divisors of the product of p**e over the (p, e) pairs,
+    sorted."""
     ds = [1]
-    for p, e in factor(n).factors:
+    for p, e in factors:
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """Entry m is the least prime dividing m, for 2 <= m <= n."""
+    spf = list(range(n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, read off one smallest-prime-factor table."""
+    return [p for p, q in enumerate(smallest_prime_factors(n)) if p == q > 1]
+
+
+def factor_all(values) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The (prime, exponent) pairs of each positive value, read off one
+    smallest-prime-factor table up to the largest value; values filling
+    less than an eighth of that range (the divisors of a large N) are
+    factored one by one instead."""
+    top = max(values, default=1)
+    if top > 8 * len(values):
+        return {n: factor(n).factors for n in values}
+    spf = smallest_prime_factors(top)
+    out = {}
+    for n in values:
+        pairs, m = [], n
+        while m > 1:
+            p, e = spf[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            pairs.append((p, e))
+        out[n] = tuple(pairs)
+    return out
 
 
 # ---------------------------------------------------------------------------

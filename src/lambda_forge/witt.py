@@ -24,17 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import comb, gcd, isqrt, lcm
 
-from .errors import InputError, ModelRefusedError
-from .intlinalg import divisors, factor, hnf_rows, in_row_span, is_prime, lattice_index, left_kernel
+from .config import lattice_bound
+from .errors import BoundExceededError, InputError, ModelRefusedError
+from .intlinalg import divisors, divisors_of_factors, factor, factor_all, hnf_rows, in_row_span, is_prime, lattice_index, left_kernel
+from .intlinalg import primes_upto
 from .lambdapoly import IntPoly, _cyclic_mul, _cyclic_power_map, _gcd_mod, cyclotomic_polynomial, poly_divides, poly_divmod
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, dr_monoid, f_label
-
-
-def _primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 def _valuation(m: int, p: int) -> int:
@@ -96,14 +94,16 @@ class CoeffRing:
             raise InputError("negative powers are not defined in the coefficient ring")
         if self.rank == 1 and k:
             return (a[0] ** k,)
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
+        if not k:
+            return self.one()
+        while not k & 1:  # square up to the lowest set bit; the product starts there
+            a = self.mul(a, a)
             k >>= 1
-            if k:
-                base = self.mul(base, base)
+        out = a
+        while k := k >> 1:
+            a = self.mul(a, a)
+            if k & 1:
+                out = self.mul(out, a)
         return out
 
     def apply_frob(self, p: int, a: tuple) -> tuple:
@@ -145,12 +145,13 @@ class TruncationSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        for n in self.members:
-            if n < 1:
-                raise InputError("truncation entries must be positive")
-            for d in divisors(n):
-                if d not in self.members:
-                    raise InputError("truncation set must be divisor closed")
+        # closed under n -> n // p for the primes p | n is divisor closed,
+        # by induction on n
+        if any(n < 1 for n in self.members):
+            raise InputError("truncation entries must be positive")
+        for n, factors in factor_all(self.members).items():
+            if any(n // p not in self.members for p, _ in factors):
+                raise InputError("truncation set must be divisor closed")
 
     @staticmethod
     def divisors_of(n: int) -> "TruncationSet":
@@ -173,8 +174,8 @@ class TruncationSet:
     def proper_divisors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per member n, in ``order``: (index of d, n // d) for each divisor
         d < n, ascending in d."""
-        index = self.index
-        return tuple(tuple((index[d], n // d) for d in divisors(n)[:-1]) for n in self.order)
+        index, factors = self.index, factor_all(self.members)
+        return tuple(tuple((index[d], n // d) for d in divisors_of_factors(factors[n])[:-1]) for n in self.order)
 
     @cached_property
     def dwork_steps(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -372,93 +373,130 @@ def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLa
     bound, plus the exact equalities forced by unbounded congruence
     families along multiplicative orbits.
 
-    Instability between bound/2 and bound is reported, not raised.
+    One solve serves the sweeps to bound and to bound // 2.  The
+    equalities do not depend on the bound, so their kernel K is found
+    once.  Each congruence y[cls(pm)] = x -> x^p (y[cls(m)]) mod
+    p^(v_p(m)+1) is keyed by (cls(pm), cls(m), p mod k) and tagged with
+    its modulus and the least p*m giving it; a key's rows are projected
+    from K's columns once, and the half sweep keeps the tags with
+    p*m <= bound // 2.  Instability between the two is reported, not
+    raised.
     """
+    _check_lattice_size(n, ring.rank, bound)
+    dr = dr_monoid(Cycle(None, n, True))
+    k = ring.rank
+    nvars = dr.size * k
+    cls = [0] * n  # the class of each residue mod n
+    for a in range(1, n + 1):
+        cls[a % n] = dr.class_of_ideal(a)
+    kernel = _equality_kernel(n, k, dr.reps, cls, nvars)
+    tags: dict[tuple[int, int, int], dict[int, int]] = {}
+    for p in primes_upto(bound):
+        for m in range(1, bound // p + 1):
+            key = (cls[p * m % n], cls[m % n], p % k)
+            tags.setdefault(key, {}).setdefault(p ** (_valuation(m, p) + 1), p * m)
+    columns = list(zip(*kernel))
+    full: dict[tuple[int, ...], int] = {}
+    halved: dict[tuple[int, ...], int] = {}
+    for (c_to, c_from, e), moduli in tags.items() if kernel else ():
+        # row j is y[c_to][j] - sum over i*e = j mod k of y[c_from][i]
+        projs = [list(columns[c_to * k + j]) for j in range(k)]
+        for i in range(k):
+            projs[i * e % k] = [x - y for x, y in zip(projs[i * e % k], columns[c_from * k + i])]
+        every, within_half = list(moduli), [m for m, pm in moduli.items() if pm <= bound // 2]
+        for proj in projs:
+            _merge_congruence(full, proj, every)
+            _merge_congruence(halved, proj, within_half)
+    basis = _solve_in_kernel(kernel, full, nvars)
+    stable = basis == _solve_in_kernel(kernel, halved, nvars)
+    return PeriodicWittLattice(n, ring, bound, tuple(dr.reps), tuple(map(tuple, basis)), stable)
+
+
+def _check_lattice_size(n: int, k: int, bound: int) -> None:
+    """Refuse a lattice over rank-k coefficients before any monoid or row
+    is built: its n * k variables (DR((n)inf) has n classes) and its sweep
+    bound are each held to ``lattice_bound()``."""
     if n < 1 or bound < 4:
         raise InputError("need n >= 1 and bound >= 4")
-    basis_half = _periodic_lattice_rows(n, ring, bound // 2)
-    basis_full = _periodic_lattice_rows(n, ring, bound)
-    dr = dr_monoid(Cycle(None, n, True))
-    return PeriodicWittLattice(
-        n,
-        ring,
-        bound,
-        tuple(dr.reps),
-        tuple(tuple(r) for r in basis_full),
-        basis_half == basis_full,
-    )
+    limit = lattice_bound()
+    if n * k > limit:
+        raise BoundExceededError(f"{n * k} periodic lattice variables over lattice bound")
+    if bound > limit:
+        raise BoundExceededError(f"congruence sweep to {bound} over lattice bound")
 
 
-def _periodic_lattice_rows(n: int, ring: CoeffRing, bound: int) -> list[list[int]]:
-    dr = dr_monoid(Cycle(None, n, True))
-    ncls = dr.size
-    r = ring.rank
-    nvars = ncls * r
+def _equality_kernel(n: int, k: int, reps: list[int], cls: list[int], nvars: int) -> list[list[int]]:
+    """HNF basis of the y with y[cls(ua)] = x -> x^e (y[a]) for each unit
+    u mod n and twist exponent e of u, and y[cls(pa)] = x -> x^p (y[a])
+    for each prime p | n and class a with p^(v_p(n)) | a mod n.
 
-    def cls_of(a: int) -> int:
-        return dr.class_of_ideal(a)
+    A power map x -> x^e with e prime to k permutes coordinates, so its
+    equalities identify variables: the solutions are constant on the
+    classes of the identification, and those classes carry the other
+    equalities (p | k) as rows.  The kernel of those rows, spread back over
+    the classes, is the kernel of the whole system."""
+    root = list(range(nvars))
 
-    def relation_rows(c_to: int, c_from: int, frob: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-        # y[c_to][j] - sum_i frob[i][j] * y[c_from][i], one row per coordinate j
-        rows = []
-        for j in range(r):
-            row = [0] * nvars
-            row[c_to * r + j] += 1
-            for i in range(r):
-                row[c_from * r + i] -= frob[i][j]
-            rows.append(row)
-        return rows
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
 
-    # equality constraints from unbounded congruence families
-    eq_rows: list[list[int]] = []
-
-    def add_equality(c_to: int, c_from: int, frob: tuple[tuple[int, ...], ...]):
-        eq_rows.extend(row for row in relation_rows(c_to, c_from, frob) if any(row))
-
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    for u in units:
-        for e in _twist_exponents(u, n, ring):
-            frob = _power_matrix(ring, e)
-            for c in range(ncls):
-                a = dr.reps[c]
-                add_equality(cls_of(u * a), c, frob)
-    for p in factor(n).primes():
-        ep = _valuation(n, p)
-        frob = _power_matrix(ring, p)
-        for c in range(ncls):
-            a = dr.reps[c]
-            if (a % n) % (p**ep) == 0:
-                add_equality(cls_of(p * a), c, frob)
-
-    # bounded congruences: y[pm] = frob_p(y[m]) mod p^(v_p(m)+1)
-    cong_rows: list[list[int]] = []
-    moduli: list[int] = []
-    for p in _primes_upto(bound):
-        cong: dict[tuple[int, int, int], None] = {}
-        for m in range(1, bound // p + 1):
-            cong[(cls_of(p * m), cls_of(m), _valuation(m, p) + 1)] = None
-        frob = _power_matrix(ring, p)
-        for c_to, c_from, e in cong:
-            for row in relation_rows(c_to, c_from, frob):
-                cong_rows.append(row)
-                moduli.append(p**e)
-
-    return _solve_equalities_and_congruences(eq_rows, cong_rows, moduli, nvars)
-
-
-def _twist_exponents(u: int, n: int, ring: CoeffRing) -> list[int]:
-    """Power-map exponents realized by infinitely many primes congruent to
-    u mod n (one class per achievable exponent on the coefficient ring)."""
-    k = ring.rank  # Z is the case k = 1
+    # a prime congruent to u mod n realizes the power maps x -> x^e with e
+    # prime to k and e = u mod gcd(n, k), infinitely often
     g = gcd(n, k)
-    return [j for j in range(1, k + 1) if gcd(j, k) == 1 and j % g == u % g]
+    twists = [(u, e) for u in range(1, n + 1) if gcd(u, n) == 1 for e in range(1, k + 1) if gcd(e, k) == 1 and (e - u) % g == 0]
+    summed = []  # the relations whose power map is not a permutation
+    for c_to, c_from, e in chain(
+        ((cls[u * a % n], c, e) for u, e in twists for c, a in enumerate(reps)),
+        ((cls[p * a % n], c, p) for p in factor(n).primes() for c, a in enumerate(reps) if a % n % p ** _valuation(n, p) == 0),
+    ):
+        if gcd(e, k) > 1:
+            summed.append((c_to, c_from, e))
+        else:
+            for i in range(k):
+                root[find(c_to * k + i * e % k)] = find(c_from * k + i)
+    orbit: dict[int, int] = {}
+    slot = [orbit.setdefault(find(v), len(orbit)) for v in range(nvars)]
+    rows = set()
+    for c_to, c_from, e in summed:
+        block = [[0] * len(orbit) for _ in range(k)]
+        for j in range(k):
+            block[j][slot[c_to * k + j]] += 1
+        for i in range(k):
+            block[i * e % k][slot[c_from * k + i]] -= 1
+        rows.update(tuple(row) for row in block if any(row))
+    # the right kernel of the rows is the left kernel of their transpose
+    kernel = left_kernel([[row[s] for row in rows] for s in range(len(orbit))], len(rows))
+    return hnf_rows([[z[s] for s in slot] for z in kernel], nvars)
 
 
-def _power_matrix(ring: CoeffRing, e: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the monomial map x -> x^e on the cyclic ring: row i is the
-    unit vector at i*e mod k (over Z, the 1x1 identity)."""
-    k = ring.rank
-    return tuple(tuple(int(j == i * e % k) for j in range(k)) for i in range(k))
+def _merge_congruence(merged: dict[tuple[int, ...], int], proj: list[int], moduli: list[int]) -> None:
+    """Fold the congruences proj.t = 0 mod m, one per m in ``moduli``, into
+    ``merged``: congruences with the same proj up to sign merge into one
+    modulo the lcm of their moduli, and each key leads with a positive
+    entry.  A zero proj holds for every t and drops out."""
+    lead = next((x for x in proj if x), 0)
+    if lead and moduli:
+        key = tuple(proj) if lead > 0 else tuple(-x for x in proj)
+        merged[key] = lcm(merged.get(key, 1), *moduli)
+
+
+def _solve_in_kernel(kernel: list[list[int]], merged: dict[tuple[int, ...], int], nvars: int) -> list[list[int]]:
+    """HNF basis of {t.K : c.t = 0 mod m for each merged (c, m)}, for K
+    the kernel rows; t.K is summed from the rows scaled by the nonzero t_i."""
+    # integer solutions of C t + diag(m) s = 0, projected to t
+    ncong = len(merged)
+    system = [[c[i] for c in merged] for i in range(len(kernel))]
+    system += [[m if j == i else 0 for j in range(ncong)] for i, m in enumerate(merged.values())]
+    rows = []
+    for sol in left_kernel(system, ncong):
+        row = [0] * nvars
+        for t, krow in zip(sol, kernel):  # the first len(kernel) entries are t
+            if t:
+                row = [x + t * y for x, y in zip(row, krow)]
+        rows.append(row)
+    return hnf_rows(rows, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +559,7 @@ def ray_class_algebra_witt_iso_check(n: int, bound: int = 64) -> RayClassWittCom
     Witt lattice over that same ring: injectivity, containment, equality,
     and scan stability.  Instability makes the verdict inconclusive rather
     than false."""
-    if n < 1 or bound < 4:
-        raise InputError("need n >= 1 and bound >= 4")
+    _check_lattice_size(n, n, bound)
     ring, rows = group_ring_ghost_rows(n)
     lattice = periodic_witt_lattice(n, ring, bound)
     nvars = len(rows[0])
@@ -652,42 +689,3 @@ def periodic_witt_field_product_check(n: int) -> FieldProductReport:
         raise AssertionError("cyclotomic factorization failed to rebuild")
     return FieldProductReport(n, n, count, tuple(degrees))
 
-
-def _solve_equalities_and_congruences(eq_rows, cong_rows, moduli, nvars) -> list[list[int]]:
-    """HNF basis of {y : eq.y = 0, cong_i.y = 0 mod m_i}."""
-    # right kernel of the equality matrix = left kernel of its transpose
-    if eq_rows:
-        transposed = [[row[i] for row in eq_rows] for i in range(nvars)]
-        kernel = left_kernel(transposed, len(eq_rows))
-    else:
-        kernel = [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
-    if not kernel:
-        return []
-    kdim = len(kernel)
-    # congruences in kernel coordinates: c.t = 0 mod m, each row projected
-    # through its nonzero entries; rows with the same projection up to sign
-    # merge into one modulo the lcm, and zero projections hold for every t
-    columns = list(zip(*kernel))
-    merged: dict[tuple[int, ...], int] = {}
-    for row, m in zip(cong_rows, moduli):
-        proj = [0] * kdim
-        for v, c in enumerate(row):
-            if c:
-                proj = [x + c * y for x, y in zip(proj, columns[v])]
-        lead = next((x for x in proj if x), 0)
-        if lead:
-            key = tuple(proj) if lead > 0 else tuple(-x for x in proj)
-            merged[key] = lcm(merged.get(key, 1), m)
-    if not merged:
-        return hnf_rows(kernel, nvars)
-    # integer solutions of C' t + diag(m) s = 0; project to t
-    cprime = list(merged)
-    ncong = len(cprime)
-    transposed = [list(col) for col in zip(*cprime)]
-    transposed += [[m if j == i else 0 for j in range(ncong)] for i, m in enumerate(merged.values())]
-    sol = left_kernel(transposed, ncong)
-    t_basis = [row[:kdim] for row in sol]
-    rows = []
-    for t in t_basis:
-        rows.append([sum(t[i] * kernel[i][v] for i in range(kdim)) for v in range(nvars)])
-    return hnf_rows(rows, nvars)

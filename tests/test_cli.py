@@ -212,6 +212,22 @@ def test_chebyshev_degree_over_the_bound_refused_at_once(argv, capsys):
     assert elapsed < 1, elapsed
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["witt", "periodic", "--n", "200", "--bound", "64", "--json"], "40000 periodic lattice variables"),
+        (["witt", "periodic", "--n", "4", "--bound", "100000000", "--json"], "congruence sweep to 100000000"),
+    ],
+)
+def test_witt_periodic_over_the_lattice_bound_refused_at_once(argv, err, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"refused: {err} over lattice bound\n"
+    assert elapsed < 1, elapsed
+
+
 def test_chebyshev_degree_bound_covers_cached_levels(monkeypatch, capsys):
     assert run_cli(["chebyshev", "--n", "12"])[0] == 0
     assert run_cli(["periodic-locus", "--family", "chebyshev", "--n", "12"])[0] == 0

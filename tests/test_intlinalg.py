@@ -10,13 +10,16 @@ from lambda_forge.errors import InputError
 from lambda_forge.intlinalg import (
     Factorization,
     divisors,
+    divisors_of_factors,
     factor,
+    factor_all,
     hnf_coords,
     hnf_rows,
     in_row_span,
     is_prime,
     lattice_index,
     left_kernel,
+    primes_upto,
     smith_invariants,
     xgcd,
 )
@@ -58,6 +61,18 @@ def test_bad_factorization_rejected():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+    assert all(divisors(n) == [d for d in range(1, n + 1) if n % d == 0] for n in range(1, 200))
+    assert divisors_of_factors(((2, 2), (3, 1))) == [1, 2, 3, 4, 6, 12] and divisors_of_factors(()) == [1]
+
+
+def test_factor_table_matches_factor():
+    """One smallest-prime-factor table for values dense in their range,
+    factor() one by one for sparse ones: the same pairs either way."""
+    rng = random.Random(7)
+    for values in [range(1, 500), rng.sample(range(1, 3000), 400), divisors(720720), [1], [], [10**12 + 39, 2**40]]:
+        assert factor_all(values) == {n: factor(n).factors for n in values}
+    assert primes_upto(100) == [p for p in range(101) if is_prime(p)]
+    assert primes_upto(1) == []
 
 
 IDENTITY_2 = [[1, 0], [0, 1]]

@@ -1,5 +1,5 @@
 import itertools
-import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_forge import witt
-from lambda_forge.errors import InputError, ModelRefusedError
+from lambda_forge.errors import BoundExceededError, InputError, ModelRefusedError
 from lambda_forge.intlinalg import divisors, hnf_rows, is_prime, left_kernel
 from lambda_forge.lambdapoly import IntPoly, cyclotomic_polynomial
 from lambda_forge.rayclass import Cycle, dr_monoid, f_equiv
@@ -55,13 +55,24 @@ def test_ring_validation():
     assert r.apply_frob(2, x) == r.pow(x, 2)
     assert r.apply_frob(3, r.apply_frob(5, x)) == r.apply_frob(5, r.apply_frob(3, x))
     # row i is the image of x^i
-    assert witt._power_matrix(r, 2) == ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0))
-    assert witt._power_matrix(INTEGERS, 5) == ((1,),)
+    assert _power_matrix(r, 2) == ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0))
+    assert _power_matrix(INTEGERS, 5) == ((1,),)
     # a negative power used to loop forever (and over Z would give a float)
     for ring in (INTEGERS, r):
         with pytest.raises(InputError, match="negative powers"):
             ring.pow(ring.one(), -1)
     assert INTEGERS.pow((Fraction(2, 3),), 0) == (1,) and r.pow(x, 0) == r.one()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 6])
+def test_pow_matches_repeated_mul(rank):
+    ring = CoeffRing(rank)
+    rng = random.Random(rank)
+    for a in [ring.one(), ring.zero(), tuple(rng.randint(-3, 3) for _ in range(rank)), tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank))]:
+        expected = ring.one()
+        for k in range(21):
+            assert ring.pow(a, k) == expected, (a, k)
+            expected = ring.mul(expected, a)
 
 
 def _reduce_reference(coeffs: list, h: IntPoly) -> tuple:
@@ -114,7 +125,7 @@ def test_cyclic_ring_matches_general_reduction(data):
     assert ring.pow(a, e) == ref
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     rows = _frob_matrix_reference(ring, p)
-    assert witt._power_matrix(ring, p) == rows
+    assert _power_matrix(ring, p) == rows
     assert ring.apply_frob(p, a) == tuple(sum(c * rows[i][j] for i, c in enumerate(a)) for j in range(k))
 
 
@@ -123,6 +134,33 @@ def test_truncation_validation():
         TruncationSet(frozenset({2}))
     assert TruncationSet.divisors_of(6).sorted() == [1, 2, 3, 6]
     assert TruncationSet.upto(4).sorted() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("members", [{1, 4}, {1, 2, 6}, {1, 3, 9, 27, 6}, {1, 2, 3, 4, 12}, {1, 7, 49, 343, 2401, 4802}])
+def test_truncation_refuses_sets_not_divisor_closed(members):
+    with pytest.raises(InputError, match="^truncation set must be divisor closed$"):
+        TruncationSet(frozenset(members))
+
+
+def test_truncation_closure_matches_divisor_reference():
+    """Closure under n -> n // p for the primes p | n, read from one
+    smallest-prime-factor table (dense sets) or from factor() (sparse ones),
+    against every divisor of every member."""
+    rng = random.Random(19)
+    big = divisors(720720)  # top 720720 over 240 members: the factor() path
+    for _ in range(300):
+        pool, most = (range(1, 41), 20) if rng.random() < 0.5 else (big, 40)
+        members = frozenset(rng.sample(pool, rng.randrange(1, most)))
+        closed = all(d in members for n in members for d in divisors(n))
+        try:
+            TruncationSet(members)
+        except InputError:
+            assert not closed, sorted(members)
+        else:
+            assert closed, sorted(members)
+    with pytest.raises(InputError, match="^truncation entries must be positive$"):
+        TruncationSet(frozenset({0, 1, 2}))
+    assert TruncationSet.divisors_of(1000000007).order == (1, 1000000007)
 
 
 @pytest.mark.parametrize("trunc", [TruncationSet.upto(b) for b in (1, 7, 30)] + [TruncationSet.divisors_of(n) for n in (1, 12, 120)])
@@ -597,13 +635,71 @@ def test_universal_lift_components_forced():
     assert dwork_check(g) and is_f_periodic(g, Cycle(None, n, True))
 
 
+# ---------------------------------------------------------------------------
+# The dense oracle for the periodic lattice: the equality and congruence
+# rows of every relation written out in full, one sweep per bound, and
+# each congruence projected and solved apart, with no merging.
+
+
+def _power_matrix(ring: CoeffRing, e: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the monomial map x -> x^e: row i is the unit vector at
+    i*e mod k (over Z, the 1x1 identity)."""
+    k = ring.rank
+    return tuple(tuple(int(j == i * e % k) for j in range(k)) for i in range(k))
+
+
+def _valuation(m: int, p: int) -> int:
+    return next(v for v in range(m.bit_length() + 1) if m % p ** (v + 1))
+
+
+def _dense_lattice_rows(n: int, ring: CoeffRing, bound: int):
+    """(eq_rows, cong_rows, moduli, nvars, reps): every twisted equality
+    and every congruence y[pm] = frob_p(y[m]) mod p^(v_p(m)+1) with
+    p*m <= bound, as dense rows over the class-indexed variables."""
+    dr = dr_monoid(Cycle(None, n, True))
+    r = ring.rank
+    nvars = dr.size * r
+
+    def relation_rows(c_to, c_from, frob):
+        rows = []
+        for j in range(r):
+            row = [0] * nvars
+            row[c_to * r + j] += 1
+            for i in range(r):
+                row[c_from * r + i] -= frob[i][j]
+            rows.append(row)
+        return rows
+
+    eq_rows = []
+    g = math.gcd(n, r)
+    for u in (u for u in range(1, n + 1) if math.gcd(u, n) == 1):
+        for e in (j for j in range(1, r + 1) if math.gcd(j, r) == 1 and j % g == u % g):
+            for c, a in enumerate(dr.reps):
+                eq_rows += [row for row in relation_rows(dr.class_of_ideal(u * a), c, _power_matrix(ring, e)) if any(row)]
+    for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
+        for c, a in enumerate(dr.reps):
+            if a % n % p ** _valuation(n, p) == 0:
+                eq_rows += [row for row in relation_rows(dr.class_of_ideal(p * a), c, _power_matrix(ring, p)) if any(row)]
+    cong_rows, moduli = [], []
+    for p in (p for p in range(2, bound + 1) if is_prime(p)):
+        keys = dict.fromkeys((dr.class_of_ideal(p * m), dr.class_of_ideal(m), _valuation(m, p) + 1) for m in range(1, bound // p + 1))
+        for c_to, c_from, e in keys:
+            for row in relation_rows(c_to, c_from, _power_matrix(ring, p)):
+                cong_rows.append(row)
+                moduli.append(p**e)
+    return eq_rows, cong_rows, moduli, nvars, tuple(dr.reps)
+
+
+def _equality_kernel_dense(eq_rows, nvars):
+    if not eq_rows:
+        return [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
+    return left_kernel([[row[i] for row in eq_rows] for i in range(nvars)], len(eq_rows))
+
+
 def _solve_dense_reference(eq_rows, cong_rows, moduli, nvars):
     """Reference solve: dense projection of every congruence row, no
     merging."""
-    if eq_rows:
-        kernel = left_kernel([[row[i] for row in eq_rows] for i in range(nvars)], len(eq_rows))
-    else:
-        kernel = [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
+    kernel = _equality_kernel_dense(eq_rows, nvars)
     if not kernel:
         return []
     kdim = len(kernel)
@@ -617,23 +713,27 @@ def _solve_dense_reference(eq_rows, cong_rows, moduli, nvars):
     return hnf_rows(rows, nvars)
 
 
-@pytest.mark.parametrize("bound", [16, 64])
-def test_lattice_solve_matches_dense_reference(bound, monkeypatch):
-    def lattices():
-        out = []
-        for n in range(1, 9):
-            comparison = ray_class_algebra_witt_iso_check(n, bound)
-            lat = periodic_witt_lattice(n, INTEGERS, bound)
-            out.append((json.dumps(comparison.to_json()), comparison.lattice, lat))
-        return out
+def _dense_lattice(n: int, ring: CoeffRing, bound: int):
+    """(basis, stable, class_reps) of the periodic lattice, solved densely
+    at the bound and at bound // 2."""
+    eq_rows, cong_rows, moduli, nvars, reps = _dense_lattice_rows(n, ring, bound)
+    basis = _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
+    half = _solve_dense_reference(*_dense_lattice_rows(n, ring, bound // 2)[:4])
+    return tuple(map(tuple, basis)), half == basis, reps
 
-    merged = lattices()
-    monkeypatch.setattr(witt, "_solve_equalities_and_congruences", _solve_dense_reference)
-    dense = lattices()
-    for (json_m, group_m, z_m), (json_d, group_d, z_d) in zip(merged, dense):
-        assert json_m == json_d
-        assert (group_m.basis, group_m.stable) == (group_d.basis, group_d.stable)
-        assert (z_m.basis, z_m.stable) == (z_d.basis, z_d.stable)
+
+@pytest.mark.parametrize("bound", [4, 7, 16, 33, 64])
+def test_lattice_solve_matches_dense_reference(bound):
+    """The one-solve lattice against the dense oracle for n <= 12 over Z,
+    Z[C_n], Z[C_4] and Z[C_6]: the same basis, stability and class
+    representatives.  The odd bounds pin the rounding of bound // 2."""
+    for n in range(1, 13):
+        for ring in (INTEGERS, CoeffRing(n), CoeffRing(4), CoeffRing(6)):
+            lattice = periodic_witt_lattice(n, ring, bound)
+            assert (lattice.basis, lattice.stable, lattice.class_reps) == _dense_lattice(n, ring, bound), (n, ring.rank)
+    # the comparison reuses the group ring's lattice
+    for n in range(1, 9):
+        assert ray_class_algebra_witt_iso_check(n, bound).lattice == periodic_witt_lattice(n, CoeffRing(n), bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -650,5 +750,41 @@ def test_congruence_merge_matches_dense_solve(data):
         row = data.draw(st.sampled_from(base))
         cong_rows.append([-x for x in row] if data.draw(st.booleans()) else row)
         moduli.append(data.draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
-    solve = witt._solve_equalities_and_congruences
-    assert solve(eq_rows, cong_rows, moduli, nvars) == _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
+    kernel = _equality_kernel_dense(eq_rows, nvars)
+    merged = {}
+    projections = [[sum(c * x for c, x in zip(row, krow)) for krow in kernel] for row in cong_rows]
+    for proj, m in zip(projections, moduli):
+        witt._merge_congruence(merged, proj, [m])
+    # one key per nonzero projection up to sign, leading with a positive
+    # entry, modulo the lcm of the moduli that projection came with
+    expected = {}
+    for proj, m in zip(projections, moduli):
+        if any(proj):
+            key = tuple(x * (1 if next(y for y in proj if y) > 0 else -1) for x in proj)
+            expected[key] = math.lcm(expected.get(key, 1), m)
+    assert merged == expected
+    assert all(next(x for x in key if x) > 0 for key in merged)
+    assert witt._solve_in_kernel(kernel, merged, nvars) == _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
+
+
+def test_lattice_bound_refuses_before_any_monoid(monkeypatch):
+    """The variable count n * k and the sweep are each held to the lattice
+    bound, which LAMBDA_FORGE_BOUND scales; nothing is built first."""
+
+    def no_monoid(*args):
+        raise AssertionError("monoid built before the bound check")
+
+    monkeypatch.setattr(witt, "dr_monoid", no_monoid)
+    with pytest.raises(BoundExceededError, match="^40000 periodic lattice variables over lattice bound$"):
+        ray_class_algebra_witt_iso_check(200, 64)
+    with pytest.raises(BoundExceededError, match="^congruence sweep to 100000000 over lattice bound$"):
+        periodic_witt_lattice(4, CoeffRing(4), 10**8)
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "63")
+    with pytest.raises(BoundExceededError, match="^64 periodic lattice variables over lattice bound$"):
+        periodic_witt_lattice(8, CoeffRing(8), 16)
+    with pytest.raises(BoundExceededError, match="^congruence sweep to 64 over lattice bound$"):
+        periodic_witt_lattice(2, INTEGERS, 64)
+    monkeypatch.undo()
+    expected = periodic_witt_lattice(8, CoeffRing(8), 64)
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "64")  # both limits are inclusive
+    assert periodic_witt_lattice(8, CoeffRing(8), 64) == expected
