@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -159,8 +160,6 @@ def _parse_ring(text: str) -> witt.CoeffRing:
     if text in ("Z", "z", "integers"):
         return witt.INTEGERS
     # a monic binomial like "x^4-1"
-    import re
-
     m = re.fullmatch(r"x\^(\d+)-1", text.replace(" ", ""))
     if not m:
         raise InputError("ring must be Z or x^k-1")

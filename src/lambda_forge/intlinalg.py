@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: factorization, primality, Hermite/Smith
-normal forms, lattice indices and integer kernels.
+"""Exact integer arithmetic: factorization, primality, Hermite normal
+forms, lattice indices and integer kernels.
 
 Everything operates on Python ints (arbitrary precision).  A matrix is a
 plain sequence of rows (lists or tuples, never mutated) with its column
@@ -7,8 +7,7 @@ count passed alongside; the row span of a matrix is "the lattice" it
 presents.  One fixed Hermite convention is used everywhere: row-style,
 positive pivots, entries above a pivot reduced into [0, pivot).  One
 elimination, the Hermite fold ``_add_to_echelon``, serves every routine:
-Hermite forms and lattice indices directly, kernels on [M | I], and Smith
-invariants by alternating row and column Hermite forms.
+Hermite forms and lattice indices directly, and kernels on [M | I].
 """
 
 from __future__ import annotations
@@ -264,8 +263,13 @@ def hnf_rows(rows, ncols: int) -> list[list[int]]:
     return basis
 
 
-def _pivot(row: list[int], ncols: int) -> int:
-    return next(k for k in range(ncols) if row[k])
+def _pivots(hnf_basis, ncols: int):
+    """The pivot column of each row of an echelon basis.  Pivots strictly
+    increase down the rows, so each scan starts past the previous pivot."""
+    j = -1
+    for row in hnf_basis:
+        j = next(k for k in range(j + 1, ncols) if row[k])
+        yield j
 
 
 def hnf_coords(vec: list[int], hnf_basis: list[list[int]], ncols: int) -> list[int] | None:
@@ -273,8 +277,7 @@ def hnf_coords(vec: list[int], hnf_basis: list[list[int]], ncols: int) -> list[i
     ``vec`` lies outside the lattice."""
     v = list(vec)
     out = []
-    for row in hnf_basis:
-        j = _pivot(row, ncols)
+    for row, j in zip(hnf_basis, _pivots(hnf_basis, ncols)):
         q, rem = divmod(v[j], row[j])
         if rem:
             return None
@@ -306,8 +309,8 @@ def lattice_index(sub, sup, ncols: int) -> int | str:
             raise InputError("sub lattice is not contained in sup lattice")
     if len(hs) != len(hp):
         return "infinite"
-    num = prod(row[_pivot(row, ncols)] for row in hs)
-    den = prod(row[_pivot(row, ncols)] for row in hp)
+    num = prod(row[j] for row, j in zip(hs, _pivots(hs, ncols)))
+    den = prod(row[j] for row, j in zip(hp, _pivots(hp, ncols)))
     if num % den:
         raise AssertionError("sublattice pivot product does not divide the lattice's")
     return num // den
@@ -329,26 +332,3 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
             kernel.append(vec[ncols:])
     return hnf_rows(kernel, m)
 
-
-def smith_invariants(rows, ncols: int) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of the cokernel ZZ^ncols / row-span
-    of rows of length ncols, a list of length ncols: 1 entries included,
-    0 entries for free rank.
-
-    Row and column Hermite forms alternate (the column form is the row
-    form of the transpose) until each row holds a single nonzero entry.
-    Each pass either clears the first pivot's row and column, after which
-    that block stays apart, or replaces the pivot by a proper divisor, so
-    the alternation ends (Kannan and Bachem 1979; Cohen, GTM 138, 2.4).
-    """
-    work = hnf_rows(rows, ncols)
-    while any(sum(map(bool, r)) > 1 for r in work):
-        work = hnf_rows(list(zip(*work)), len(work))
-    invs = [max(r) for r in work]  # the one nonzero entry, a positive pivot
-    # enforce the divisibility chain
-    for i in range(len(invs)):
-        for j in range(i + 1, len(invs)):
-            a, b = invs[i], invs[j]
-            g = gcd(a, b)
-            invs[i], invs[j] = g, a // g * b
-    return invs + [0] * (ncols - len(invs))

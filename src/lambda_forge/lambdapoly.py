@@ -24,7 +24,7 @@ from operator import mul
 
 from .config import degree_bound
 from .errors import BoundExceededError, DensityRequiredError, InputError
-from .intlinalg import divisors, hnf_coords, hnf_rows, is_prime, lattice_index, smith_invariants
+from .intlinalg import divisors, hnf_rows, in_row_span, is_prime, lattice_index
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
 
@@ -520,10 +520,11 @@ def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
     basis; the cokernel order inside the involution invariants is 1 for odd
     levels and 2 for even."""
     q = chebyshev_periodic_generator(n)
-    y = tuple(a + b for a, b in zip(_monomial(n, 1), _monomial(n, -1)))  # (2,) when n = 1
     powers = [_monomial(n, 0)]  # y^0 .. y^(deg q)
     for _ in range(q.degree):
-        powers.append(_cyclic_mul(powers[-1], y))
+        # times y = x + x^(-1): one shift each way (y = 2 when n = 1)
+        p = powers[-1]
+        powers.append(tuple(p[i - 1] + p[(i + 1) % n] for i in range(n)))
     # the generator must vanish in the group ring: q(y) reduces to zero
     if any(sum(c * power[j] for c, power in zip(q.coeffs, powers)) for j in range(n)):
         raise AssertionError("the generator does not annihilate the image")
@@ -611,31 +612,27 @@ def ray_class_algebra_maps(n: int, n2: int):
 def cyclotomic_cotangent_dim(a: int, q: int) -> int:
     """Dimension over F_q of the cotangent space of the level-a cyclic
     group ring along its augmentation: the augmentation ideal modulo its
-    square, expected cyclic of order a."""
+    square, cyclic of order a, so 1 exactly when q divides a."""
     if a < 1 or not is_prime(q):
         raise InputError("need a >= 1 and q prime")
-    return sum(1 for d in _cotangent_invariants(a) if d % q == 0)
+    return int(_cotangent_order(a) % q == 0)
 
 
 @lru_cache(maxsize=128)
-def _cotangent_invariants(a: int) -> tuple[int, ...]:
-    """Invariant factors of the augmentation ideal of the level-a group ring
-    modulo its square; they do not depend on the residue characteristic."""
-    # the ideal is spanned by the x^i - 1, 0 < i < a
-    gens = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]
-    i_basis = hnf_rows(gens, a)
-    # the ring is commutative, so the products g_i * g_j with i <= j span the square
-    sq_rows = [_cyclic_mul(g1, g2) for i, g1 in enumerate(gens) for g2 in gens[i:]]
-    # coordinates of the square in the basis of the ideal lattice
-    coords = [hnf_coords(r, i_basis, a) for r in hnf_rows(sq_rows, a)]
-    if None in coords:
-        raise AssertionError("the square of the augmentation ideal leaves the ideal")
-    invs = smith_invariants(coords, len(i_basis))
-    order = 1
-    for d in invs:
-        if d == 0:
-            raise AssertionError("cotangent quotient is infinite")
-        order *= d
+def _cotangent_order(a: int) -> int:
+    """The order of I/I^2 for the augmentation ideal I of the level-a group
+    ring, certified cyclic on the class of x - 1.  As x^i - 1 = (x - 1)(1 +
+    ... + x^(i-1)), I = (x - 1), so I^2 is spanned by the a shifts of
+    (x - 1)^2; each x^i - 1 - i(x - 1) lying in I^2 makes x - 1 generate
+    I/I^2, whose order is then the lattice index [I : I^2]."""
+    g = tuple(int(j == 1 % a) - int(j == 0) for j in range(a))  # x - 1
+    s = _cyclic_mul(g, g)
+    square = hnf_rows([s[-i:] + s[:-i] for i in range(a)], a)
+    ideal = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]  # the x^i - 1
+    for i, e in enumerate(ideal, 1):
+        if not in_row_span([c - i * d for c, d in zip(e, g)], square, a):
+            raise AssertionError("x - 1 does not generate the augmentation ideal modulo its square")
+    order = lattice_index(square, ideal, a)
     if order != a:
         raise AssertionError("cotangent quotient has unexpected order")
-    return tuple(invs)
+    return order

@@ -16,6 +16,7 @@ action.  A local variant handles a single prime with explicit inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
@@ -52,7 +53,7 @@ class FiniteIdSet:
         if self.m < 1 or self.m > 10**4:
             raise InputError("modulus must be positive and within the enumeration bound")
         units = [u % self.m for u in range(1, self.m + 1) if gcd(u, self.m) == 1]
-        gal = dict(self.galois)
+        gal = self.galois_map
         if sorted(gal) != sorted(set(units)):
             raise InputError("galois data must list exactly the units mod m")
         for u, perm in gal.items():
@@ -62,7 +63,7 @@ class FiniteIdSet:
             for v in gal:
                 if _compose(gal[u], gal[v]) != gal[(u * v) % self.m]:
                     raise InputError("galois data is not a group action")
-        sp = dict(self.special)
+        sp = self.special_map
         for p in factor(self.m).primes():
             if p not in sp:
                 raise InputError(f"special maps must cover the primes dividing m (missing {p})")
@@ -84,11 +85,11 @@ class FiniteIdSet:
             tuple(sorted((p, tuple(f)) for p, f in special.items())),
         )
 
-    @property
+    @cached_property
     def galois_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.galois)
 
-    @property
+    @cached_property
     def special_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.special)
 

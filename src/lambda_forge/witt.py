@@ -181,13 +181,16 @@ class TruncationSet:
     def dwork_steps(self) -> tuple[tuple[int, int, int, int], ...]:
         """(p, index of n, index of p*n, p^(v_p(n)+1)) for each prime p and
         member n with p*n a member, by p and then n.  Such a p is itself a
-        member, since the set is divisor closed."""
-        index = self.index
+        member, since the set is divisor closed.  Each prime's scan stops
+        once p*n passes the largest member."""
+        index, top = self.index, max(self.members, default=0)
         steps = []
         for p in self.order:
             if not is_prime(p):
                 continue
             for i, n in enumerate(self.order):
+                if p * n > top:
+                    break
                 if p * n in index:
                     steps.append((p, i, index[p * n], p ** (_valuation(n, p) + 1)))
         return tuple(steps)

@@ -166,6 +166,17 @@ def test_cotangent_command():
     assert out == "0\n"
 
 
+def test_cotangent_at_level_300_within_the_cap():
+    """One Hermite form of a shifts and a - 1 membership solves certify the
+    level: about 2 s here, where the a^2/2-product Smith form ran past a
+    minute."""
+    start = time.perf_counter()
+    code, out = run_cli(["cotangent", "--a", "300", "--q", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == "1\n"
+    assert elapsed < 20, elapsed
+
+
 def test_bound_refusal_exit_2(monkeypatch):
     import lambda_forge.rayclass as rc
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from lambda_forge import lambdapoly
 from lambda_forge.errors import DensityRequiredError, InputError
-from lambda_forge.intlinalg import divisors, is_prime
+from lambda_forge.intlinalg import divisors, hnf_coords, hnf_rows, is_prime
 from lambda_forge.lambdapoly import (
     IntPoly,
     LaurentPoly,
+    _cyclic_mul,
     _gcd_mod,
     _periodic_generator,
     _squarefree_prime,
@@ -33,6 +34,7 @@ from lambda_forge.lambdapoly import (
     torsion_locus_contains_periodic,
 )
 from lambda_forge.rayclass import Cycle, PrimeSupport, f_equiv
+from test_intlinalg import _smith_reference
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -525,6 +527,44 @@ def test_cotangent_examples():
     assert cyclotomic_cotangent_dim(1, 2) == 0
     assert cyclotomic_cotangent_dim(4, 2) == 1
     assert cyclotomic_cotangent_dim(4, 3) == 0
-    for a in range(1, 16):
-        for q in (2, 3, 5, 7):
+    for a in range(1, 61):
+        for q in (2, 3, 5, 7, 11, 13):
             assert cyclotomic_cotangent_dim(a, q) == (1 if a % q == 0 and a > 1 else 0)
+
+
+def _cotangent_by_products(a: int) -> list[int]:
+    """Invariant factors of I/I^2 the long way: I^2 spanned by the a^2/2
+    products of the generators x^i - 1 of I, written in coordinates of
+    I's Hermite basis, with the direct Smith elimination of the tests."""
+    gens = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]
+    basis = hnf_rows(gens, a)
+    products = [_cyclic_mul(g, h) for i, g in enumerate(gens) for h in gens[i:]]
+    return _smith_reference([hnf_coords(r, basis, a) for r in hnf_rows(products, a)], len(basis))
+
+
+def test_cotangent_matches_smith_form_of_products():
+    for a in range(1, 31):
+        invs = _cotangent_by_products(a)
+        assert [d for d in invs if d != 1] == ([a] if a > 1 else []), a
+        assert lambdapoly._cotangent_order(a) == a
+        for q in (2, 3, 5, 7, 11, 13):
+            assert cyclotomic_cotangent_dim(a, q) == sum(1 for d in invs if d % q == 0), (a, q)
+
+
+@pytest.mark.parametrize(
+    "square, message",
+    [
+        # 2 I^2 leaves out (x - 1)^2 = x^2 - 1 - 2 (x - 1)
+        (lambda g, h: tuple(2 * c for c in _cyclic_mul(g, h)), "does not generate"),
+        # the ideal itself in place of its square: x - 1 generates, but I/I = 0
+        (lambda g, h: g, "unexpected order"),
+    ],
+)
+@pytest.mark.parametrize("a", [3, 4, 12, 30])
+def test_cotangent_certificate_refuses_a_corrupt_square(monkeypatch, square, message, a):
+    lambdapoly._cotangent_order.cache_clear()
+    monkeypatch.setattr(lambdapoly, "_cyclic_mul", square)
+    with pytest.raises(AssertionError, match=message):
+        cyclotomic_cotangent_dim(a, 2)
+    monkeypatch.undo()
+    assert cyclotomic_cotangent_dim(a, 2) == int(a % 2 == 0)

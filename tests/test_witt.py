@@ -180,6 +180,24 @@ def test_truncation_precomputed_steps(trunc):
     assert list(trunc.dwork_steps) == expected
 
 
+def _dwork_steps_by_double_loop(trunc):
+    """Every prime member against every member, with no early stop."""
+    steps = []
+    for p in filter(is_prime, trunc.order):
+        for i, n in enumerate(trunc.order):
+            if p * n in trunc.index:
+                v = next(v for v in range(n.bit_length() + 1) if n % p ** (v + 1))
+                steps.append((p, i, trunc.index[p * n], p ** (v + 1)))
+    return tuple(steps)
+
+
+def test_dwork_steps_match_the_double_loop():
+    sets = [TruncationSet.upto(b) for b in range(1, 301)]
+    sets += [TruncationSet.divisors_of(n) for n in (*range(1, 301), 720, 5040, 720720, 2**12, 3**7 * 5)]
+    for trunc in sets:
+        assert trunc.dwork_steps == _dwork_steps_by_double_loop(trunc), sorted(trunc.members)[-1]
+
+
 R4 = binomial_quotient_ring(4)
 T6 = TruncationSet.divisors_of(6)
 UNIT4 = ((1, 0, 0, 0),) * 4
