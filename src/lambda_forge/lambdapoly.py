@@ -632,7 +632,9 @@ def _cotangent_order(a: int) -> int:
     for i, e in enumerate(ideal, 1):
         if not in_row_span([c - i * d for c, d in zip(e, g)], square, a):
             raise AssertionError("x - 1 does not generate the augmentation ideal modulo its square")
-    order = lattice_index(square, ideal, a)
+    # the index against I's Hermite basis x^j - x^(a-1): the x^i - 1 all
+    # pivot on column 0, and folding them into echelon form costs a^3
+    order = lattice_index(square, [tuple(int(k == j) - int(k == a - 1) for k in range(a)) for j in range(a - 1)], a)
     if order != a:
         raise AssertionError("cotangent quotient has unexpected order")
     return order

@@ -16,7 +16,6 @@ action.  A local variant handles a single prime with explicit inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
@@ -53,7 +52,7 @@ class FiniteIdSet:
         if self.m < 1 or self.m > 10**4:
             raise InputError("modulus must be positive and within the enumeration bound")
         units = [u % self.m for u in range(1, self.m + 1) if gcd(u, self.m) == 1]
-        gal = self.galois_map
+        gal = dict(self.galois)
         if sorted(gal) != sorted(set(units)):
             raise InputError("galois data must list exactly the units mod m")
         for u, perm in gal.items():
@@ -63,7 +62,7 @@ class FiniteIdSet:
             for v in gal:
                 if _compose(gal[u], gal[v]) != gal[(u * v) % self.m]:
                     raise InputError("galois data is not a group action")
-        sp = self.special_map
+        sp = dict(self.special)
         for p in factor(self.m).primes():
             if p not in sp:
                 raise InputError(f"special maps must cover the primes dividing m (missing {p})")
@@ -85,11 +84,11 @@ class FiniteIdSet:
             tuple(sorted((p, tuple(f)) for p, f in special.items())),
         )
 
-    @cached_property
+    @property
     def galois_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.galois)
 
-    @cached_property
+    @property
     def special_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.special)
 

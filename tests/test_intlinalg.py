@@ -1,6 +1,5 @@
 import copy
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -142,14 +141,14 @@ MATRICES = st.integers(1, 6).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(MATRICES, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-def test_left_kernel_and_coords_random(rows, mults):
+def test_left_kernel_and_coords_random(smith_reference, rows, mults):
     m, n = len(rows), len(rows[0])
     kernel = left_kernel(rows, n)
     for x in kernel:
         assert all(sum(x[i] * rows[i][j] for i in range(m)) == 0 for j in range(n))
     basis = hnf_rows(rows, n)
     assert len(kernel) == m - len(basis)
-    assert set(_smith_reference(kernel, m)) <= {0, 1}  # saturated
+    assert set(smith_reference(kernel, m)) <= {0, 1}  # saturated
     # coordinates rebuild every vector of the span
     for vec in rows + [[sum(c * r[j] for c, r in zip(mults, rows)) for j in range(n)]]:
         coords = hnf_coords(vec, basis, n)
@@ -159,78 +158,6 @@ def test_left_kernel_and_coords_random(rows, mults):
     outside = [j for j in range(n) if j not in pivots or pivots[j][j] > 1]
     if outside:
         assert hnf_coords([1 if k == outside[0] else 0 for k in range(n)], basis, n) is None
-
-
-def _smith_reference(rows: list[list[int]], ncols: int) -> list[int]:
-    """Reference Smith invariants by direct elimination, independent of the
-    Hermite fold: pivot search, then xgcd clearing of the pivot's column
-    and row until both are zero."""
-    work = [r[:] for r in rows]
-    m = len(work)
-    n = ncols
-    invs: list[int] = []
-    top = 0
-    leftcol = 0
-    while top < m and leftcol < n:
-        # find a nonzero entry
-        found = None
-        for i in range(top, m):
-            for j in range(leftcol, n):
-                if work[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i0, j0 = found
-        work[top], work[i0] = work[i0], work[top]
-        for r in work:
-            r[leftcol], r[j0] = r[j0], r[leftcol]
-        while True:
-            # clear column
-            again = False
-            for i in range(top + 1, m):
-                a, c = work[top][leftcol], work[i][leftcol]
-                if c == 0:
-                    continue
-                if c % a == 0:
-                    q = c // a
-                    for k in range(leftcol, n):
-                        work[i][k] -= q * work[top][k]
-                else:
-                    x, y, g = xgcd(a, c)
-                    rt = [x * work[top][k] + y * work[i][k] for k in range(n)]
-                    ri = [-(c // g) * work[top][k] + (a // g) * work[i][k] for k in range(n)]
-                    work[top][leftcol:] = rt[leftcol:]
-                    work[i][leftcol:] = ri[leftcol:]
-            # clear row
-            for j in range(leftcol + 1, n):
-                a, c = work[top][leftcol], work[top][j]
-                if c == 0:
-                    continue
-                if c % a == 0:
-                    q = c // a
-                    for r in work:
-                        r[j] -= q * r[leftcol]
-                else:
-                    x, y, g = xgcd(a, c)
-                    for r in work:
-                        r[leftcol], r[j] = x * r[leftcol] + y * r[j], -(c // g) * r[leftcol] + (a // g) * r[j]
-                    again = True
-            if not again and all(work[i][leftcol] == 0 for i in range(top + 1, m)):
-                break
-        invs.append(abs(work[top][leftcol]))
-        top += 1
-        leftcol += 1
-    # enforce divisibility chain
-    for i in range(len(invs)):
-        for j in range(i + 1, len(invs)):
-            a, b = invs[i], invs[j]
-            g = gcd(a, b)
-            invs[i], invs[j] = g, a // g * b if g else 0
-    invs.sort(key=lambda d: (d == 0, d))
-    return invs + [0] * (ncols - len(invs))
 
 
 @st.composite
@@ -260,23 +187,23 @@ def _sympy_matrix(sympy, rows, n):
     return sympy.Matrix(len(rows), n, [x for r in rows for x in r])
 
 
-def test_smith_reference_examples():
-    assert _smith_reference([[2, 0], [0, 3]], 2) == [1, 6]
-    assert _smith_reference([[1, 0], [0, 1]], 2) == [1, 1]
-    assert _smith_reference([[4]], 1) == [4]
-    assert _smith_reference([], 2) == [0, 0]
+def test_smith_reference_examples(smith_reference):
+    assert smith_reference([[2, 0], [0, 3]], 2) == [1, 6]
+    assert smith_reference([[1, 0], [0, 1]], 2) == [1, 1]
+    assert smith_reference([[4]], 1) == [4]
+    assert smith_reference([], 2) == [0, 0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(smith_matrices())
-def test_smith_reference_matches_sympy(sympy, matrix):
+def test_smith_reference_matches_sympy(sympy, smith_reference, matrix):
     """The direct Smith elimination is the oracle for kernel saturation and
     for the cotangent quotient, so it is checked against sympy in turn."""
     from sympy.matrices.normalforms import invariant_factors
 
     rows, n = matrix
     theirs = [int(d) for d in invariant_factors(_sympy_matrix(sympy, rows, n), domain=sympy.ZZ)]
-    assert _smith_reference(rows, n) == theirs + [0] * (n - len(theirs))
+    assert smith_reference(rows, n) == theirs + [0] * (n - len(theirs))
 
 
 @settings(max_examples=150, deadline=None)

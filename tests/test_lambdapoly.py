@@ -34,7 +34,6 @@ from lambda_forge.lambdapoly import (
     torsion_locus_contains_periodic,
 )
 from lambda_forge.rayclass import Cycle, PrimeSupport, f_equiv
-from test_intlinalg import _smith_reference
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -532,19 +531,19 @@ def test_cotangent_examples():
             assert cyclotomic_cotangent_dim(a, q) == (1 if a % q == 0 and a > 1 else 0)
 
 
-def _cotangent_by_products(a: int) -> list[int]:
+def _cotangent_by_products(a: int, smith) -> list[int]:
     """Invariant factors of I/I^2 the long way: I^2 spanned by the a^2/2
     products of the generators x^i - 1 of I, written in coordinates of
     I's Hermite basis, with the direct Smith elimination of the tests."""
     gens = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]
     basis = hnf_rows(gens, a)
     products = [_cyclic_mul(g, h) for i, g in enumerate(gens) for h in gens[i:]]
-    return _smith_reference([hnf_coords(r, basis, a) for r in hnf_rows(products, a)], len(basis))
+    return smith([hnf_coords(r, basis, a) for r in hnf_rows(products, a)], len(basis))
 
 
-def test_cotangent_matches_smith_form_of_products():
+def test_cotangent_matches_smith_form_of_products(smith_reference):
     for a in range(1, 31):
-        invs = _cotangent_by_products(a)
+        invs = _cotangent_by_products(a, smith_reference)
         assert [d for d in invs if d != 1] == ([a] if a > 1 else []), a
         assert lambdapoly._cotangent_order(a) == a
         for q in (2, 3, 5, 7, 11, 13):

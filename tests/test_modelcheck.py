@@ -38,16 +38,6 @@ def test_validation():
         FiniteIdSet.make(3, 1, {1: [0, 1, 2]}, {2: [1, 0, 2], 3: [0, 2, 1]})
 
 
-def test_map_views_are_built_once():
-    """The dict views of the galois and special data are cached per set:
-    each access returns the same mapping, equal to the stored pairs."""
-    for s in [mu_n_data(12), mu_n_pm_data(10), *_random_idsets(random.Random(5), 6)]:
-        assert s.galois_map is s.galois_map and s.galois_map == dict(s.galois)
-        assert s.special_map is s.special_map and s.special_map == dict(s.special)
-        assert s == FiniteIdSet(s.size, s.m, s.galois, s.special)  # the views take no part in equality
-        assert hash(s) == hash(FiniteIdSet(s.size, s.m, s.galois, s.special))
-
-
 def test_compute_r_examples():
     assert compute_r(mu_n_data(4)) == 4  # ord_2 = 2
     assert compute_r(mu_n_data(6)) == 6
