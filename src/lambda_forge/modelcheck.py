@@ -311,17 +311,14 @@ def minimal_cycle(s: FiniteIdSet) -> Cycle:
     """The least cycle at which a model exists.
 
     Computed by the lcm formula and re-derived by exhaustive search over
-    the divisor cycles (the two must agree, and the decide set must be
-    exactly the multiples of the answer).
+    its divisor cycles with the direct factorization test: the action must
+    factor through the answer and through none of its proper divisors.
     """
     if not has_integral_model(s):
         raise ModelRefusedError("no integral model exists at any cycle")
     f0 = model_cycle_bound(s)
-    if not decide_model(s, f0):
-        raise AssertionError("no model at the cycle bound")
     for g in divisor_cycles(f0):
-        ok = decide_model(s, g)
-        if ok != f0.divides(g):
+        if factors_through_dr(s, g) != f0.divides(g):
             raise AssertionError("lcm formula disagrees with divisor-cycle search")
     return f0
 

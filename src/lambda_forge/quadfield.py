@@ -289,10 +289,14 @@ def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
-    """The ideal sum x + y, i.e. the gcd in the divisibility order; the unit
-    ideal at once when the norms are coprime."""
+    """The ideal sum x + y, i.e. the gcd in the divisibility order: in
+    closed form for primitive ideals, the unit ideal at once when the norms
+    are coprime, else by the Hermite fold."""
     if x.field != y.field:
         raise InputError("ideals from different fields")
+    if x.c == y.c == 1:  # Z*a1 + Z*a2 + Z*(b1 - b2) + Z*(b1 + w)
+        g = gcd(x.a, y.a, x.b - y.b)
+        return QuadIdeal(x.field, g, x.b % g, 1)
     if gcd(x.a * x.c * x.c, y.a * y.c * y.c) == 1:
         return QuadIdeal(x.field, 1, 0, 1)
     return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
@@ -315,9 +319,10 @@ def ideal_divides(d: QuadIdeal, x: QuadIdeal) -> bool:
     return d.contains(g1) and d.contains(g2)
 
 
-def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
-    """All generators of the ideal, sorted by (v, -(2u + t*v)) on the
-    generators u + v*w of its primitive part; empty if it is not principal.
+def generator_pairs(ideal: QuadIdeal) -> tuple[tuple[int, int], ...]:
+    """The (u, v) coefficients of all generators u + v*w of the ideal,
+    sorted by (v, -(2u + t*v)) on its primitive part's generators; empty if
+    it is not principal.
 
     The ideal c*J with primitive part J = [a, b + w] is principal iff J is,
     and then c times J's generators generate it.  Every nonzero element of J
@@ -346,23 +351,28 @@ def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
         n2 = u2 * u2 + t * u2 * v2 + n * v2 * v2
     if n1 != a:
         return ()
+    c = ideal.c
     if f.d == -1 or f.d == -3:  # w is a root of unity of order 4 or 6
         gens = []
         for _ in range(4 if f.d == -1 else 6):
-            gens.append((u1, v1))
+            gens.append((c * u1, c * v1))
             u1, v1 = -n * v1, u1 + t * v1  # times w
     else:
-        gens = [(u1, v1), (-u1, -v1)]
-    gens.sort(key=lambda g: (g[1], -2 * g[0] - t * g[1]))
-    c = ideal.c
-    return tuple(QuadInt(f, c * u, c * v) for u, v in gens)
+        gens = [(c * u1, c * v1), (-c * u1, -c * v1)]
+    gens.sort(key=lambda g: (g[1], -2 * g[0] - t * g[1]))  # scaling by c > 0 keeps the order
+    return tuple(gens)
+
+
+def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
+    """``generator_pairs`` as elements."""
+    return tuple(QuadInt(ideal.field, u, v) for u, v in generator_pairs(ideal))
 
 
 def is_principal(ideal: QuadIdeal) -> QuadInt | None:
     """The first of ``ideal_generators`` if the ideal is principal, else
     None."""
-    gens = ideal_generators(ideal)
-    return gens[0] if gens else None
+    pairs = generator_pairs(ideal)
+    return QuadInt(ideal.field, *pairs[0]) if pairs else None
 
 
 def primes_above(p: int, field: QuadField) -> list[tuple[QuadIdeal, int, int]]:

@@ -359,7 +359,7 @@ def f_equiv_generator(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> boo
 @lru_cache(maxsize=1 << 18)
 def _pair_generators(a: QuadIdeal, b: QuadIdeal) -> tuple[tuple[int, int], ...]:
     """Coefficients of the generators of a * conj(b) (empty if none)."""
-    return tuple((g.a, g.b) for g in qf.ideal_generators(qf.ideal_mul(a, b.conj())))
+    return qf.generator_pairs(qf.ideal_mul(a, b.conj()))
 
 
 @lru_cache(maxsize=65536)
@@ -400,7 +400,7 @@ class RationalRayClassGroup(RayClassGroup):
     def _build(self):
         n = self.cycle.finite
         folded = not self.cycle.infinity
-        phi = prod(p ** (e - 1) * (p - 1) for p, e in factor(n).factors)
+        phi = _phi(n, factor(n).primes())
         if phi > residue_bound():
             raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
         # orbits of the unit residues, smallest first; without the real
@@ -493,6 +493,8 @@ class QuadRayClassGroup(RayClassGroup):
             raise BoundExceededError(f"conductor norm {nf} over residue bound")
         cl1 = qf.class_group(field)
         self._base = [_coprime_class_rep(cl1, k, nf) for k in range(cl1.order)]
+        one = self.cycle._ideals._one
+        self._base_conj = [None if base == one else base.conj() for base in self._base]
         # 1 / N(base) mod f as an integer: f meets Z in (a*c), and each
         # base norm is coprime to N(f)
         self._base_norm_inv = [pow(base.norm(), -1, fid.a * fid.c) for base in self._base]
@@ -547,12 +549,13 @@ class QuadRayClassGroup(RayClassGroup):
         ideals._check(ideal)
         if ideals._gcd(ideal, self.cycle.finite) != ideals._one:
             raise InputError("ideal not coprime to the conductor")
-        for c, base in enumerate(self._base):
-            g = qf.is_principal(ideal if base == ideals._one else qf.ideal_mul(ideal, base.conj()))
-            if g is None:
+        for c, conj in enumerate(self._base_conj):
+            pairs = qf.generator_pairs(ideal if conj is None else qf.ideal_mul(ideal, conj))
+            if not pairs:
                 continue
-            # residue of g / N(base) in (O/f)*
-            r = self._ru.index_of(g.scale(self._base_norm_inv[c]))
+            # residue of the first generator / N(base) in (O/f)*
+            (u, v), inv = pairs[0], self._base_norm_inv[c]
+            r = self._ru.index_of(QuadInt(ideal.field, u * inv, v * inv))
             return c * self._n_orbits + self._res_orbit_of[r]
         raise InputError("ideal matched no class (corrupt class group)")
 
@@ -573,6 +576,14 @@ def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:
         if qf.is_principal(qf.ideal_mul(ideal, cl.reps[k].conj())) is not None:
             return ideal
     raise BoundExceededError("no coprime class representative found")
+
+
+def _phi(n: int, primes) -> int:
+    """Euler's phi of n, given a list of primes that holds n's."""
+    for p in primes:
+        if n % p == 0:
+            n = n // p * (p - 1)
+    return n
 
 
 def _residue_closure(gens: list[int], n: int) -> set[int]:
@@ -666,6 +677,17 @@ class DRMonoid:
         self.cycle = cycle
         self.support = support
         self.divisors = ideals._divisors(cycle.finite, support)
+        n = cycle.finite
+        if cycle.field is None and support.mode != "explicit" and sum(n // d for d in self.divisors) > monoid_bound():
+            # a dense support's monoid is counted before the O(n) builds: the
+            # group mod k has phi(k) <= k classes, halved by the sign for
+            # k > 2 without the real place, so only a sum of cofactors over
+            # the bound needs the count.  Over the residue bound the first
+            # build refuses first, with its own message.
+            primes = factor(n).primes()
+            orders = [_phi(k, primes) // (1 if cycle.infinity or k <= 2 else 2) for k in (n // d for d in self.divisors)]
+            if _phi(n, primes) <= residue_bound() and sum(orders) > monoid_bound():
+                raise BoundExceededError("ray class monoid larger than monoid bound")
         self.class_groups = {}
         self._offsets = {}  # index of the first element with each divisor
         self.size = 0
@@ -822,13 +844,13 @@ def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
         orbits.append(orb)
     if len(orbits) != dr.size:
         return False
+    # each lift and representative classified once; an orbit's values are
+    # still taken over every lift of every member (DR is not cancellative)
+    lift_classes = [{dr.class_of_ideal(ideal) for ideal in lifts(a)} for a in range(n_res)]
+    rep_classes = [dr.class_of_ideal(rep) for rep in cl.reps]
     image = []
     for orb in orbits:
-        vals = set()
-        for a, b in orb:
-            ib = dr.class_of_ideal(cl.reps[b])
-            for ideal in lifts(a):
-                vals.add(dr.mul(dr.class_of_ideal(ideal), ib))
+        vals = {dr.mul(la, rep_classes[b]) for a, b in orb for la in lift_classes[a]}
         if len(vals) != 1:
             return False  # map not well defined: the proposition would fail
         image.append(vals.pop())

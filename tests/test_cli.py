@@ -207,6 +207,18 @@ def test_oversized_rational_conductor_refused_before_enumerating(argv, capsys):
     assert err == "refused: 66663457344 unit residues mod 99999999999 over residue bound\n"
 
 
+@pytest.mark.parametrize("cycle", ["999983*inf", "10007*inf", "1000000"])
+def test_oversized_monoid_refused_before_building(cycle, capsys):
+    """phi(n) unit residues within the residue bound but a monoid over the
+    monoid bound: counted and refused before the O(n) group builds."""
+    start = time.perf_counter()
+    code, out = run_cli(["dr-table", "--cycle", cycle])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "refused: ray class monoid larger than monoid bound\n"
+    assert elapsed < 0.5, elapsed
+
+
 @pytest.mark.parametrize(
     "argv",
     [

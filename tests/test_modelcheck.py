@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from lambda_forge import modelcheck
 from lambda_forge.errors import InputError, ModelRefusedError
 from lambda_forge.intlinalg import factor
 from lambda_forge.modelcheck import (
@@ -73,6 +74,17 @@ def test_minimal_cycle_examples():
         assert minimal_cycle(mu_n_data(n)) == Cycle(None, n, True), n
     for n in (1, 3, 5, 7):
         assert minimal_cycle(mu_n_pm_data(n)) == Cycle(None, n, False), n
+
+
+@pytest.mark.parametrize("wrong", ["24*inf", "12", "6*inf"])
+def test_minimal_cycle_search_refuses_a_wrong_bound(wrong, monkeypatch):
+    """The divisor search tests each cycle directly, so a wrong lcm bound
+    (a multiple, or a divisor, of the true 12*inf) is caught rather than
+    confirmed by decide_model, which reads the same bound."""
+    s = mu_n_data(12)
+    monkeypatch.setattr(modelcheck, "model_cycle_bound", lambda _: Cycle.parse(wrong))
+    with pytest.raises(AssertionError, match="^lcm formula disagrees with divisor-cycle search$"):
+        minimal_cycle(s)
 
 
 def test_minimal_cycle_refusal():

@@ -14,6 +14,7 @@ from lambda_forge.quadfield import (
     QuadInt,
     _ideal_from_pairs,
     class_group,
+    generator_pairs,
     ideal_div,
     ideal_from_int,
     ideal_from_module,
@@ -585,7 +586,10 @@ def test_reduction_and_composition_on_small_ideals(field):
     norms, non-principal ideals and c > 1 all occur."""
     ideals = ideals_of_norm_up_to(field, 120)
     for ideal in ideals:
-        assert ideal_generators(ideal) == _scan_ideal_generators(ideal)
+        want = _scan_ideal_generators(ideal)
+        assert ideal_generators(ideal) == want
+        assert generator_pairs(ideal) == tuple((g.a, g.b) for g in want)
+        assert is_principal(ideal) == (want[0] if want else None)
     small = [i for i in ideals if i.norm() <= 30]
     coprime = 0
     for x in small:
@@ -594,6 +598,19 @@ def test_reduction_and_composition_on_small_ideals(field):
             assert ideal_gcd(x, y) == _fold_gcd(x, y)
             coprime += gcd(x.norm(), y.norm()) == 1
     assert coprime and any(i.c > 1 for i in small)
+
+
+@pytest.mark.parametrize("d", (-1, -2, -3, -5, -7, -14, -23))
+def test_ideal_gcd_matches_fold_on_every_pair_of_norm_up_to_80(d):
+    """The closed form for primitive pairs, the coprime shortcut and the
+    fold itself, against the four-pair fold on every ordered pair."""
+    ideals = ideals_of_norm_up_to(QuadField(d), 80)
+    primitive = 0
+    for x in ideals:
+        for y in ideals:
+            assert ideal_gcd(x, y) == _fold_gcd(x, y)
+            primitive += x.c == y.c == 1
+    assert 0 < primitive < len(ideals) ** 2
 
 
 def _prime_of_form(field, u, v):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import heapq
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from lambda_forge import rayclass
 from lambda_forge.errors import BoundExceededError, DensityRequiredError, InputError
-from lambda_forge.intlinalg import factor
+from lambda_forge.intlinalg import divisors, factor
 from lambda_forge.quadfield import (
     QuadField,
     QuadInt,
@@ -22,13 +23,16 @@ from lambda_forge.quadfield import (
     ideal_div,
     ideal_divides,
     ideal_divisors,
+    ideal_factor,
     ideal_from_int,
     ideal_mul,
     ideals_of_norm_up_to,
     principal_ideal,
+    reduced_forms,
     unit_group,
 )
 from lambda_forge.rayclass import (
+    ALL_PRIMES,
     Cycle,
     DRClass,
     PrimeSupport,
@@ -636,6 +640,129 @@ def test_pushout_examples():
     assert dr_monoid(f2i).size == 2
 
 
+# nontrivial ray class groups, with and without the real place, over Q,
+# Q(i) and Q(sqrt-5)
+PUSHOUT_CYCLES = [
+    Cycle.parse("12*inf"),
+    Cycle.parse("20"),
+    Cycle(GAUSS, ideal_from_int(GAUSS, 3)),
+    Cycle(K5, ideal_from_int(K5, 3)),
+]
+
+
+def _pushout_residues(cycle):
+    residues = rayclass._rational_residues if cycle.field is None else rayclass._quad_residues
+    return residues(cycle, ALL_PRIMES)
+
+
+@pytest.mark.parametrize("cycle", PUSHOUT_CYCLES, ids=lambda c: f"{c.field.d if c.field else 'Q'}:{c}")
+def test_pushout_refuses_a_lift_in_the_wrong_class(cycle, fresh_monoids):
+    """The second lift of a unit residue classed off the units: the values
+    of the orbits through that residue are no longer well defined."""
+    _, units, _, lifts = _pushout_residues(cycle)
+    dr = dr_monoid(cycle)
+    dr.table()  # every product memoized, so only the lookups below are wrong
+    true_class = dr.class_of_ideal
+    one = cycle._ideals._one
+    off_units = [k for k, element in enumerate(dr.elements) if element.divisor != one]
+    for a in units:
+        second = list(lifts(a))[1]
+        for wrong in off_units:
+            dr.class_of_ideal = lambda ideal: wrong if ideal == second else true_class(ideal)  # noqa: B023
+            assert dr_pushout_check(cycle) is False, (a, wrong)
+    del dr.class_of_ideal
+    assert dr_pushout_check(cycle) is True
+
+
+@pytest.mark.parametrize("cycle", PUSHOUT_CYCLES, ids=lambda c: f"{c.field.d if c.field else 'Q'}:{c}")
+def test_pushout_refuses_a_map_that_is_not_bijective(cycle, fresh_monoids):
+    """Every product read as the identity: each orbit's value is well
+    defined and the map is multiplicative, but it is not onto."""
+    dr = dr_monoid(cycle)
+    e = dr.identity
+    dr._mul_cache.update({(i, j): e for i in range(dr.size) for j in range(i, dr.size)})
+    assert dr.size > 1 and dr_pushout_check(cycle) is False
+
+
+@pytest.mark.parametrize("cycle", PUSHOUT_CYCLES, ids=lambda c: f"{c.field.d if c.field else 'Q'}:{c}")
+def test_pushout_refuses_a_wrong_product(cycle, fresh_monoids):
+    """A wrong square of a class off the units: no orbit's value reads it
+    (it multiplies by the class of a ray class representative, a unit), so
+    only multiplicativity fails."""
+    dr = dr_monoid(cycle)
+    one = cycle._ideals._one
+    i = next(k for k, element in enumerate(dr.elements) if element.divisor != one)
+    dr._mul_cache[(i, i)] = (dr.mul(i, i) + 1) % dr.size
+    assert dr_pushout_check(cycle) is False
+
+
+@pytest.mark.parametrize("cycle", PUSHOUT_CYCLES, ids=lambda c: f"{c.field.d if c.field else 'Q'}:{c}")
+def test_pushout_generates_each_residues_lifts_at_most_twice(cycle, monkeypatch):
+    """Once for the unit classes and once for the image, not once per
+    orbit member."""
+    calls = collections.Counter()
+    name = "_rational_residues" if cycle.field is None else "_quad_residues"
+    residues = getattr(rayclass, name)
+
+    def counted(*args):
+        n_res, units, res_mul, lifts = residues(*args)
+
+        def counted_lifts(a):
+            calls[a] += 1
+            return lifts(a)
+
+        return n_res, units, res_mul, counted_lifts
+
+    monkeypatch.setattr(rayclass, name, counted)
+    assert dr_pushout_check(cycle)
+    assert len(calls) == _pushout_residues(cycle)[0] and max(calls.values()) == 2
+
+
+def _dense_order(m, infinity):
+    """The order of the ray class group mod m (or m*inf) under a dense
+    support: phi(m), halved by the sign for m > 2 without the real place."""
+    phi = prod(p ** (e - 1) * (p - 1) for p, e in factor(m).factors)
+    return phi if infinity or m <= 2 else phi // 2
+
+
+@pytest.mark.parametrize("text", ["all", "all-except:2", "all-except:3,5"])
+def test_dense_monoid_refused_by_its_count_before_any_build(text, monkeypatch, fresh_monoids):
+    """A count one over the bound is refused with no group built; at the
+    bound the monoid is built, with exactly that many elements.  The sums
+    agree for every m <= 300, so (by Moebius inversion over the divisors)
+    each group order is the formula's."""
+    support = PrimeSupport.parse(text)
+    groups = rayclass._ray_class_group
+    for m in range(1, 301):
+        for infinity in (False, True):
+            cycle = Cycle(None, m, infinity)
+            size = sum(_dense_order(m // d, infinity) for d in divisors(m) if support.supports_int(d))
+            groups.cache_clear()
+            monkeypatch.setattr(rayclass, "monoid_bound", lambda: size - 1)  # noqa: B023
+            with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
+                rayclass.DRMonoid(cycle, support)
+            assert groups.cache_info().currsize == 0
+            monkeypatch.setattr(rayclass, "monoid_bound", lambda: size)  # noqa: B023
+            assert rayclass.DRMonoid(cycle, support).size == size
+    groups.cache_clear()
+
+
+@pytest.mark.parametrize("d", (-1, -2, -3, -5, -23))
+def test_quadratic_ray_class_orders_match_the_exact_sequence(d):
+    """|Cl(f)| = h * Phi(f) * |O* cap (1 + f)| / |O*|, from the exact
+    sequence O* -> (O/f)* -> Cl(f) -> Cl -> 1 (Neukirch, Algebraic Number
+    Theory, VI.1.9), for every f of norm <= 50."""
+    field = QuadField(d)
+    h = len(reduced_forms(field.disc))
+    units = unit_group(field)
+    for fid in ideals_of_norm_up_to(field, 50):
+        phi = fid.norm()
+        for q, _ in ideal_factor(fid):
+            phi = phi // q.norm() * (q.norm() - 1)
+        fixed = sum(fid.contains(u - field.one()) for u in units)
+        assert ray_class_group(Cycle(field, fid)).order * len(units) == h * phi * fixed, str(fid)
+
+
 def test_canonical_map_examples():
     m = dr_canonical_map(Cycle.parse("4*inf"), Cycle.parse("2*inf"))
     assert sorted(set(m)) == [0, 1]
@@ -892,20 +1019,22 @@ def test_oversized_monoid_refused_before_building_every_group(monkeypatch):
     groups = rayclass._ray_class_group
     groups.cache_clear()
     rayclass._dr_monoid.cache_clear()
-    # phi(1200000) = 320000 elements in the first cofactor group alone
+    # phi(1200000) = 320000 elements in the first cofactor group alone; a
+    # dense support's monoid is counted by phi and refused before any build
     with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
         dr_monoid(Cycle(None, 1_200_000, True))
-    assert groups.cache_info().currsize <= 1
-    # the count that passes the bound is the last one built: 16 + 8 > 20
-    groups.cache_clear()
+    assert groups.cache_info().currsize == 0
+    # an explicit support's groups are counted as they are built, and the
+    # count that passes the bound is the last one built: 16 + 8 > 20
     monkeypatch.setenv("LAMBDA_FORGE_BOUND", "20")
+    explicit = PrimeSupport.parse("explicit:2,3,5,7,11,13!")
     with pytest.raises(BoundExceededError, match="^ray class monoid larger than monoid bound$"):
-        dr_monoid(Cycle(None, 60, True))
+        dr_monoid(Cycle(None, 60, True), explicit)
     built = groups.cache_info()
     assert built.currsize == 2
     # exactly the groups of 60 and 30 were built: both are hits now
-    ray_class_group(Cycle(None, 60, True))
-    ray_class_group(Cycle(None, 30, True))
+    assert ray_class_group(Cycle(None, 60, True), explicit).order == 16
+    assert ray_class_group(Cycle(None, 30, True), explicit).order == 8
     after = groups.cache_info()
     assert after.hits == built.hits + 2 and after.misses == built.misses and after.currsize == 2
     groups.cache_clear()
