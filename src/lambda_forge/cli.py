@@ -203,6 +203,8 @@ def _cmd_witt(args) -> str:
     if ring.rank > 1 and args.frob in ("id", "identity"):
         raise InputError("identity lifts are only valid over the integers")
     if args.witt_cmd == "convert":
+        if args.ghost and args.witt:
+            raise InputError("convert takes --ghost or --witt, not both")
         if args.ghost:
             trunc, comps = _parse_vector(ring, args.trunc, args.ghost)
             g = witt.GhostVector.make(ring, trunc, comps)
@@ -222,8 +224,8 @@ def _cmd_witt(args) -> str:
             raise InputError("convert needs --ghost or --witt")
         return _emit(args, data, text)
     if args.witt_cmd == "check":
-        if not args.ghost:
-            raise InputError("check needs --ghost")
+        if not args.ghost or args.witt:
+            raise InputError("check takes --ghost, not --witt" if args.witt else "check needs --ghost")
         g = witt.GhostVector.make(ring, *_parse_vector(ring, args.trunc, args.ghost))
         ok = witt.dwork_check(g)
         return _emit(args, {"witt_vector": ok}, "true" if ok else "false")

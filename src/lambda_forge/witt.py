@@ -7,8 +7,10 @@ The coefficient ring is the cyclic group ring Z[C_k] = Z[x]/(x^k - 1),
 fixed by the one integer k, with the power lifts x -> x^p; k = 1 is the
 integers with the identity lifts.  Elements are coefficient tuples of
 length k, multiplied by the cyclic kernels of ``lambdapoly``; everything
-is exact.  The inverse ghost transform runs in integers over one common
-denominator per coordinate, so rationals appear only in its output.
+is exact.  The ghost transforms raise each w_d^(n/d) as the p-th power of
+one raised earlier, p the least prime of n/d (``power_steps``).  The
+inverse runs in integers over one common denominator per coordinate,
+untouched by integral divisors, so rationals appear only in its output.
 The irreducibility test behind the field product runs on the same
 ``IntPoly`` arithmetic as ``lambdapoly``, reduced mod (f, q).
 
@@ -75,14 +77,8 @@ class CoeffRing:
             raise InputError("the integer ring has no generator")
         return (0, 1) + (0,) * (self.rank - 2)
 
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, k, a: tuple) -> tuple:
-        return tuple(k * x for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         if self.rank == 1:
@@ -138,8 +134,9 @@ def binomial_quotient_ring(k: int) -> CoeffRing:
 class TruncationSet:
     """A finite divisor-closed set of positive indices.
 
-    The sorted order, the index map and the divisor and congruence steps
-    of the transforms are computed once per set, on first use.
+    The sorted order, the index map, the power chain of the ghost
+    transforms (``power_steps``) and the congruence steps are computed
+    once per set, on first use.
     """
 
     members: frozenset[int]
@@ -171,11 +168,19 @@ class TruncationSet:
         return {a: i for i, a in enumerate(self.order)}
 
     @cached_property
-    def proper_divisors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per member n, in ``order``: (index of d, n // d) for each divisor
-        d < n, ascending in d."""
-        index, factors = self.index, factor_all(self.members)
-        return tuple(tuple((index[d], n // d) for d in divisors_of_factors(factors[n])[:-1]) for n in self.order)
+    def power_steps(self) -> tuple[tuple[tuple[int, int, int, int | None], ...], ...]:
+        """Per member n, in ``order``: (index of d, d, p, source) for each
+        divisor d < n, ascending in d, the steps numbered in this order.
+        w_d^(n/d) is the p-th power of the source, p the least prime of n/d:
+        w_d (None) if n/d = p, else the step (n/p, d) of an earlier member."""
+        index, factors, number = self.index, factor_all(self.members), {}
+
+        def step(n: int, d: int) -> tuple[int, int, int, int | None]:
+            p = next(p for p, _ in factors[n] if n // d % p == 0)
+            number[n, d] = len(number)
+            return index[d], d, p, None if n // d == p else number[n // p, d]
+
+        return tuple(tuple(step(n, d) for d in divisors_of_factors(factors[n])[:-1]) for n in self.order)
 
     @cached_property
     def dwork_steps(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -251,16 +256,16 @@ class WittCoords:
 
 
 def ghost_from_witt(w: WittCoords) -> GhostVector:
-    """g_n = sum over d | n of d * w_d^(n/d)."""
-    ring = w.ring
-    order = w.trunc.order
-    out = {}
-    for i, (n, steps) in enumerate(zip(order, w.trunc.proper_divisors)):
-        acc = ring.zero()
-        for j, k in steps:
-            acc = ring.add(acc, ring.scale(order[j], ring.pow(w.coords[j], k)))
-        out[n] = ring.add(acc, ring.scale(n, w.coords[i]))
-    return GhostVector.make(ring, w.trunc, out)
+    """g_n = sum over d | n of d * w_d^(n/d), the powers by ``power_steps``."""
+    ring, coords = w.ring, w.coords
+    powers, out = [], []
+    for n, x, steps in zip(w.trunc.order, coords, w.trunc.power_steps):
+        acc = [n * c for c in x]
+        for j, d, p, src in steps:
+            powers.append(y := ring.pow(coords[j] if src is None else powers[src], p))
+            acc = [a + d * b for a, b in zip(acc, y)]
+        out.append(tuple(acc))
+    return GhostVector(ring, w.trunc, tuple(out))
 
 
 def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
@@ -269,24 +274,25 @@ def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
 
     The recurrence n * w_n = g_n - sum over d | n, d < n of d * w_d^(n/d)
     runs in integers: each w_n is an integer tuple over one common
-    denominator, reduced by the gcd of both.  Rationals are formed only
-    for the output entries that are not integers.
+    denominator, reduced by the gcd of both; an integral w_d leaves the
+    denominator as it is.  Rationals are formed only for the output
+    entries that are not integers.
     """
     ring = g.ring
-    order = g.trunc.order
-    nums: list[tuple] = []
+    nums: list[tuple] = []  # coordinate i is nums[i] / dens[i]
     dens: list[int] = []
-    coords = {}
-    flags = {}
-    for n, comp, steps in zip(order, g.components, g.trunc.proper_divisors):
+    powers, coords, flags = [], [], {}
+    for n, comp, steps in zip(g.trunc.order, g.components, g.trunc.power_steps):
         den = lcm(*(x.denominator for x in comp))
         acc = [x.numerator * (den // x.denominator) for x in comp]
-        for j, k in steps:
-            dk = dens[j] ** k
-            top = lcm(den, dk)
-            a, b = top // den, order[j] * (top // dk)
-            acc = [a * x - b * y for x, y in zip(acc, ring.pow(nums[j], k))]
-            den = top
+        for j, d, p, src in steps:
+            powers.append(y := ring.pow(nums[j] if src is None else powers[src], p))
+            a, b = 1, d * den
+            if dens[j] > 1:
+                dk = dens[j] ** (n // d)
+                top = lcm(den, dk)
+                a, b, den = top // den, d * (top // dk), top
+            acc = [a * x - b * z for x, z in zip(acc, y)]
         den *= n
         c = gcd(den, *acc)
         if c > 1:
@@ -296,8 +302,8 @@ def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
         nums.append(num)
         dens.append(den)
         flags[n] = den == 1
-        coords[n] = num if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in num)
-    return WittCoords.make(ring, g.trunc, coords), flags
+        coords.append(num if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in num))
+    return WittCoords(ring, g.trunc, tuple(coords)), flags
 
 
 def teichmuller(ring: CoeffRing, r: tuple, trunc: TruncationSet) -> WittCoords:

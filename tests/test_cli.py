@@ -285,6 +285,22 @@ def test_witt_component_count_refused_from_the_truncation_spec(verb, capsys):
     assert capsys.readouterr().err == "error: expected 300000 components for the truncation set\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["witt", "convert", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "convert takes --ghost or --witt, not both"),
+        (["witt", "convert", "--witt", "2,1,0,0", "--ghost", "2,4,8,64", "--trunc", "div:6", "--json"], "convert takes --ghost or --witt, not both"),
+        (["witt", "check", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "check takes --ghost, not --witt"),
+        (["witt", "check", "--trunc", "div:2", "--witt", "1,2"], "check takes --ghost, not --witt"),
+    ],
+)
+def test_witt_input_the_verb_would_ignore_refused(argv, err, capsys):
+    # convert used to answer from --ghost alone, and check ignored --witt
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_frob_flag_validation():
     code, _ = run_cli(["witt", "check", "--ring", "x^4-1", "--frob", "id", "--ghost", "0;0;0;0", "--trunc", "div:4"])
     assert code == 1

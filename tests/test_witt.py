@@ -168,8 +168,7 @@ def test_truncation_precomputed_steps(trunc):
     order = sorted(trunc.members)
     assert list(trunc.order) == trunc.sorted() == order
     assert all(order[trunc.index[a]] == a for a in order)
-    for n, steps in zip(order, trunc.proper_divisors):
-        assert [(order[j], k) for j, k in steps] == [(d, n // d) for d in divisors(n) if d < n]
+    _assert_power_chain(trunc)
     # the loop the congruence steps replace: every prime up to the top
     expected = []
     for p in (p for p in range(2, order[-1] + 1) if is_prime(p)):
@@ -178,6 +177,25 @@ def test_truncation_precomputed_steps(trunc):
                 v = next(v for v in range(n.bit_length() + 1) if n % p ** (v + 1))
                 expected.append((p, order.index(n), order.index(p * n), p ** (v + 1)))
     assert list(trunc.dwork_steps) == expected
+
+
+def _assert_power_chain(trunc):
+    """Each step (n, d) of ``power_steps`` is one proper divisor d of n, in
+    ascending order, with p the least prime of n/d; its source is w_d
+    itself exactly when n/d is prime, and otherwise the step (n/p, d),
+    numbered before the first step of n."""
+    order, numbered = trunc.order, []
+    for n, steps in zip(order, trunc.power_steps):
+        first = len(numbered)
+        assert [(order[j], d) for j, d, _, _ in steps] == [(d, d) for d in divisors(n) if d < n]
+        for j, d, p, src in steps:
+            # the least divisor m > 1 of n/d is its least prime, and n/d is
+            # prime when that is n/d itself
+            m = next(m for m in range(2, n // d + 1) if n // d % m == 0)
+            assert n % d == 0 and p == m and (src is None) == (m == n // d)
+            if src is not None:
+                assert src < first and numbered[src] == (n // p, d)
+            numbered.append((n, d))
 
 
 def _dwork_steps_by_double_loop(trunc):
@@ -191,11 +209,19 @@ def _dwork_steps_by_double_loop(trunc):
     return tuple(steps)
 
 
-def test_dwork_steps_match_the_double_loop():
+def _step_sets():
     sets = [TruncationSet.upto(b) for b in range(1, 301)]
-    sets += [TruncationSet.divisors_of(n) for n in (*range(1, 301), 720, 5040, 720720, 2**12, 3**7 * 5)]
-    for trunc in sets:
+    return sets + [TruncationSet.divisors_of(n) for n in (*range(1, 301), 720, 5040, 720720, 2**12, 3**7 * 5)]
+
+
+def test_dwork_steps_match_the_double_loop():
+    for trunc in _step_sets():
         assert trunc.dwork_steps == _dwork_steps_by_double_loop(trunc), sorted(trunc.members)[-1]
+
+
+def test_power_steps_form_one_chain():
+    for trunc in _step_sets():
+        _assert_power_chain(trunc)
 
 
 R4 = binomial_quotient_ring(4)
@@ -263,8 +289,7 @@ def _witt_from_ghost_fraction(g: GhostVector):
         for d in divisors(n):
             if d == n:
                 continue
-            term = ring.scale(d, ring.pow(coords[d], n // d))
-            acc = tuple(a - b for a, b in zip(acc, term))
+            acc = tuple(a - d * x for a, x in zip(acc, ring.pow(coords[d], n // d)))
         val = tuple(a / n for a in acc)
         flags[n] = all(x.denominator == 1 for x in val)
         coords[n] = val
@@ -300,9 +325,9 @@ def _assert_matches_reference(g: GhostVector):
 _RINGS = [INTEGERS] + [binomial_quotient_ring(k) for k in (2, 3, 4)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_witt_from_ghost_matches_fraction_reference(data):
+def _draw_entries(data):
+    """A ring of rank 1-4, a divisors_of or upto set, and int, Fraction or
+    mixed entries, one tuple per member."""
     ring = data.draw(st.sampled_from(_RINGS))
     if data.draw(st.booleans()):
         trunc = TruncationSet.divisors_of(data.draw(st.integers(1, 60 if ring.rank == 1 else 24)))
@@ -310,7 +335,13 @@ def test_witt_from_ghost_matches_fraction_reference(data):
         trunc = TruncationSet.upto(data.draw(st.integers(1, 16 if ring.rank == 1 else 8)))
     small = st.integers(-9, 9)
     entry = data.draw(st.sampled_from([small, st.fractions(-9, 9, max_denominator=6), st.one_of(small, st.fractions(-9, 9, max_denominator=6))]))
-    vals = {a: tuple(data.draw(entry) for _ in range(ring.rank)) for a in trunc.sorted()}
+    return ring, trunc, {a: tuple(data.draw(entry) for _ in range(ring.rank)) for a in trunc.sorted()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witt_from_ghost_matches_fraction_reference(data):
+    ring, trunc, vals = _draw_entries(data)
     if data.draw(st.booleans()):
         # ghost of Witt coordinates: integral coordinates in, or the
         # Fraction-valued ghost of non-integral ones
@@ -319,6 +350,73 @@ def test_witt_from_ghost_matches_fraction_reference(data):
         g = GhostVector.make(ring, trunc, vals)
     coords = _assert_matches_reference(g)
     _assert_matches_reference(ghost_from_witt(coords))
+
+
+def _ghost_reference(w: WittCoords) -> tuple:
+    """The definition g_n = sum over d | n of d * w_d^(n/d), each power by
+    plain ``ring.pow``."""
+    ring, out = w.ring, []
+    for n in w.trunc.sorted():
+        acc = ring.zero()
+        for d in divisors(n):
+            acc = tuple(a + d * x for a, x in zip(acc, ring.pow(w.coord(d), n // d)))
+        out.append(acc)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ghost_from_witt_matches_the_definition(data):
+    w = WittCoords.make(*_draw_entries(data))
+    # repr tells an int entry from an integral Fraction
+    assert repr(ghost_from_witt(w).components) == repr(_ghost_reference(w))
+
+
+# the benchmark's transform sets (div:120 over Z, div:60 over x^4 - 1) and
+# upto:60 over x^2 - 1, whose power chains reach depth 5 (120 = 2*2*2*3*5)
+@pytest.mark.parametrize(
+    "ring, trunc",
+    [(INTEGERS, TruncationSet.divisors_of(120)), (R4, TruncationSet.divisors_of(60)), (CoeffRing(2), TruncationSet.upto(60))],
+    ids=["Z-div120", "x^4-1-div60", "x^2-1-upto60"],
+)
+def test_transforms_match_both_references_on_deep_chains(ring, trunc):
+    rng = random.Random(len(trunc.members))
+    for entry in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+        vals = {a: tuple(entry() for _ in range(ring.rank)) for a in trunc.sorted()}
+        w = WittCoords.make(ring, trunc, vals)
+        g = ghost_from_witt(w)
+        assert repr(g.components) == repr(_ghost_reference(w))
+        assert _assert_matches_reference(g) == w
+        # the same entries as a ghost vector give non-integral coordinates,
+        # which take the denominators' branch
+        g = GhostVector.make(ring, trunc, vals)
+        assert not all(witt_from_ghost(g)[1].values())
+        _assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, R4])
+@pytest.mark.parametrize("fault", ["source", "prime"])
+def test_a_corrupt_power_chain_is_seen_by_the_references(ring, fault):
+    """The references above are not vacuous: a power chain with one wrong
+    source (the step (4, 1) for (12, 1), giving w_1^8 for w_1^12), or with
+    one wrong prime (3 for 2 at (12, 1), giving w_1^18), makes both
+    transforms disagree with them."""
+    trunc = TruncationSet.divisors_of(12)
+    numbers = {}
+    for n, steps in zip(trunc.order, trunc.power_steps):
+        for _, d, _, _ in steps:
+            numbers[n, d] = len(numbers)
+    chain = [list(steps) for steps in trunc.power_steps]
+    j, d, p, src = chain[-1][0]
+    assert (d, p, src) == (1, 2, numbers[6, 1])
+    chain[-1][0] = (j, d, p, numbers[4, 1]) if fault == "source" else (j, d, 3, src)
+    corrupt = TruncationSet.divisors_of(12)
+    corrupt.__dict__["power_steps"] = tuple(map(tuple, chain))
+    vals = {a: tuple(range(2 + a, 2 + a + ring.rank)) for a in trunc.sorted()}
+    w = WittCoords.make(ring, corrupt, vals)
+    assert repr(ghost_from_witt(w).components) != repr(_ghost_reference(w))
+    g = GhostVector(ring, corrupt, _ghost_reference(w))
+    assert _witt_from_ghost_fraction(g)[0] == w != witt_from_ghost(g)[0]
 
 
 def test_nonintegral_round_trip_div12():
