@@ -141,6 +141,8 @@ def _cmd_chebyshev(args) -> str:
 
 def _cmd_periodic_locus(args) -> str:
     if args.family == "chebyshev":
+        if args.cycle is not None:
+            raise InputError("the chebyshev family takes --n, not --cycle")
         if args.n is None:
             raise InputError("the chebyshev family needs --n")
         rep = lambdapoly.chebyshev_image_lattice(args.n)
@@ -148,6 +150,8 @@ def _cmd_periodic_locus(args) -> str:
         text = f"Q = {rep.generator}; cokernel order {rep.cokernel_order}"
         return _emit(args, data, text)
     if args.family == "toric":
+        if args.cycle is not None and args.n is not None:
+            raise InputError("the toric family takes --cycle or --n, not both")
         cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
         m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse(args.support))
         rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)
@@ -166,12 +170,12 @@ def _parse_ring(text: str) -> witt.CoeffRing:
     return witt.binomial_quotient_ring(int(m.group(1)))
 
 
-def _parse_vector(ring: witt.CoeffRing, trunc: str, text: str) -> tuple[witt.TruncationSet, dict[int, tuple]]:
+def _parse_vector(ring: witt.CoeffRing, trunc: str | None, text: str) -> tuple[witt.TruncationSet, dict[int, tuple]]:
     """The truncation set of a div:N or upto:N spec and the components on
     it.  The component count is checked against the size the spec implies
     (d(N) or N) before the set is built."""
     parts = text.split(";") if ring.rank > 1 else text.split(",")
-    kind, _, bound = trunc.partition(":")
+    kind, _, bound = ("div:6" if trunc is None else trunc).partition(":")
     if kind not in ("div", "upto"):
         raise InputError("truncation must look like div:6 or upto:8")
     n = _int(bound, "the truncation bound")
@@ -230,6 +234,8 @@ def _cmd_witt(args) -> str:
         ok = witt.dwork_check(g)
         return _emit(args, {"witt_vector": ok}, "true" if ok else "false")
     if args.witt_cmd == "periodic":
+        if (args.ghost, args.witt, args.trunc) != (None, None, None):
+            raise InputError("periodic takes no --ghost, --witt or --trunc")
         if args.n is None:
             raise InputError("witt periodic needs --n")
         comparison = witt.ray_class_algebra_witt_iso_check(args.n, args.bound)
@@ -315,7 +321,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--frob", default="p:x^p", help="lift rule, validated only: the ring fixes the lifts (identity over Z, x -> x^p over x^k-1)")
     sp.add_argument("--ghost")
     sp.add_argument("--witt", dest="witt")
-    sp.add_argument("--trunc", default="div:6")
+    sp.add_argument("--trunc", help="div:N or upto:N (default div:6)")
     sp.add_argument("--n", type=int)
     sp.add_argument("--bound", type=int, default=64)
     sp.set_defaults(fn=_cmd_witt)

@@ -1,7 +1,7 @@
-"""Size bounds: the unit residues of a rational conductor (10^6), the
-elements of a ray class monoid (10^4), the Chebyshev degree (4096), and
-the periodic Witt lattice's variable count and congruence sweep (2048
-each).
+"""Size bounds: the unit residues of a rational conductor and the level
+of the cotangent computation (10^6 each), the elements of a ray class
+monoid (10^4), the Chebyshev degree (4096), and the periodic Witt
+lattice's variable count and congruence sweep (2048 each).
 
 LAMBDA_FORGE_BOUND in the environment overrides every default (a single
 global scale is enough at desk scale).  It must be an integer >= 1;

@@ -22,9 +22,9 @@ from itertools import count, zip_longest
 from math import comb, gcd
 from operator import mul
 
-from .config import degree_bound
+from .config import degree_bound, residue_bound
 from .errors import BoundExceededError, DensityRequiredError, InputError
-from .intlinalg import divisors, hnf_rows, in_row_span, is_prime, lattice_index
+from .intlinalg import divisors, is_prime
 from .rayclass import ALL_PRIMES, Cycle, PrimeSupport, f_label
 
 
@@ -515,39 +515,40 @@ class PeriodicLocusReport:
 
 
 def chebyshev_image_lattice(n: int) -> PeriodicLocusReport:
-    """The image of the periodic quotient in the group ring (spanned by the
-    powers of x + x^(-1)) as a Hermite lattice, checked against the stated
-    basis; the cokernel order inside the involution invariants is 1 for odd
-    levels and 2 for even."""
+    """The image of the periodic quotient Z[y]/(Q), y = x + x^(-1), in the
+    group ring as a Hermite lattice.  Q(y) = 0 is checked by Horner's rule,
+    so as Q is monic the image is spanned by 1 and the D_j = x^j + x^(-j) =
+    psi_j(y), 0 < j < deg Q, monic of degree j in y: the stated rows, each
+    checked by D_(j+1) = y D_j - D_(j-1) from D_0 = 2.  The cokernel order in
+    the involution invariants is the middle pivot, 2 x^(n/2) for even n."""
     q = chebyshev_periodic_generator(n)
-    powers = [_monomial(n, 0)]  # y^0 .. y^(deg q)
-    for _ in range(q.degree):
-        # times y = x + x^(-1): one shift each way (y = 2 when n = 1)
-        p = powers[-1]
-        powers.append(tuple(p[i - 1] + p[(i + 1) % n] for i in range(n)))
-    # the generator must vanish in the group ring: q(y) reduces to zero
-    if any(sum(c * power[j] for c, power in zip(q.coeffs, powers)) for j in range(n)):
+    times_y = lambda p: tuple(p[i - 1] + p[(i + 1) % n] for i in range(n))  # y = 2 when n = 1
+    acc = (0,) * n
+    for c in reversed(q.coeffs):
+        acc = times_y(acc)
+        acc = (acc[0] + c,) + acc[1:]
+    if any(acc):
         raise AssertionError("the generator does not annihilate the image")
-    image = hnf_rows(powers[:-1], n)
-    if image != hnf_rows(_involution_basis(n, 2), n):
-        raise AssertionError("image lattice differs from the stated basis")
-    cok = lattice_index(image, _involution_basis(n, 1), n)
-    if cok != (1 if n % 2 else 2):
-        raise AssertionError("cokernel order mismatch")
-    return PeriodicLocusReport(Cycle(None, n, False), "chebyshev", q, tuple(map(tuple, image)), cok)
+    image, one = _involution_basis(n), _monomial(n, 0)
+    if len(image) != q.degree or image[0] != one:
+        raise AssertionError("the stated basis is not 1 and deg Q - 1 Dickson rows")
+    prev, dickson = tuple(2 * c for c in one), times_y(one)
+    for j, row in enumerate(image[1:], 1):
+        if row != dickson:
+            raise AssertionError(f"stated row {j} is not D_{j} = x^{j} + x^(-{j})")
+        prev, dickson = dickson, tuple(a - b for a, b in zip(times_y(dickson), prev))
+    return PeriodicLocusReport(Cycle(None, n, False), "chebyshev", q, tuple(image), image[-1][n // 2])
 
 
-def _involution_basis(n: int, middle: int) -> list[list[int]]:
-    """Rows e_0, e_i + e_(n-i) for 0 < i < n/2 and, for even n,
-    middle * e_(n/2): the involution invariants when middle is 1, the
-    stated image of the periodic quotient when it is 2."""
-    rows = [[1] + [0] * (n - 1)]
-    for i in range(1, (n + 1) // 2):
+def _involution_basis(n: int) -> list[tuple[int, ...]]:
+    """Rows e_0 and e_i + e_(n-i) for 0 < i <= n/2 (2 e_(n/2) for even n):
+    the stated image of the periodic quotient, already in Hermite form."""
+    rows = [_monomial(n, 0)]
+    for i in range(1, n // 2 + 1):
         v = [0] * n
-        v[i] = v[n - i] = 1
-        rows.append(v)
-    if n % 2 == 0:
-        rows.append([middle if j == n // 2 else 0 for j in range(n)])
+        v[i] += 1
+        v[n - i] += 1
+        rows.append(tuple(v))
     return rows
 
 
@@ -597,15 +598,14 @@ def ray_class_algebra_maps(n: int, n2: int):
 
     for i in range(n):
         e = _monomial(n, i)
+        if u(e) != _monomial(n2, i * k):  # n distinct monomials: u is injective
+            raise AssertionError("u failed injectivity")
         if v(u(e)) != _cyclic_power_map(e, k):
             raise AssertionError("v after u is not the power operation")
     for i in range(n2):
         e = _monomial(n2, i)
         if u(v(e)) != _cyclic_power_map(e, k):
             raise AssertionError("u after v is not the power operation")
-    rows = [list(u(_monomial(n, i))) for i in range(n)]
-    if len(hnf_rows(rows, n2)) != n:
-        raise AssertionError("u failed injectivity")
     return u, v
 
 
@@ -615,26 +615,25 @@ def cyclotomic_cotangent_dim(a: int, q: int) -> int:
     square, cyclic of order a, so 1 exactly when q divides a."""
     if a < 1 or not is_prime(q):
         raise InputError("need a >= 1 and q prime")
+    if a > residue_bound():
+        raise BoundExceededError(f"cotangent level {a} over residue bound")
     return int(_cotangent_order(a) % q == 0)
 
 
-@lru_cache(maxsize=128)
 def _cotangent_order(a: int) -> int:
-    """The order of I/I^2 for the augmentation ideal I of the level-a group
-    ring, certified cyclic on the class of x - 1.  As x^i - 1 = (x - 1)(1 +
-    ... + x^(i-1)), I = (x - 1), so I^2 is spanned by the a shifts of
-    (x - 1)^2; each x^i - 1 - i(x - 1) lying in I^2 makes x - 1 generate
-    I/I^2, whose order is then the lattice index [I : I^2]."""
-    g = tuple(int(j == 1 % a) - int(j == 0) for j in range(a))  # x - 1
+    """The order a of I/I^2 for the augmentation ideal I of the level-a
+    group ring, certified cyclic on the class of g = x - 1.  I has the basis
+    f_i = x^i g, i < a - 1, and I^2 is spanned by the s_k = x^k g^2, checked
+    to satisfy s_0 = f_1 - f_0, sum s_k = 0 and a g + sum over k < a - 1 of
+    (a - 1 - k) s_k = 0.  So s_0, ..., s_(a-3), a f_0 span I^2, bidiagonal
+    over the f_i with determinant a, and each f_i is f_0 mod I^2.  Each
+    product has a three-term factor, so costs O(a)."""
+    g = tuple(int(j == 1 % a) - int(j == 0) for j in range(a))
     s = _cyclic_mul(g, g)
-    square = hnf_rows([s[-i:] + s[:-i] for i in range(a)], a)
-    ideal = [tuple(int(j == i) - int(j == 0) for j in range(a)) for i in range(1, a)]  # the x^i - 1
-    for i, e in enumerate(ideal, 1):
-        if not in_row_span([c - i * d for c, d in zip(e, g)], square, a):
-            raise AssertionError("x - 1 does not generate the augmentation ideal modulo its square")
-    # the index against I's Hermite basis x^j - x^(a-1): the x^i - 1 all
-    # pivot on column 0, and folding them into echelon form costs a^3
-    order = lattice_index(square, [tuple(int(k == j) - int(k == a - 1) for k in range(a)) for j in range(a - 1)], a)
-    if order != a:
-        raise AssertionError("cotangent quotient has unexpected order")
-    return order
+    if s != tuple(b - c for b, c in zip(g[-1:] + g[:-1], g)):
+        raise AssertionError("(x - 1)^2 is not x(x - 1) - (x - 1)")
+    if any(_cyclic_mul(s, (1,) * a)):
+        raise AssertionError("the shifts of (x - 1)^2 do not sum to zero")
+    if any(w + a * c for w, c in zip(_cyclic_mul(s, tuple(range(a - 1, -1, -1))), g)):
+        raise AssertionError("a(x - 1) is not the weighted sum of the shifts of (x - 1)^2")
+    return a

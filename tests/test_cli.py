@@ -166,14 +166,23 @@ def test_cotangent_command():
     assert out == "0\n"
 
 
-def test_cotangent_at_level_300_within_the_cap():
-    """One Hermite form of a shifts and a - 1 membership solves certify the
-    level: about 2 s here, where the a^2/2-product Smith form ran past a
-    minute."""
+@pytest.mark.parametrize(
+    "argv, answered",
+    [
+        (["cotangent", "--a", "1000", "--q", "2"], lambda out: out == "1\n"),
+        (["periodic-locus", "--family", "chebyshev", "--n", "1200", "--json"], lambda out: json.loads(out)["cokernel_order"] == 2),
+    ],
+    ids=["cotangent-1000", "chebyshev-1200"],
+)
+def test_group_ring_lattices_within_the_cap(argv, answered):
+    """The closed-form certificates take O(a) shift-adds for the cotangent
+    and O(n^2) for the Chebyshev image: well under a second each on a
+    2-CPU x86 host, where Hermite folds of the same lattices took 19-23 s
+    and about 12 s."""
     start = time.perf_counter()
-    code, out = run_cli(["cotangent", "--a", "300", "--q", "2"])
+    code, out = run_cli(argv)
     elapsed = time.perf_counter() - start
-    assert code == 0 and out == "1\n"
+    assert code == 0 and answered(out)
     assert elapsed < 20, elapsed
 
 
@@ -251,6 +260,21 @@ def test_witt_periodic_over_the_lattice_bound_refused_at_once(argv, err, capsys)
     assert elapsed < 1, elapsed
 
 
+@pytest.mark.parametrize("bound, a", [(None, 1000001), ("12", 13)])
+def test_cotangent_level_over_the_residue_bound_refused_at_once(bound, a, monkeypatch, capsys):
+    """The level is refused before any row of length a is built; the
+    residue bound scales with LAMBDA_FORGE_BOUND like the others."""
+    if bound is not None:
+        monkeypatch.setenv("LAMBDA_FORGE_BOUND", bound)
+        assert run_cli(["cotangent", "--a", bound, "--q", "2"]) == (0, "1\n")
+    start = time.perf_counter()
+    code, out = run_cli(["cotangent", "--a", str(a), "--q", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"refused: cotangent level {a} over residue bound\n"
+    assert elapsed < 1, elapsed
+
+
 def test_chebyshev_degree_bound_covers_cached_levels(monkeypatch, capsys):
     assert run_cli(["chebyshev", "--n", "12"])[0] == 0
     assert run_cli(["periodic-locus", "--family", "chebyshev", "--n", "12"])[0] == 0
@@ -292,10 +316,29 @@ def test_witt_component_count_refused_from_the_truncation_spec(verb, capsys):
         (["witt", "convert", "--witt", "2,1,0,0", "--ghost", "2,4,8,64", "--trunc", "div:6", "--json"], "convert takes --ghost or --witt, not both"),
         (["witt", "check", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "check takes --ghost, not --witt"),
         (["witt", "check", "--trunc", "div:2", "--witt", "1,2"], "check takes --ghost, not --witt"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--ghost", "1,2"], "periodic takes no --ghost, --witt or --trunc"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--witt", "1"], "periodic takes no --ghost, --witt or --trunc"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--trunc", "div:6"], "periodic takes no --ghost, --witt or --trunc"),
     ],
 )
 def test_witt_input_the_verb_would_ignore_refused(argv, err, capsys):
-    # convert used to answer from --ghost alone, and check ignored --witt
+    # convert used to answer from --ghost alone, check ignored --witt, and
+    # periodic ignored all three
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["periodic-locus", "--family", "chebyshev", "--n", "12", "--cycle", "12"], "the chebyshev family takes --n, not --cycle"),
+        (["periodic-locus", "--family", "chebyshev", "--cycle", "12*inf", "--json"], "the chebyshev family takes --n, not --cycle"),
+        (["periodic-locus", "--family", "toric", "--cycle", "12", "--n", "5", "--json"], "the toric family takes --cycle or --n, not both"),
+    ],
+)
+def test_periodic_locus_input_the_family_would_ignore_refused(argv, err, capsys):
+    # chebyshev ignored --cycle, and toric dropped --n for --cycle
     code, out = run_cli(argv)
     assert code == 1 and out == ""
     assert capsys.readouterr().err == f"error: {err}\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lambda_forge import lambdapoly
 from lambda_forge.errors import DensityRequiredError, InputError
-from lambda_forge.intlinalg import divisors, hnf_coords, hnf_rows, is_prime
+from lambda_forge.intlinalg import divisors, hnf_coords, hnf_rows, is_prime, lattice_index
 from lambda_forge.lambdapoly import (
     IntPoly,
     LaurentPoly,
@@ -427,6 +427,51 @@ def test_image_lattice_sigma_invariance():
             assert flipped == row or sorted(flipped) == sorted(row)
 
 
+def test_image_lattice_matches_the_hermite_fold():
+    """The Hermite route as the oracle: the powers y^0, ..., y^(deg Q - 1),
+    multiplied out by the cyclic product, fold to the stated basis, whose
+    index in the involution invariants is the cokernel order."""
+    for n in range(1, 61):
+        rep = chebyshev_image_lattice(n)
+        y = [0] * n
+        y[1 % n] += 1
+        y[-1 % n] += 1
+        powers = [tuple(int(j == 0) for j in range(n))]
+        while len(powers) < rep.generator.degree:
+            powers.append(_cyclic_mul(powers[-1], tuple(y)))
+        image = hnf_rows(powers, n)
+        assert tuple(map(tuple, image)) == rep.image_basis, n
+        invariants = [[int(j == 0) for j in range(n)]]
+        invariants += [[int(j in (i, n - i)) for j in range(n)] for i in range(1, n // 2 + 1)]
+        assert lattice_index(image, invariants, n) == rep.cokernel_order == 2 - n % 2, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_image_lattice_refuses_a_wrong_generator(monkeypatch, n):
+    real = lambdapoly.chebyshev_periodic_generator
+    monkeypatch.setattr(lambdapoly, "chebyshev_periodic_generator", lambda m: real(m) + IntPoly.of(1))
+    with pytest.raises(AssertionError, match="does not annihilate the image"):
+        chebyshev_image_lattice(n)
+
+
+@pytest.mark.parametrize(
+    "middle, message",
+    [
+        # the involution invariants' x^(n/2) in place of D_(n/2) = 2 x^(n/2)
+        (lambda row: [tuple(c // 2 for c in row)], "stated row {} is not D_{}"),
+        # the middle row left out
+        (lambda row: [], "the stated basis is not 1 and deg Q - 1 Dickson rows"),
+    ],
+    ids=["halved", "missing"],
+)
+@pytest.mark.parametrize("n", [2, 4, 12, 30])
+def test_image_lattice_refuses_a_wrong_middle_row(monkeypatch, middle, message, n):
+    real = lambdapoly._involution_basis
+    monkeypatch.setattr(lambdapoly, "_involution_basis", lambda m: real(m)[:-1] + middle(real(m)[-1]))
+    with pytest.raises(AssertionError, match=message.format(n // 2, n // 2)):
+        chebyshev_image_lattice(n)
+
+
 def test_torsion_contains_periodic():
     assert torsion_locus_contains_periodic("chebyshev", 3, 4)
     assert torsion_locus_contains_periodic("chebyshev", 1, 5)
@@ -550,19 +595,36 @@ def test_cotangent_matches_smith_form_of_products(smith_reference):
             assert cyclotomic_cotangent_dim(a, q) == sum(1 for d in invs if d % q == 0), (a, q)
 
 
+def _plus_one_when(when):
+    """A corrupt product: x^0 off by one where the second factor matches."""
+
+    def fake(real, u, w):
+        v = real(u, w)
+        return (v[0] + 1,) + v[1:] if when(w) else v
+
+    return fake
+
+
 @pytest.mark.parametrize(
-    "square, message",
+    "fake, message",
     [
-        # 2 I^2 leaves out (x - 1)^2 = x^2 - 1 - 2 (x - 1)
-        (lambda g, h: tuple(2 * c for c in _cyclic_mul(g, h)), "does not generate"),
-        # the ideal itself in place of its square: x - 1 generates, but I/I = 0
-        (lambda g, h: g, "unexpected order"),
+        # 2 (x - 1)^2 in place of the square
+        (lambda real, u, w: tuple(2 * c for c in real(u, w)), r"\(x - 1\)\^2 is not x\(x - 1\) - \(x - 1\)"),
+        # the ideal itself in place of its square
+        (lambda real, u, w: u, r"\(x - 1\)\^2 is not x\(x - 1\) - \(x - 1\)"),
+        # the sum of the shifts, s (1 + x + ... + x^(a-1)), off at x^0
+        (_plus_one_when(lambda w: w == (1,) * len(w)), "do not sum to zero"),
+        # the weighted sum, s times the weights a - 1, ..., 0, off at x^0
+        (_plus_one_when(lambda w: w == tuple(range(len(w) - 1, -1, -1))), "is not the weighted sum"),
     ],
+    ids=["square", "ideal", "sum", "weights"],
 )
-@pytest.mark.parametrize("a", [3, 4, 12, 30])
-def test_cotangent_certificate_refuses_a_corrupt_square(monkeypatch, square, message, a):
-    lambdapoly._cotangent_order.cache_clear()
-    monkeypatch.setattr(lambdapoly, "_cyclic_mul", square)
+@pytest.mark.parametrize("a", [2, 3, 4, 12, 30])
+def test_cotangent_certificate_refuses_a_corrupt_clause(monkeypatch, fake, message, a):
+    """Corrupt products, each seen by the clause of the certificate that
+    its product feeds."""
+    real = _cyclic_mul
+    monkeypatch.setattr(lambdapoly, "_cyclic_mul", lambda u, w: fake(real, u, w))
     with pytest.raises(AssertionError, match=message):
         cyclotomic_cotangent_dim(a, 2)
     monkeypatch.undo()
