@@ -152,6 +152,8 @@ def _cmd_periodic_locus(args) -> str:
     if args.family == "toric":
         if args.cycle is not None and args.n is not None:
             raise InputError("the toric family takes --cycle or --n, not both")
+        if args.cycle is None and args.n is None:
+            raise InputError("the toric family needs --cycle or --n")
         cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
         m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse(args.support))
         rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)

@@ -58,8 +58,8 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality: trial division, then Miller-Rabin (deterministic bases
-    below 2**64, 40 random rounds above)."""
+    """Primality: trial division by the primes to 47 (enough below 53**2),
+    then Miller-Rabin (deterministic bases below 2**64, 40 random rounds above)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -67,8 +67,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 2**64:
-        return all(_miller_rabin(n, b) for b in _MR_BASES_64)
+    if n < 2**64:  # an n < 53**2 that no prime <= 47 divides has no prime factor <= its root
+        return n < 53 * 53 or all(_miller_rabin(n, b) for b in _MR_BASES_64)
     rng = random.Random(n)
     return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(40))
 

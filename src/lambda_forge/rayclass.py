@@ -23,9 +23,9 @@ residue mod n, ``f_equiv_generator`` has one witness search per field, and
 the pushout check builds its residue data per field.
 
 Ray class groups are built by enumeration and quotient.  A rational group
-is proved at build time, in one pass, to be the unit residues mod n (or the
-subgroup an explicit support reaches) modulo the sign: its classes are the
-cosets.  Its table is built and checked on first use.
+reads its classes off one sieve of the unit residues mod n and is proved at
+build time, clause by clause, to be those residues (or the subgroup an
+explicit support reaches) modulo the sign; its table is checked on first use.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ import heapq
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
+from itertools import compress, count, repeat
 from math import gcd, lcm, prod
+from operator import neg
 
 from . import quadfield as qf
 from .config import monoid_bound, residue_bound
@@ -398,43 +400,42 @@ class RationalRayClassGroup(RayClassGroup):
     when the cycle has no real place."""
 
     def _build(self):
+        """One sieve over the primes of n marks the units; the heads are the marked
+        r <= n/2 without the real place (the sign folds r with n - r), all with it."""
         n = self.cycle.finite
         folded = not self.cycle.infinity
-        phi = _phi(n, factor(n).primes())
+        primes = factor(n).primes()
+        phi = _phi(n, primes)
         if phi > residue_bound():
             raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
-        # orbits of the unit residues, smallest first; without the real
-        # place the sign folds r with n - r
-        if n == 1:
-            orbits = [(0,)]
-        elif folded:
-            orbits = [(r, n - r) if 2 * r < n else (r,) for r in range(1, n // 2 + 1) if gcd(r, n) == 1]
-        else:
-            orbits = [(r,) for r in range(1, n) if gcd(r, n) == 1]
-        primes = [p for p in self.support._listed_primes if n % p]  # the others divide no unit
+        unit = bytearray(b"\1") * n
+        for p in primes:
+            unit[::p] = bytes(-(-n // p))
+        heads = list(compress(range(n // 2 + 1 if folded else n), unit))
+        listed = [p for p in self.support._listed_primes if n % p]  # the others divide no unit
         group = None  # an explicit support reaches the group that P and the sign generate
         if self.support.mode == "explicit":
-            group = _residue_closure([p % n for p in primes] + [n - 1] * folded, n)
-            orbits = [orbit for orbit in orbits if orbit[0] in group]
+            group = _residue_closure([p % n for p in listed] + [n - 1] * folded, n)
+            heads = list(filter(group.__contains__, heads))
         # class index per residue mod n; None for the non-units and for the
-        # classes that P does not reach
-        self._class_of = [None] * n
-        for k, orbit in enumerate(orbits):
-            for x in orbit:
-                self._class_of[x] = k
-        self._heads = [orbit[0] for orbit in orbits]
+        # classes that P does not reach.  Slot -h is n - h's, or 0's for n = 1.
+        self._heads = heads
+        class_of = self._class_of = [None] * n
+        for k, h in enumerate(heads):
+            class_of[h] = class_of[-h if folded else h] = k
         self.is_full = group is None or len(group) == phi
         if group is not None:  # a class's first product is its representative
-            first, products = {}, _products(primes)
-            while len(first) < len(orbits):
+            first, products = {}, _products(listed)
+            while len(first) < len(heads):
                 m = next(products)
-                first.setdefault(self._class_of[m % n], m)
-            self.reps = [first[k] for k in range(len(orbits))]
+                first.setdefault(class_of[m % n], m)
+            self.reps = [first[k] for k in range(len(heads))]
         else:
             # a class's least positive supported member: its head (1 for n = 1) unless a listed prime divides it
-            self.reps, excluded = [orbit[0] for orbit in orbits] if n > 1 else [1], prod(primes)
-            for k, orbit in enumerate(orbits if excluded > 1 else ()):
-                i = 0
+            self.reps, excluded = heads[:] if n > 1 else [1], prod(listed)
+            shared = map((1).__ne__, map(gcd, self.reps, repeat(excluded))) if excluded > 1 else ()
+            for k in compress(count(), shared):  # the classes whose head a listed prime divides
+                orbit, i = (heads[k], n - heads[k]) if folded and 2 * heads[k] < n else (heads[k],), 0
                 while gcd(self.reps[k], excluded) != 1:
                     i += 1
                     self.reps[k] = i // len(orbit) * n + orbit[i % len(orbit)]
@@ -447,14 +448,17 @@ class RationalRayClassGroup(RayClassGroup):
         it).  Then ``table`` is the table of the abelian group C/H with
         its identity in slot 0.  Proof: each head lies in C, its coset in its
         own class, so the K heads name K distinct cosets; K * |H| = |C|
-        makes them all of C; and |C| residues have a class, so no other has."""
+        makes them all of C; and |C| residues have a class, so no other has.
+        Each clause runs over the whole list of heads; a head is a unit by
+        its gcd with n, not by the build's sieve, which rests on ``factor``."""
         n, heads, class_of = self.cycle.finite, self._heads, self._class_of
-        folded = not self.cycle.infinity
-        in_c, size = ((lambda h: gcd(h, n) == 1), phi) if group is None else (group.__contains__, len(group))
+        folded, classes = not self.cycle.infinity, list(range(len(heads)))
+        size = phi if group is None else len(group)
         ok = len(class_of) == n and n - class_of.count(None) == size == len(heads) * (2 if folded and n > 2 else 1)
-        if not (ok and class_of[1 % n] == 0 and all(
-            0 <= h < n and in_c(h) and class_of[h] == k == class_of[-h % n if folded else h] for k, h in enumerate(heads)
-        )):
+        ok = ok and class_of[1 % n] == 0 and 0 <= min(heads) and max(heads) < n  # so class_of[-h] is -h's class
+        ok = ok and (set(map(gcd, heads, repeat(n))) <= {1} if group is None else group.issuperset(heads))
+        ok = ok and list(map(class_of.__getitem__, heads)) == classes
+        if not (ok and (not folded or list(map(class_of.__getitem__, map(neg, heads))) == classes)):
             raise InputError(f"the ray classes mod {n} are not the cosets of a unit subgroup")
 
     def class_of_ideal(self, a: int) -> int:
@@ -677,8 +681,8 @@ class DRMonoid:
         self.cycle = cycle
         self.support = support
         self.divisors = ideals._divisors(cycle.finite, support)
-        n = cycle.finite
-        if cycle.field is None and support.mode != "explicit" and sum(n // d for d in self.divisors) > monoid_bound():
+        n, bound = cycle.finite, monoid_bound()
+        if cycle.field is None and support.mode != "explicit" and sum(n // d for d in self.divisors) > bound:
             # a dense support's monoid is counted before the O(n) builds: the
             # group mod k has phi(k) <= k classes, halved by the sign for
             # k > 2 without the real place, so only a sum of cofactors over
@@ -686,7 +690,7 @@ class DRMonoid:
             # build refuses first, with its own message.
             primes = factor(n).primes()
             orders = [_phi(k, primes) // (1 if cycle.infinity or k <= 2 else 2) for k in (n // d for d in self.divisors)]
-            if _phi(n, primes) <= residue_bound() and sum(orders) > monoid_bound():
+            if _phi(n, primes) <= residue_bound() and sum(orders) > bound:
                 raise BoundExceededError("ray class monoid larger than monoid bound")
         self.class_groups = {}
         self._offsets = {}  # index of the first element with each divisor
@@ -696,12 +700,13 @@ class DRMonoid:
             group = self.class_groups[d] = ray_class_group(cycle.cofactor(d), support)
             self._offsets[d] = self.size
             self.size += group.order
-            if self.size > monoid_bound():  # refused before the remaining groups are built
+            if self.size > bound:  # refused before the remaining groups are built
                 raise BoundExceededError("ray class monoid larger than monoid bound")
-        self.reps = [ideals._mul(d, r) for d in self.divisors for r in self.class_groups[d].reps]
         # memo kept: criterion 04 runs about 1.7x slower in process without it
         self._mul_cache: dict[tuple[int, int], int] = {}
-        self._res_index = self._build_residue_index() if cycle.field is None else None
+        rational = cycle.field is None
+        self.reps = [d * r if rational else ideals._mul(d, r) for d in self.divisors for r in self.class_groups[d].reps]
+        self._res_index = self._build_residue_index() if rational else None
 
     def _build_residue_index(self) -> list[int | None]:
         """Class index per residue (rational cycles): the class of a
@@ -709,13 +714,15 @@ class DRMonoid:
 
         The residues with gcd d against n are d*c for the units c mod n/d,
         whose classes the cofactor group lists; the other residues (gcd
-        part or class not supported at P) stay None.
+        part or class not supported at P) stay None.  Each d, in increasing
+        order, fills the slice out[::d] from the cofactor's classes; x is
+        written last by the largest listed d | g = gcd(x, n): g itself, with
+        x/g a unit, or else d < g, with g/d | x/d and n/d, so its slot is None.
         """
         out: list[int | None] = [None] * self.cycle.finite
-        for d, base in self._offsets.items():
-            for c, u in enumerate(self.class_groups[d]._class_of):
-                if u is not None:
-                    out[d * c] = base + u
+        for (d, base), group in zip(self._offsets.items(), self.class_groups.values()):
+            shift = dict(zip(count(), range(base, base + group.order))).get
+            out[::d] = map(shift, group._class_of) if base else group._class_of
         return out
 
     @cached_property

@@ -183,6 +183,20 @@ class TruncationSet:
         return tuple(tuple(step(n, d) for d in divisors_of_factors(factors[n])[:-1]) for n in self.order)
 
     @cached_property
+    def power_drops(self) -> tuple[tuple[int, ...], ...]:
+        """Per member, in ``order``: the steps of ``power_steps`` (by number)
+        that no later member names as source; the transforms drop them there."""
+        own = [i for i, steps in enumerate(self.power_steps) for _ in steps]
+        last = own[:]  # per step, the last member that reads its power, else its own
+        for t, (_, _, _, src) in enumerate(chain.from_iterable(self.power_steps)):
+            if src is not None:
+                last[src] = own[t]
+        drops = [[] for _ in self.order]
+        for t, i in enumerate(last):
+            drops[i].append(t)
+        return tuple(map(tuple, drops))
+
+    @cached_property
     def dwork_steps(self) -> tuple[tuple[int, int, int, int], ...]:
         """(p, index of n, index of p*n, p^(v_p(n)+1)) for each prime p and
         member n with p*n a member, by p and then n.  Such a p is itself a
@@ -256,14 +270,16 @@ class WittCoords:
 
 
 def ghost_from_witt(w: WittCoords) -> GhostVector:
-    """g_n = sum over d | n of d * w_d^(n/d), the powers by ``power_steps``."""
+    """g_n = sum over d | n of d * w_d^(n/d), the powers by ``power_steps``, dropped by ``power_drops``."""
     ring, coords = w.ring, w.coords
     powers, out = [], []
-    for n, x, steps in zip(w.trunc.order, coords, w.trunc.power_steps):
+    for n, x, steps, drops in zip(w.trunc.order, coords, w.trunc.power_steps, w.trunc.power_drops):
         acc = [n * c for c in x]
         for j, d, p, src in steps:
             powers.append(y := ring.pow(coords[j] if src is None else powers[src], p))
             acc = [a + d * b for a, b in zip(acc, y)]
+        for t in drops:
+            powers[t] = None
         out.append(tuple(acc))
     return GhostVector(ring, w.trunc, tuple(out))
 
@@ -282,7 +298,7 @@ def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
     nums: list[tuple] = []  # coordinate i is nums[i] / dens[i]
     dens: list[int] = []
     powers, coords, flags = [], [], {}
-    for n, comp, steps in zip(g.trunc.order, g.components, g.trunc.power_steps):
+    for n, comp, steps, drops in zip(g.trunc.order, g.components, g.trunc.power_steps, g.trunc.power_drops):
         den = lcm(*(x.denominator for x in comp))
         acc = [x.numerator * (den // x.denominator) for x in comp]
         for j, d, p, src in steps:
@@ -293,6 +309,8 @@ def witt_from_ghost(g: GhostVector) -> tuple[WittCoords, dict[int, bool]]:
                 top = lcm(den, dk)
                 a, b, den = top // den, d * (top // dk), top
             acc = [a * x - b * z for x, z in zip(acc, y)]
+        for t in drops:  # as in ghost_from_witt
+            powers[t] = None
         den *= n
         c = gcd(den, *acc)
         if c > 1:

@@ -344,6 +344,21 @@ def test_periodic_locus_input_the_family_would_ignore_refused(argv, err, capsys)
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["periodic-locus", "--family", "chebyshev"], "the chebyshev family needs --n"),
+        (["periodic-locus", "--family", "toric"], "the toric family needs --cycle or --n"),
+        (["periodic-locus", "--family", "toric", "--json"], "the toric family needs --cycle or --n"),
+    ],
+)
+def test_periodic_locus_family_without_its_input_refused(argv, err, capsys):
+    # toric used to build the cycle (None) and refuse it as a rational ideal
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_frob_flag_validation():
     code, _ = run_cli(["witt", "check", "--ring", "x^4-1", "--frob", "id", "--ghost", "0;0;0;0", "--trunc", "div:4"])
     assert code == 1

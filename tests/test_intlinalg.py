@@ -56,6 +56,22 @@ def test_bad_factorization_rejected():
         Factorization(12, ((2, 1), (3, 1)))
 
 
+def test_is_prime_matches_a_sieve():
+    """Trial division by the primes up to 47 answers alone below 53^2;
+    the numbers around that bound (43*47, 47^2, 47*53, 53^2, 2813 = 29*97)
+    and every other n < 10^4 agree with a sieve of Eratosthenes."""
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve
+    assert not any(map(is_prime, (2021, 2209, 2491, 2809, 2813))) and all(map(is_prime, (2801, 2803, 2819)))
+    # a composite with no prime factor up to 47 is still refused as a prime
+    with pytest.raises(InputError):
+        Factorization(2491, ((2491, 1),))
+
+
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]

@@ -836,15 +836,23 @@ def _eager_monoid(cycle, support):
     }
 
 
-@pytest.mark.parametrize("text", ["all", "all-except:2", "all-except:3,5", "explicit:3,5!"])
+@pytest.mark.parametrize("text", ["all", "all-except:2", "all-except:3,5", "explicit:3,5!", "explicit:2,3!"])
 def test_dr_monoid_matches_eager_oracle(text):
+    """The residue index is filled one slice per divisor; under an explicit
+    support some residues d*c have d listed and c a unit whose class P does
+    not reach, and they stay None whatever a later divisor's slice writes."""
     support = PrimeSupport.parse(text)
-    for n in range(1, 151):
+    unreached = 0
+    for n in [*range(1, 151), 255, 256, 997, 1000]:
         for inf in (False, True):
             cycle = Cycle(None, n, inf)
             expected = _eager_monoid(cycle, support)
             dr = rayclass.DRMonoid(cycle, support)
             assert {key: getattr(dr, key) for key in expected} == expected, (n, inf)
+            for d in dr.divisors[1:]:
+                units = [c for c in range(n // d) if gcd(c, n // d) == 1]
+                unreached += sum(dr.class_groups[d]._class_of[c] is None for c in units)
+    assert (unreached > 0) == (support.mode == "explicit")
 
 
 @pytest.mark.parametrize("field", [GAUSS, K5], ids=["Q(i)", "Q(sqrt-5)"])
