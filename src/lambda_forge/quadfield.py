@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import count, takewhile
 from math import gcd, isqrt
 
-from .config import residue_bound
+from .config import monoid_bound, residue_bound
 from .errors import BoundExceededError, InputError
 from .intlinalg import factor, is_prime
 
@@ -257,22 +257,19 @@ def ideal_from_int(field: QuadField, n: int) -> QuadIdeal:
     return principal_ideal(QuadInt(field, n, 0))
 
 
-def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
-    """The product by Dirichlet composition (Cohen, GTM 138, Alg. 5.4.7).
+def _compose(field: QuadField, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]:
+    """The product of the primitive parts [a1, b1 + w] and [a2, b2 + w] by
+    Dirichlet composition (Cohen, GTM 138, Alg. 5.4.7), as (a, b, e) for the
+    product e*[a, b + w] in normal form; unchecked.
 
-    The primitive parts [a1, b1 + w] and [a2, b2 + w] multiply to the module
-    spanned by a1*a2, a1*(b2 + w), a2*(b1 + w) and
+    The product is the module spanned by a1*a2, a1*(b2 + w), a2*(b1 + w) and
     (b1 + w)(b2 + w) = b1*b2 - n + s*w with s = b1 + b2 + t, whose
-    w-coordinates have gcd e = x1*a1 + x2*a2 + x3*s.  The product has norm
-    a1*a2 and content e, so it is e*[a1*a2/e^2, B + w], where e*B is the
-    constant term of the element x1*a1*(b2 + w) + x2*a2*(b1 + w) +
-    x3*(b1 + w)(b2 + w) with w-coordinate e.
+    w-coordinates have gcd e = x1*a1 + x2*a2 + x3*s.  It has norm a1*a2 and
+    content e, so it is e*[a1*a2/e^2, B + w], where e*B is the constant term
+    of the element x1*a1*(b2 + w) + x2*a2*(b1 + w) + x3*(b1 + w)(b2 + w)
+    with w-coordinate e.
     """
-    if x.field != y.field:
-        raise InputError("ideals from different fields")
-    f = x.field
-    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
-    s = b1 + b2 + f.trace_w
+    s = b1 + b2 + field.trace_w
     # two extended gcds of nonnegative integers, y1*a1 + y2*a2 = g and
     # z*g + x3*s = e, inline: every class lookup multiplies ideals
     y1, y2, g, r1, r2, r = 1, 0, a1, 0, 1, a2
@@ -284,8 +281,35 @@ def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
         q = e // r
         z, x3, e, r1, r3, r = r1, r3, r, z - q * r1, x3 - q * r3, e - q * r
     a = a1 * a2 // (e * e)
-    b = (z * (y1 * a1 * b2 + y2 * a2 * b1) + x3 * (b1 * b2 - f.norm_w)) // e % a
-    return QuadIdeal(f, a, b, x.c * y.c * e)
+    return a, (z * (y1 * a1 * b2 + y2 * a2 * b1) + x3 * (b1 * b2 - field.norm_w)) // e % a, e
+
+
+def ideal_mul(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
+    """The product c1*[a1, b1 + w] * c2*[a2, b2 + w], by ``_compose`` on the
+    primitive parts."""
+    if x.field != y.field:
+        raise InputError("ideals from different fields")
+    a, b, e = _compose(x.field, x.a, x.b, y.a, y.b)
+    return QuadIdeal(x.field, a, b, x.c * y.c * e)
+
+
+def _times_conj(x: QuadIdeal, y: QuadIdeal) -> tuple[int, int, int]:
+    """The normal-form triple of x * conj(y), unchecked.
+
+    conj(b + w) = (b + t) - w, so conj(y) is [a2, (-b2 - t) mod a2, c2].  It
+    is composed without being built: its constructor's check, a2 | N(b + w),
+    is y's own, since N(conj(b2 + w)) = N(b2 + w).
+    """
+    if x.field != y.field:
+        raise InputError("ideals from different fields")
+    f = x.field
+    a, b, e = _compose(f, x.a, x.b, y.a, (-y.b - f.trace_w) % y.a)
+    return a, b, x.c * y.c * e
+
+
+def ideal_mul_conj(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
+    """The product x * conj(y), without building conj(y)."""
+    return QuadIdeal(x.field, *_times_conj(x, y))
 
 
 def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
@@ -306,12 +330,13 @@ def ideal_div(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
     """Exact ideal quotient x / y; errors if y does not divide x.
 
     x * conj(y) = c*[a, b + w] is divisible by N(y) = n exactly when n | c,
-    and then the quotient is the normal-form triple [a, b, c / n]."""
-    num = ideal_mul(x, y.conj())
+    and then the quotient is the normal-form triple [a, b, c / n], the only
+    ideal built: the constructor's check on (a, b) is the product's."""
+    a, b, c = _times_conj(x, y)
     n = y.norm()
-    if num.c % n:
+    if c % n:
         raise InputError("ideal division is not exact")
-    return QuadIdeal(x.field, num.a, num.b, num.c // n)
+    return QuadIdeal(x.field, a, b, c // n)
 
 
 def ideal_divides(d: QuadIdeal, x: QuadIdeal) -> bool:
@@ -517,8 +542,17 @@ class ClassGroup:
 def class_group(field: QuadField) -> ClassGroup:
     """The ideal class group, realized on the ideals of the reduced forms of
     the field discriminant, with composition computed by ideal
-    multiplication plus principality reduction."""
+    multiplication plus principality reduction.
+
+    Refused (BoundExceededError) when |disc| is over the residue bound,
+    before the O(|disc|) scan for reduced forms, and when h^2 is over the
+    monoid bound, before the h x h table of up to h principality tests per
+    cell."""
+    if -field.disc > residue_bound():
+        raise BoundExceededError(f"discriminant {field.disc} over residue bound")
     forms = reduced_forms(field.disc)
+    if len(forms) ** 2 > monoid_bound():
+        raise BoundExceededError(f"class group table of {len(forms)}^2 cells over monoid bound")
     reps = [form_to_ideal(field, f) for f in forms]
     idx0 = next(k for k, r in enumerate(reps) if is_principal(r) is not None)
     # put the principal class first for a deterministic identity slot
@@ -529,7 +563,7 @@ def class_group(field: QuadField) -> ClassGroup:
         for j, rj in enumerate(reps):
             prod = ideal_mul(ri, rj)
             k = next(
-                k for k, rk in enumerate(reps) if is_principal(ideal_mul(prod, rk.conj())) is not None
+                k for k, rk in enumerate(reps) if is_principal(ideal_mul_conj(prod, rk)) is not None
             )
             row.append(k)
         table.append(tuple(row))
@@ -565,14 +599,21 @@ class ResidueUnitGroup:
     elements: tuple[QuadInt, ...]
 
     @cached_property
-    def _index(self) -> dict[QuadInt, int]:
-        return {e: k for k, e in enumerate(self.elements)}
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {(e.a, e.b): k for k, e in enumerate(self.elements)}
 
-    def index_of(self, x: QuadInt) -> int:
-        k = self._index.get(self.modulus.reduce(x))
+    def index_of_coords(self, u: int, v: int) -> int:
+        """The index of the residue of u + v*w, reduced as by
+        ``QuadIdeal.reduce`` on the coordinates: no element is built."""
+        m = self.modulus
+        q = v // m.c
+        k = self._index.get(((u - q * m.b * m.c) % (m.a * m.c), v - q * m.c))
         if k is None:
             raise InputError("element is not a unit residue")
         return k
+
+    def index_of(self, x: QuadInt) -> int:
+        return self.index_of_coords(x.a, x.b)
 
     def mul(self, i: int, j: int) -> int:
         return self.index_of(self.elements[i] * self.elements[j])

@@ -283,7 +283,12 @@ class _QuadIdeals:
             raise InputError(f"{a!s} is not an ideal of the field with d = {self.field.d}")
 
     _mul = staticmethod(lambda a, b: qf.ideal_mul(a, b))
-    _gcd = staticmethod(lambda a, b: qf.ideal_gcd(a, b))
+
+    def _gcd(self, a: QuadIdeal, b: QuadIdeal) -> QuadIdeal:
+        # the held unit ideal when the norms are coprime: no ideal is built
+        if gcd(a.a * a.c * a.c, b.a * b.c * b.c) == 1:
+            return self._one
+        return qf.ideal_gcd(a, b)
 
     def _div(self, a: QuadIdeal, d: QuadIdeal) -> QuadIdeal:  # exact, else InputError
         return a if d == self._one else qf.ideal_div(a, d)
@@ -361,12 +366,12 @@ def f_equiv_generator(a, b, f: Cycle, support: PrimeSupport = ALL_PRIMES) -> boo
 @lru_cache(maxsize=1 << 18)
 def _pair_generators(a: QuadIdeal, b: QuadIdeal) -> tuple[tuple[int, int], ...]:
     """Coefficients of the generators of a * conj(b) (empty if none)."""
-    return qf.generator_pairs(qf.ideal_mul(a, b.conj()))
+    return qf.generator_pairs(qf.ideal_mul_conj(a, b))
 
 
 @lru_cache(maxsize=65536)
 def _conductor_times_conj(f_fin: QuadIdeal, b: QuadIdeal) -> tuple[int, int, int]:
-    t = qf.ideal_mul(f_fin, b.conj())
+    t = qf.ideal_mul_conj(f_fin, b)
     return t.a * t.c, t.b * t.c, t.c
 
 
@@ -497,8 +502,6 @@ class QuadRayClassGroup(RayClassGroup):
             raise BoundExceededError(f"conductor norm {nf} over residue bound")
         cl1 = qf.class_group(field)
         self._base = [_coprime_class_rep(cl1, k, nf) for k in range(cl1.order)]
-        one = self.cycle._ideals._one
-        self._base_conj = [None if base == one else base.conj() for base in self._base]
         # 1 / N(base) mod f as an integer: f meets Z in (a*c), and each
         # base norm is coprime to N(f)
         self._base_norm_inv = [pow(base.norm(), -1, fid.a * fid.c) for base in self._base]
@@ -553,13 +556,14 @@ class QuadRayClassGroup(RayClassGroup):
         ideals._check(ideal)
         if ideals._gcd(ideal, self.cycle.finite) != ideals._one:
             raise InputError("ideal not coprime to the conductor")
-        for c, conj in enumerate(self._base_conj):
-            pairs = qf.generator_pairs(ideal if conj is None else qf.ideal_mul(ideal, conj))
+        for c, base in enumerate(self._base):
+            # the unit ideal, the only one of norm 1, is its own conjugate
+            pairs = qf.generator_pairs(ideal if base.norm() == 1 else qf.ideal_mul_conj(ideal, base))
             if not pairs:
                 continue
             # residue of the first generator / N(base) in (O/f)*
             (u, v), inv = pairs[0], self._base_norm_inv[c]
-            r = self._ru.index_of(QuadInt(ideal.field, u * inv, v * inv))
+            r = self._ru.index_of_coords(u * inv, v * inv)
             return c * self._n_orbits + self._res_orbit_of[r]
         raise InputError("ideal matched no class (corrupt class group)")
 
@@ -577,7 +581,7 @@ def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:
             break
         if gcd(ideal.norm(), nf) != 1:
             continue
-        if qf.is_principal(qf.ideal_mul(ideal, cl.reps[k].conj())) is not None:
+        if qf.is_principal(qf.ideal_mul_conj(ideal, cl.reps[k])) is not None:
             return ideal
     raise BoundExceededError("no coprime class representative found")
 
@@ -840,12 +844,14 @@ def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
     ident = cl.identity
     unit_classes = [cl.class_of_ideal(next(lifts(g))) for g in units]
     cl_inv = [next(x for x in range(cl.order) if cl.mul(c, x) == ident) for c in unit_classes]
+    # g*a for every unit g, once per residue a: every orbit through a reads it
+    unit_row = [[res_mul(g, a) for g in units] for a in range(n_res)]
     orbit_of: dict[tuple[int, int], int] = {}
     orbits = []
     for pair in ((a, b) for a in range(n_res) for b in range(cl.order)):
         if pair in orbit_of:
             continue
-        orb = sorted({(res_mul(g, pair[0]), cl.mul(inv, pair[1])) for g, inv in zip(units, cl_inv)})
+        orb = sorted({(ga, cl.mul(inv, pair[1])) for ga, inv in zip(unit_row[pair[0]], cl_inv)})
         for x in orb:
             orbit_of[x] = len(orbits)
         orbits.append(orb)
@@ -863,10 +869,14 @@ def dr_pushout_check(cycle: Cycle, support: PrimeSupport = ALL_PRIMES) -> bool:
         image.append(vals.pop())
     if sorted(image) != list(range(dr.size)):
         return False
+    # the products of the orbits' first residues, each once; a unit's are in its row
+    unit_at = {g: k for k, g in enumerate(units)}
+    firsts = sorted({orb[0][0] for orb in orbits})
+    times = {(a1, a2): unit_row[a2][unit_at[a1]] if a1 in unit_at else res_mul(a1, a2) for a1 in firsts for a2 in firsts}
     for k1, o1 in enumerate(orbits):
         for k2, o2 in enumerate(orbits):
             (a1, b1), (a2, b2) = o1[0], o2[0]
-            if dr.mul(image[k1], image[k2]) != image[orbit_of[(res_mul(a1, a2), cl.mul(b1, b2))]]:
+            if dr.mul(image[k1], image[k2]) != image[orbit_of[(times[a1, a2], cl.mul(b1, b2))]]:
                 return False
     return True
 
@@ -898,15 +908,24 @@ def _quad_residues(cycle: Cycle, support: PrimeSupport):
     reduces 1 to 0: the rational generator of f shifts it to one)."""
     fid = cycle.finite
     residues = fid.residues()  # already reduced
-    index = {r: i for i, r in enumerate(residues)}
+    coords = [(r.a, r.b) for r in residues]
+    index = {uv: i for i, uv in enumerate(coords)}
     shift = QuadInt(cycle.field, fid.a * fid.c, 0)
+    t, n, a, b, c = cycle.field.trace_w, cycle.field.norm_w, fid.a, fid.b, fid.c
 
     def lifts(i: int):
         yield qf.principal_ideal(residues[i] + shift if residues[i].is_zero() else residues[i])
         yield qf.principal_ideal(residues[i] + shift)
 
-    units = [index[g] for g in qf.residue_units(fid).elements]
-    return len(residues), units, lambda i, j: index[fid.reduce(residues[i] * residues[j])], lifts
+    def res_mul(i: int, j: int) -> int:
+        # (u1 + v1*w)(u2 + v2*w) with w^2 = t*w - n, reduced as by fid.reduce
+        (u1, v1), (u2, v2) = coords[i], coords[j]
+        u, v = u1 * u2 - n * v1 * v2, u1 * v2 + u2 * v1 + t * v1 * v2
+        q = v // c
+        return index[(u - q * b * c) % (a * c), v - q * c]
+
+    units = [index[g.a, g.b] for g in qf.residue_units(fid).elements]
+    return len(residues), units, res_mul, lifts
 
 
 def dr_canonical_map(f_big: Cycle, f_small: Cycle, support: PrimeSupport = ALL_PRIMES) -> list[int]:

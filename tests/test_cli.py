@@ -229,6 +229,31 @@ def test_oversized_monoid_refused_before_building(cycle, capsys):
 
 
 @pytest.mark.parametrize(
+    "d, err",
+    [
+        (-100000007, "discriminant -100000007 over residue bound"),
+        (-10000000019, "discriminant -10000000019 over residue bound"),
+        (-300007, "class group table of 145^2 cells over monoid bound"),
+    ],
+)
+def test_oversized_class_group_refused_at_once(d, err, capsys):
+    """|disc| over the residue bound is refused before the scan for reduced
+    forms, h^2 over the monoid bound before the class group's table."""
+    start = time.perf_counter()
+    code, out = run_cli(["ray-class", "--field", f"d:{d}", "--cycle", "[1, 0+w, 1]"])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"refused: {err}\n"
+    assert elapsed < 1, elapsed
+
+
+def test_class_group_within_the_bounds_answers():
+    """d = -100003: |disc| and h^2 = 39^2 are within the bounds."""
+    code, out = run_cli(["ray-class", "--field", "d:-100003", "--cycle", "[1, 0+w, 1]"])
+    assert code == 0 and out == "ray class group of conductor [1, 0+w, 1]: order 39\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["chebyshev", "--n", "20000", "--json"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import rayclass
+from lambda_forge import quadfield, rayclass
 from lambda_forge.errors import BoundExceededError, InputError
 from lambda_forge.intlinalg import divisors, hnf_rows, is_prime
 from lambda_forge.quadfield import (
@@ -16,11 +16,13 @@ from lambda_forge.quadfield import (
     class_group,
     generator_pairs,
     ideal_div,
+    ideal_divides,
     ideal_from_int,
     ideal_from_module,
     ideal_gcd,
     ideal_generators,
     ideal_mul,
+    ideal_mul_conj,
     ideals_of_norm_up_to,
     is_principal,
     primes_above,
@@ -641,3 +643,80 @@ def test_principality_at_norms_above_1e20():
     ideal = QuadIdeal(K5, p, b, 1)
     assert ideal_generators(ideal) == () and is_principal(ideal) is None
     assert is_principal(ideal_mul(ideal, ideal.conj())) == QuadInt(K5, p, 0)
+
+
+# ---------------------------------------------------------------------------
+# x * conj(y), exact division, coprime sums and residue lookups without the
+# throwaway ideals and elements: against the built-out forms, on every pair
+# of ideals of norm <= 40.
+
+NO_THROWAWAY_FIELDS = tuple(QuadField(d) for d in (-1, -2, -3, -5, -23))
+
+
+@pytest.mark.parametrize("field", NO_THROWAWAY_FIELDS, ids=lambda f: f"d={f.d}")
+def test_conjugate_products_quotients_and_sums_on_every_pair_of_norm_up_to_40(field):
+    ideals = ideals_of_norm_up_to(field, 40)
+    sums = rayclass._quad_ideals(field)
+    inexact = coprime = 0
+    for x in ideals:
+        for y in ideals:
+            assert ideal_mul_conj(x, y) == ideal_mul(x, y.conj())
+            assert ideal_div(ideal_mul(x, y), y) == x
+            if ideal_divides(y, x):
+                assert ideal_mul(ideal_div(x, y), y) == x
+            else:
+                assert _outcome(ideal_div, x, y) == (InputError, "ideal division is not exact")
+                inexact += 1
+            got = sums._gcd(x, y)
+            assert got == ideal_gcd(x, y)
+            if gcd(x.norm(), y.norm()) == 1:
+                assert got is sums._one
+                coprime += 1
+    assert inexact and coprime and any(i.c > 1 for i in ideals)
+
+
+@pytest.mark.parametrize("field", NO_THROWAWAY_FIELDS, ids=lambda f: f"d={f.d}")
+def test_residue_lookups_on_coordinates_match_the_element_path(field):
+    """index_of_coords against the scan on built elements, for residues
+    shifted off their representatives; the pushout's coordinate product
+    against the reduced element product, on every pair of residues."""
+    for f in ideals_of_norm_up_to(field, 30):
+        group = residue_units(f)
+        shift = f.basis()[1]
+        for r in f.residues():
+            for x in (r, r + shift, r - shift.scale(3), r + QuadInt(field, -5 * f.a * f.c, 0)):
+                want = _outcome(_scan_index_of, group, x)
+                assert _outcome(group.index_of_coords, x.a, x.b) == want == _outcome(group.index_of, x)
+        residues = f.residues()
+        index = {r: i for i, r in enumerate(residues)}
+        n_res, units, res_mul, _ = rayclass._quad_residues(rayclass.Cycle(field, f), rayclass.ALL_PRIMES)
+        assert n_res == len(residues) and units == [index[g] for g in group.elements]
+        for i, ri in enumerate(residues):
+            for j, rj in enumerate(residues):
+                assert res_mul(i, j) == index[f.reduce(ri * rj)]
+
+
+def test_products_and_quotients_still_validate(monkeypatch):
+    """A composition kernel that returns a wrong b is caught by the
+    constructor of every ideal built from it; a residue that is not a unit
+    is refused on its coordinates."""
+    x = principal_ideal(QuadInt(GAUSS, 2, 1))  # [5, 2+w, 1]
+    x2, x3 = ideal_mul(x, x), ideal_mul(ideal_mul(x, x), x)
+    compose = quadfield._compose
+
+    def wrong_b(field, a1, b1, a2, b2):
+        a, b, e = compose(field, a1, b1, a2, b2)
+        return a, (b + 1) % a, e
+
+    monkeypatch.setattr(quadfield, "_compose", wrong_b)
+    message = "triple does not span an ideal (a | N(b+w) fails)"
+    assert _outcome(ideal_mul, x, x) == (InputError, message)
+    assert _outcome(ideal_mul_conj, x2, x.conj()) == (InputError, message)
+    assert _outcome(ideal_div, x3, x) == (InputError, message)
+    monkeypatch.undo()
+    assert ideal_mul_conj(x2, x.conj()) == x3 and ideal_div(x3, x) == x2
+
+    group = residue_units(ideal_from_int(GAUSS, 3))
+    assert group.index_of_coords(1, 0) == group.index_of(GAUSS.one())
+    for u, v in ((0, 0), (3, 0), (-6, 9), (3, 3)):
+        assert _outcome(group.index_of_coords, u, v) == (InputError, "element is not a unit residue")

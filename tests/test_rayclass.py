@@ -718,6 +718,30 @@ def test_pushout_generates_each_residues_lifts_at_most_twice(cycle, monkeypatch)
     assert len(calls) == _pushout_residues(cycle)[0] and max(calls.values()) == 2
 
 
+@pytest.mark.parametrize("cycle", PUSHOUT_CYCLES, ids=lambda c: f"{c.field.d if c.field else 'Q'}:{c}")
+def test_pushout_multiplies_each_residue_pair_at_most_once(cycle, monkeypatch):
+    """Each unit g times each residue a once, for every orbit through a,
+    and no pair of residues again in the multiplicativity check."""
+    calls = collections.Counter()
+    name = "_rational_residues" if cycle.field is None else "_quad_residues"
+    residues = getattr(rayclass, name)
+
+    def counted(*args):
+        n_res, units, res_mul, lifts = residues(*args)
+
+        def counted_mul(x, y):
+            calls[x, y] += 1
+            return res_mul(x, y)
+
+        return n_res, units, counted_mul, lifts
+
+    monkeypatch.setattr(rayclass, name, counted)
+    assert dr_pushout_check(cycle)
+    n_res, units, _, _ = _pushout_residues(cycle)
+    assert max(calls.values()) == 1
+    assert {(g, a) for g in units for a in range(n_res)} <= calls.keys()
+
+
 def _dense_order(m, infinity):
     """The order of the ray class group mod m (or m*inf) under a dense
     support: phi(m), halved by the sign for m > 2 without the real place."""
