@@ -29,8 +29,11 @@ class _Parser(argparse.ArgumentParser):
 def _int(text: str, what: str) -> int:
     try:
         return int(text)
-    except ValueError:
-        raise InputError(f"{what} must be an integer, got {text!r}") from None
+    except ValueError as exc:
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        if str(exc).startswith("Exceeds the limit"):  # Python 3.11+'s digit limit
+            raise InputError(f"{what} is over Python's limit of {sys.get_int_max_str_digits()} digits, got {shown}") from None
+        raise InputError(f"{what} must be an integer, got {shown}") from None
 
 
 def _field_of(text: str) -> QuadField | None:
@@ -211,24 +214,32 @@ def _cmd_witt(args) -> str:
     if args.witt_cmd == "convert":
         if args.ghost and args.witt:
             raise InputError("convert takes --ghost or --witt, not both")
-        if args.ghost:
-            trunc, comps = _parse_vector(ring, args.trunc, args.ghost)
-            g = witt.GhostVector.make(ring, trunc, comps)
-            coords, flags = witt.witt_from_ghost(g)
-            data = {
-                "coordinates": {str(d): [str(c) for c in coords.coord(d)] for d in trunc.sorted()},
-                "integral": {str(d): flags[d] for d in trunc.sorted()},
-            }
-            text = "; ".join(f"w_{d}={coords.coord(d)}" for d in trunc.sorted())
-        elif args.witt:
-            trunc, comps = _parse_vector(ring, args.trunc, args.witt)
-            w = witt.WittCoords.make(ring, trunc, comps)
-            g = witt.ghost_from_witt(w)
-            data = {"ghost": {str(a): list(g.component(a)) for a in trunc.sorted()}}
-            text = "; ".join(f"g_{a}={g.component(a)}" for a in trunc.sorted())
-        else:
+        if not (args.ghost or args.witt):
             raise InputError("convert needs --ghost or --witt")
-        return _emit(args, data, text)
+        trunc, comps = _parse_vector(ring, args.trunc, args.ghost or args.witt)
+        if args.ghost:
+            coords, flags = witt.witt_from_ghost(witt.GhostVector.make(ring, trunc, comps))
+        else:
+            g = witt.ghost_from_witt(witt.WittCoords.make(ring, trunc, comps))
+        # the answer is valid however many digits it has, so Python's limit on
+        # printing an int (3.11+; 0 is none) is lifted for its text only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            if args.ghost:
+                data = {
+                    "coordinates": {str(d): [str(c) for c in coords.coord(d)] for d in trunc.sorted()},
+                    "integral": {str(d): flags[d] for d in trunc.sorted()},
+                }
+                text = "; ".join(f"w_{d}={coords.coord(d)}" for d in trunc.sorted())
+            else:
+                data = {"ghost": {str(a): list(g.component(a)) for a in trunc.sorted()}}
+                text = "; ".join(f"g_{a}={g.component(a)}" for a in trunc.sorted())
+            return _emit(args, data, text)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     if args.witt_cmd == "check":
         if not args.ghost or args.witt:
             raise InputError("check takes --ghost, not --witt" if args.witt else "check needs --ghost")

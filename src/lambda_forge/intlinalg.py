@@ -59,7 +59,8 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Primality: trial division by the primes to 47 (enough below 53**2),
-    then Miller-Rabin (deterministic bases below 2**64, 40 random rounds above)."""
+    then Miller-Rabin: twelve fixed bases, a proof below 2**64; above it 40
+    rounds with bases seeded from n, a probable-prime answer."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -91,8 +92,10 @@ def _pollard_rho(n: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A certified factorization: value == prod(p**e), primes strictly
-    increasing, every p prime."""
+    """A checked factorization: value == prod(p**e) and the primes strictly
+    increase, and every p passes ``is_prime``.  That proves p prime below
+    2**64; above it, 40 Miller-Rabin rounds with bases seeded from p give a
+    fixed answer with error bound 4**-40, not a proof."""
 
     value: int
     factors: tuple[tuple[int, int], ...]

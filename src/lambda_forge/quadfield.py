@@ -209,48 +209,19 @@ class QuadIdeal:
         return QuadIdeal(field, int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-def _ideal_from_pairs(field: QuadField, pairs) -> QuadIdeal:
-    """Normal form of the Z-module spanned by elements given as (w, 1)
-    coordinate pairs, which must be an O-module (checked).
-
-    The pairs fold into the 2-column Hermite form Z*(bq + v*w) + Z*aq
-    (Cohen, GTM 138, 5.2): a pair with a nonzero w-coordinate joins the top
-    row by row-wise Euclid, which leaves the eliminated combination with
-    w-coordinate 0; such a remainder, like a pair that starts with w-coordinate
-    0, is gcd-ed into aq.  With v | aq and v | bq the module is
-    c*(Z*a + Z*(b + w)), and it is closed under w exactly when a | N(b + w),
-    which the QuadIdeal constructor checks.
-    """
-    v = bq = aq = 0
-    for x, y in pairs:
-        while x:
-            q = v // x
-            v, bq, x, y = x, y, v - q * x, bq - q * y
-        aq = gcd(aq, y)
-    if not v and not aq:
-        raise InputError("zero module is not an ideal")
-    if not v or not aq:
-        raise InputError("module has rank < 2, not an ideal")
-    if v < 0:
-        v, bq = -v, -bq
-    bq %= aq
-    if aq % v != 0 or bq % v != 0:
-        raise InputError("module is not closed under multiplication by w")
-    return QuadIdeal(field, aq // v, bq // v, v)
-
-
-def ideal_from_module(field: QuadField, gens: list[QuadInt]) -> QuadIdeal:
-    """Normal form of the Z-module spanned by the generators, which must be
-    an O-module (checked)."""
-    return _ideal_from_pairs(field, [(g.b, g.a) for g in gens])
-
-
 def principal_ideal(x: QuadInt) -> QuadIdeal:
+    """The ideal (x) = g*[N, u/v mod N] for x = g*(u + v*w), g the gcd of
+    its coordinates and N = N(u + v*w): the primitive ideal (u + v*w) holds
+    u + v*w = v*(b + w) mod N.  v is a unit mod N, since a prime dividing v
+    and N = u^2 + t*u*v + n*v^2 would divide u; v = 0 gives N = 1, and
+    pow(0, -1, 1) = 0."""
     if x.is_zero():
         raise InputError("zero element generates no ideal")
     f = x.field
-    # x and x*w = -n*b + (a + t*b)*w
-    return _ideal_from_pairs(f, [(x.b, x.a), (x.a + f.trace_w * x.b, -f.norm_w * x.b)])
+    g = gcd(x.a, x.b)
+    u, v = x.a // g, x.b // g
+    norm = u * u + f.trace_w * u * v + f.norm_w * v * v
+    return QuadIdeal(f, norm, u * pow(v, -1, norm) % norm, g)
 
 
 def ideal_from_int(field: QuadField, n: int) -> QuadIdeal:
@@ -313,17 +284,17 @@ def ideal_mul_conj(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_gcd(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
-    """The ideal sum x + y, i.e. the gcd in the divisibility order: in
-    closed form for primitive ideals, the unit ideal at once when the norms
-    are coprime, else by the Hermite fold."""
+    """The ideal sum x + y, i.e. the gcd in the divisibility order, in
+    closed form (Cohen, GTM 138, 5.2): with g = gcd(c1, c2), e_i = c_i / g
+    and s = 1 / e1 mod e2, it is g times the sum of the e_i*[a_i, b_i + w],
+    whose element of w-coordinate 1 is s*e1*(b1 + w) + (1 - s*e1)*(b2 + w)
+    and whose integers are spanned by e1*a1, e2*a2 and e1*e2*(b1 - b2)."""
     if x.field != y.field:
         raise InputError("ideals from different fields")
-    if x.c == y.c == 1:  # Z*a1 + Z*a2 + Z*(b1 - b2) + Z*(b1 + w)
-        g = gcd(x.a, y.a, x.b - y.b)
-        return QuadIdeal(x.field, g, x.b % g, 1)
-    if gcd(x.a * x.c * x.c, y.a * y.c * y.c) == 1:
-        return QuadIdeal(x.field, 1, 0, 1)
-    return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
+    g = gcd(x.c, y.c)
+    e1, e2, db = x.c // g, y.c // g, x.b - y.b
+    a = gcd(e1 * x.a, e2 * y.a, e1 * e2 * db)
+    return QuadIdeal(x.field, a, (pow(e1, -1, e2) * e1 * db + y.b) % a, g)
 
 
 def ideal_div(x: QuadIdeal, y: QuadIdeal) -> QuadIdeal:
@@ -410,16 +381,11 @@ def primes_above(p: int, field: QuadField) -> list[tuple[QuadIdeal, int, int]]:
     roots = [b for b in range(p) if (b * b + t * b + n) % p == 0]
     if not roots:
         return [(ideal_from_int(field, p), 1, 2)]
-    ideals = []
-    for b in sorted(set(roots)):
-        # p and b + w, with (b + w)*w = -n + (b + t)*w
-        ideals.append(_ideal_from_pairs(field, [(0, p), (1, b), (p, 0), (b + t, -n)]))
-    if len(ideals) == 2:
-        return [(ideals[0], 1, 1), (ideals[1], 1, 1)]
-    # single root: ramified iff p divides the discriminant
-    if field.disc % p == 0:
-        return [(ideals[0], 2, 1)]
-    return [(ideals[0], 1, 1), (ideal_div(ideal_from_int(field, p), ideals[0]), 1, 1)]
+    # (p, b + w) with p | N(b + w) is [p, b + w] itself.  The polynomial has
+    # discriminant disc, so one root means p | disc (for p = 2 with t = 0,
+    # disc = 4d): ramified; two roots: split
+    e = 2 if len(roots) == 1 else 1
+    return [(QuadIdeal(field, p, b, 1), e, 1) for b in roots]
 
 
 def ideal_valuation(x: QuadIdeal, q: QuadIdeal) -> int:
@@ -454,15 +420,11 @@ def ideal_divisors(x: QuadIdeal) -> list[QuadIdeal]:
     """All ideal divisors, sorted by (norm, triple)."""
     divs = [ideal_from_int(x.field, 1)]
     for q, v in ideal_factor(x):
-        divs = [ideal_mul(d, _ideal_pow(q, k)) for d in divs for k in range(v + 1)]
+        power = divs  # the divisors without q, times q^k
+        for _ in range(v):
+            power = [ideal_mul(d, q) for d in power]
+            divs = divs + power
     return sorted(divs, key=lambda i: (i.norm(), i.a, i.b, i.c))
-
-
-def _ideal_pow(q: QuadIdeal, k: int) -> QuadIdeal:
-    out = ideal_from_int(q.field, 1)
-    for _ in range(k):
-        out = ideal_mul(out, q)
-    return out
 
 
 def ideals_by_norm(field: QuadField) -> Iterator[QuadIdeal]:

@@ -114,12 +114,6 @@ class Cycle:
         return Cycle(None, int(m.group(1)), m.group(2) is not None)
 
 
-def cycle_gcd(x: Cycle, y: Cycle) -> Cycle:
-    _require_rational(x)
-    _require_rational(y)
-    return Cycle(None, gcd(x.finite, y.finite), x.infinity and y.infinity)
-
-
 def cycle_lcm(x: Cycle, y: Cycle) -> Cycle:
     _require_rational(x)
     _require_rational(y)
@@ -970,11 +964,3 @@ def dr_shift_map(f: Cycle, a, support: PrimeSupport = ALL_PRIMES) -> list[int]:
         if img[proj[i]] != dst.mul(cls_a_big, i):
             raise InputError("shift after projection is not multiplication by the class")
     return img
-
-
-def free_dr_set(f: Cycle, support: PrimeSupport = ALL_PRIMES):
-    """The monoid acting on itself by translation, pointed at the identity:
-    (monoid, action table, index of the distinguished point)."""
-    dr = dr_monoid(f, support)
-    action = dr.table()
-    return dr, action, dr.identity

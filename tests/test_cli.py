@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from lambda_forge import witt
 from lambda_forge.cli import main
 
 
@@ -389,11 +390,19 @@ def test_frob_flag_validation():
     assert code == 1
 
 
-# the exact message of each malformed truncation bound
+# the exact message of each malformed truncation bound (and, below, of a
+# component past the digit limit)
 BOUND_MESSAGES = {
     ("witt", "convert", "--ghost", "1", "--trunc", spec): f"error: the truncation bound must be at least 1, got {n}\n"
     for spec, n in [("div:0", 0), ("div:-3", -3), ("upto:0", 0), ("upto:-5", -5)]
 }
+# an integer past Python's digit limit (3.11+) is named as such, and only a
+# prefix of its digits is echoed
+if hasattr(sys, "get_int_max_str_digits"):
+    BOUND_MESSAGES[("witt", "convert", "--trunc", "div:2", "--ghost", "1," + "9" * 5000)] = (
+        f"error: a component is over Python's limit of {sys.get_int_max_str_digits()} digits, "
+        f"got '{'9' * 20}'... (5000 characters)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -426,3 +435,27 @@ def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     if tuple(argv) in BOUND_MESSAGES:
         assert err == BOUND_MESSAGES[tuple(argv)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before Python 3.11")
+def test_witt_convert_prints_integers_past_the_digit_limit(capsys):
+    """g_4608 of thirty nines has 4,398 digits, past Python's default limit
+    of 4,300 for printing an int: it is printed in full, and the limit is
+    restored after."""
+    trunc = witt.TruncationSet.divisors_of(4608)
+    w = witt.WittCoords.make(witt.INTEGERS, trunc, {d: (9,) for d in trunc.sorted()})
+    want = witt.ghost_from_witt(w).component(4608)
+    limit = sys.get_int_max_str_digits()
+    outs = []
+    for extra in ([], ["--json"]):
+        code, out = run_cli(["witt", "convert", "--ring", "Z", "--trunc", "div:4608", "--witt", ",".join(["9"] * 30), *extra])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert sys.get_int_max_str_digits() == limit
+        outs.append(out)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(want[0])) > limit
+        assert outs[0].endswith(f"; g_4608={want}\n")
+        assert json.loads(outs[1])["ghost"]["4608"] == list(want)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -26,7 +26,7 @@ from lambda_forge.modelcheck import (
     mu_n_pm_data,
     _subset_image,
 )
-from lambda_forge.rayclass import Cycle, dr_monoid, free_dr_set
+from lambda_forge.rayclass import Cycle, dr_monoid
 
 
 def test_validation():
@@ -127,7 +127,7 @@ def test_dr_action_examples():
 def test_free_dr_set_round_trip():
     # the free action, packaged as combinatorial data, acts by translation
     f = Cycle.parse("6*inf")
-    dr, action, pt = free_dr_set(f)
+    dr = dr_monoid(f)
     n = f.finite
     galois = {}
     for u in range(1, n + 1):

@@ -12,13 +12,11 @@ from lambda_forge.quadfield import (
     QuadField,
     QuadIdeal,
     QuadInt,
-    _ideal_from_pairs,
     class_group,
     generator_pairs,
     ideal_div,
     ideal_divides,
     ideal_from_int,
-    ideal_from_module,
     ideal_gcd,
     ideal_generators,
     ideal_mul,
@@ -105,7 +103,7 @@ def test_primes_above_products():
 def test_is_principal_examples():
     g = is_principal(ideal_from_int(GAUSS, 7))
     assert g is not None and principal_ideal(g) == ideal_from_int(GAUSS, 7)
-    p2 = ideal_from_module(K5, [QuadInt(K5, 2, 0), QuadInt(K5, 1, 1)])
+    p2 = QuadIdeal(K5, 2, 1, 1)  # Z*2 + Z*(1 + w)
     assert is_principal(p2) is None
     above5 = primes_above(5, GAUSS)[0][0]
     g = is_principal(above5)
@@ -183,11 +181,11 @@ def test_ideal_div_exactness():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the general-echelon ideal arithmetic that the 2-column fold
-# replaced, kept here to check the fold and the closed forms against.
+# Oracles: general-echelon ideal arithmetic, to check the closed forms and
+# the composition kernel against.
 
 
-def _hnf_ideal_from_module(field, gens):
+def _echelon_ideal(field, gens):
     rows = [[g.b, g.a] for g in gens if not g.is_zero()]  # (w, 1) coordinates
     if not rows:
         raise InputError("zero module is not an ideal")
@@ -210,23 +208,23 @@ def _hnf_ideal_from_module(field, gens):
 
 def _oracle_conj(x):
     g1, g2 = x.basis()
-    return _hnf_ideal_from_module(x.field, [g1.conj(), g2.conj()])
+    return _echelon_ideal(x.field, [g1.conj(), g2.conj()])
 
 
 def _oracle_principal(x):
     if x.is_zero():
         raise InputError("zero element generates no ideal")
-    return _hnf_ideal_from_module(x.field, [x, x * x.field.omega()])
+    return _echelon_ideal(x.field, [x, x * x.field.omega()])
 
 
 def _oracle_mul(x, y):
     g1, g2 = x.basis()
     h1, h2 = y.basis()
-    return _hnf_ideal_from_module(x.field, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
+    return _echelon_ideal(x.field, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
 
 
 def _oracle_gcd(x, y):
-    return _hnf_ideal_from_module(x.field, list(x.basis()) + list(y.basis()))
+    return _echelon_ideal(x.field, list(x.basis()) + list(y.basis()))
 
 
 def _oracle_div(x, y):
@@ -236,7 +234,7 @@ def _oracle_div(x, y):
     for g in (g1, g2):
         if g.a % n or g.b % n:
             raise InputError("ideal division is not exact")
-    return _hnf_ideal_from_module(x.field, [QuadInt(x.field, g.a // n, g.b // n) for g in (g1, g2)])
+    return _echelon_ideal(x.field, [QuadInt(x.field, g.a // n, g.b // n) for g in (g1, g2)])
 
 
 def _outcome(fn, *args):
@@ -248,42 +246,6 @@ def _outcome(fn, *args):
 
 
 DIFF_FIELDS = (GAUSS, K5, EISEN)
-_entry = st.integers(-30, 30)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    field=st.sampled_from(DIFF_FIELDS),
-    gens=st.lists(st.tuples(_entry, _entry), min_size=0, max_size=5),
-)
-def test_ideal_from_module_matches_echelon(field, gens):
-    elems = [QuadInt(field, a, b) for a, b in gens]
-    assert _outcome(ideal_from_module, field, elems) == _outcome(_hnf_ideal_from_module, field, elems)
-
-
-@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
-def test_ideal_from_module_refusals(field):
-    """Zero, rank-1 and non-O-module inputs refuse with the oracle's
-    exception and message."""
-    cases = [
-        [],
-        [QuadInt(field, 0, 0)],
-        [QuadInt(field, 0, 0), QuadInt(field, 0, 0)],
-        [QuadInt(field, 6, 0)],
-        [QuadInt(field, 2, 3), QuadInt(field, -4, -6)],
-        [QuadInt(field, 0, 5), QuadInt(field, 0, 7)],
-        [QuadInt(field, 2, 0), QuadInt(field, 0, 1)],  # Z*2 + Z*w
-        [QuadInt(field, 4, 0), QuadInt(field, 1, 2)],
-        [QuadInt(field, 3, 0), QuadInt(field, 0, 3), QuadInt(field, 1, 1)],
-        [QuadInt(field, 7, 0), QuadInt(field, 1, 1)],
-    ]
-    for gens in cases:
-        want = _outcome(_hnf_ideal_from_module, field, gens)
-        assert _outcome(ideal_from_module, field, gens) == want
-    refusals = {_outcome(_hnf_ideal_from_module, field, gens) for gens in cases[:8]}
-    assert all(isinstance(r, tuple) and r[0] is InputError for r in refusals)
-    # zero module, rank < 2, and two ways of not being closed under w
-    assert len(refusals) == 4
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
@@ -310,12 +272,6 @@ def test_ideal_arithmetic_matches_echelon(field):
     assert inexact > 0
 
 
-@pytest.mark.parametrize("field", DIFF_FIELDS, ids=lambda f: f"d={f.d}")
-def test_principal_ideal_matches_echelon(field):
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            x = QuadInt(field, a, b)
-            assert _outcome(principal_ideal, x) == _outcome(_oracle_principal, x)
 
 
 def _scan_index_of(group, x):
@@ -507,44 +463,12 @@ def test_normal_form_check_matches_element_norm(field):
                 assert (None if isinstance(got, QuadIdeal) else got) == want, (a, b, c)
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"d={f.d}")
-def test_ideal_from_pairs_refusal_messages(field):
-    """The fold's four refusals, as (w, 1) coordinate pairs."""
-    cases = {
-        (): "zero module is not an ideal",
-        ((0, 6),): "module has rank < 2, not an ideal",
-        ((2, 0), (0, 3)): "module is not closed under multiplication by w",
-        ((1, 0), (0, 7)): "triple does not span an ideal (a | N(b+w) fails)",
-    }
-    for pairs, message in cases.items():
-        assert _outcome(_ideal_from_pairs, field, list(pairs)) == (InputError, message)
-
-
 # ---------------------------------------------------------------------------
-# Oracles: the four-pair fold that Dirichlet composition replaced in
-# ideal_mul and that ideal_gcd skips for coprime norms, and the scan that
-# lattice reduction replaced in ideal_generators; over fields with both
-# shapes of w and class numbers 1, 2, 3 and 5.
+# The closed forms and the composition kernel against the echelon oracles,
+# and the scan that lattice reduction replaced in ideal_generators; over
+# fields with both shapes of w and class numbers 1, 2, 3 and 5.
 
 REDUCTION_FIELDS = tuple(QuadField(d) for d in (-1, -2, -3, -5, -6, -7, -15, -23, -47, -163))
-
-
-def _fold_mul(x, y):
-    f = x.field
-    a1, b1, a2, b2, c = x.a, x.b, y.a, y.b, x.c * y.c
-    return _ideal_from_pairs(
-        f,
-        [
-            (0, a1 * a2 * c),
-            (a1 * c, a1 * b2 * c),
-            (a2 * c, a2 * b1 * c),
-            ((b1 + b2 + f.trace_w) * c, (b1 * b2 - f.norm_w) * c),
-        ],
-    )
-
-
-def _fold_gcd(x, y):
-    return _ideal_from_pairs(x.field, [(0, x.a * x.c), (x.c, x.b * x.c), (0, y.a * y.c), (y.c, y.b * y.c)])
 
 
 @st.composite
@@ -577,9 +501,9 @@ def test_ideal_generators_match_scan(case):
 def test_ideal_mul_and_gcd_match_fold(case):
     _, (x, y) = case
     xy = ideal_mul(x, y)
-    assert xy == _fold_mul(x, y)
-    assert ideal_gcd(x, y) == _fold_gcd(x, y)
-    assert ideal_gcd(x, xy) == _fold_gcd(x, xy) == x
+    assert xy == _oracle_mul(x, y)
+    assert ideal_gcd(x, y) == _oracle_gcd(x, y)
+    assert ideal_gcd(x, xy) == _oracle_gcd(x, xy) == x
 
 
 @pytest.mark.parametrize("field", REDUCTION_FIELDS, ids=lambda f: f"d={f.d}")
@@ -596,23 +520,73 @@ def test_reduction_and_composition_on_small_ideals(field):
     coprime = 0
     for x in small:
         for y in small:
-            assert ideal_mul(x, y) == _fold_mul(x, y)
-            assert ideal_gcd(x, y) == _fold_gcd(x, y)
+            assert ideal_mul(x, y) == _oracle_mul(x, y)
+            assert ideal_gcd(x, y) == _oracle_gcd(x, y)
             coprime += gcd(x.norm(), y.norm()) == 1
     assert coprime and any(i.c > 1 for i in small)
 
 
 @pytest.mark.parametrize("d", (-1, -2, -3, -5, -7, -14, -23))
 def test_ideal_gcd_matches_fold_on_every_pair_of_norm_up_to_80(d):
-    """The closed form for primitive pairs, the coprime shortcut and the
-    fold itself, against the four-pair fold on every ordered pair."""
+    """The closed-form sum against the echelon oracle on every ordered
+    pair, primitive or not."""
     ideals = ideals_of_norm_up_to(QuadField(d), 80)
     primitive = 0
     for x in ideals:
         for y in ideals:
-            assert ideal_gcd(x, y) == _fold_gcd(x, y)
+            assert ideal_gcd(x, y) == _oracle_gcd(x, y)
             primitive += x.c == y.c == 1
     assert 0 < primitive < len(ideals) ** 2
+
+
+@pytest.mark.parametrize("field", REDUCTION_FIELDS, ids=lambda f: f"d={f.d}")
+def test_principal_ideal_matches_echelon(field):
+    """Every u + v*w with |u|, |v| <= 30: gcd(u, v) > 1, v = 0 and the
+    zero refusal all occur."""
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            x = QuadInt(field, a, b)
+            assert _outcome(principal_ideal, x) == _outcome(_oracle_principal, x)
+
+
+def _oracle_primes_above(field, p):
+    """(prime, e, f) per root b of N(b + w) mod p, the prime the echelon form
+    of p*O + (b + w)*O, ramified exactly when p divides the discriminant."""
+    roots = [b for b in range(p) if QuadInt(field, b, 1).norm() % p == 0]
+    if not roots:
+        return [(_oracle_principal(QuadInt(field, p, 0)), 1, 2)]
+    e = 2 if field.disc % p == 0 else 1
+    w = field.omega()
+    return [
+        (_echelon_ideal(field, [QuadInt(field, p, 0), QuadInt(field, 0, p), QuadInt(field, b, 1), QuadInt(field, b, 1) * w]), e, 1)
+        for b in roots
+    ]
+
+
+def _closed_form_mismatches(field):
+    """The pairs of ideals of norm <= 40 (so c <= 6) whose ``ideal_gcd``
+    differs from the echelon sum, and the primes p <= 200 whose
+    ``primes_above`` differs from the echelon primes."""
+    ideals = ideals_of_norm_up_to(field, 40)
+    bad = [(x, y) for x in ideals for y in ideals if quadfield.ideal_gcd(x, y) != _oracle_gcd(x, y)]
+    return bad + [p for p in range(2, 201) if is_prime(p) and primes_above(p, field) != _oracle_primes_above(field, p)]
+
+
+@pytest.mark.parametrize("field", REDUCTION_FIELDS, ids=lambda f: f"d={f.d}")
+def test_sums_and_primes_above_match_echelon(field):
+    assert max(i.c for i in ideals_of_norm_up_to(field, 40)) == 6
+    assert _closed_form_mismatches(field) == []
+
+
+def test_a_wrong_sum_that_spans_an_ideal_is_caught(monkeypatch):
+    """A sum with the conjugate b passes the constructor's check, since
+    N(conj(b + w)) = N(b + w); the differential catches it."""
+    def conjugate_b(x, y):
+        s = ideal_gcd(x, y)  # the unpatched function, imported above
+        return QuadIdeal(s.field, s.a, (-s.b - s.field.trace_w) % s.a, s.c)
+
+    monkeypatch.setattr(quadfield, "ideal_gcd", conjugate_b)
+    assert _closed_form_mismatches(K5)
 
 
 def _prime_of_form(field, u, v):

@@ -37,7 +37,6 @@ from lambda_forge.rayclass import (
     DRClass,
     PrimeSupport,
     RationalRayClassGroup,
-    cycle_gcd,
     cycle_lcm,
     divisor_cycles,
     dr_canonical_map,
@@ -48,7 +47,6 @@ from lambda_forge.rayclass import (
     f_equiv,
     f_equiv_generator,
     f_label,
-    free_dr_set,
     ray_class_group,
 )
 from lambda_forge.rayclass import _label, _smallest_supported
@@ -71,7 +69,6 @@ def test_cycle_parsing():
 
 def test_cycle_arithmetic():
     a, b = Cycle.parse("4*inf"), Cycle.parse("6")
-    assert cycle_gcd(a, b) == Cycle.parse("2")
     assert cycle_lcm(a, b) == Cycle.parse("12*inf")
     assert Cycle.parse("2").divides(a)
     assert not Cycle.parse("2*inf").divides(Cycle.parse("2"))
@@ -806,14 +803,6 @@ def test_shift_map_examples():
     dst = dr_monoid(Cycle.parse("4*inf"))
     evens = {i for i, e in enumerate(dst.elements) if dst.reps[i] % 2 == 0}
     assert set(img) <= evens
-
-
-def test_free_dr_set():
-    dr, action, pt = free_dr_set(Cycle.parse("1"))
-    assert dr.size == 1 and action == [[0]]
-    dr, action, pt = free_dr_set(Cycle.parse("2*inf"))
-    assert dr.size == 2
-    assert sorted(action[i][pt] for i in range(dr.size)) == [0, 1]  # orbit is everything
 
 
 def test_quadratic_routes_agree_sample():
