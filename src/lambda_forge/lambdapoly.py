@@ -358,20 +358,27 @@ def gm_periodic_exponent(f: Cycle, support: PrimeSupport = ALL_PRIMES) -> int:
     gcd of |a - b| over f-equivalent supported exponents a, b within the
     scan bound 4*n, required to stabilize at twice the bound.
 
-    One pass labels each exponent once: over the pairs of one class the gcd
-    of |a - b| is the gcd of each member's distance to the class's first
-    member.  A scan that does not stabilize refuses under an explicit
-    support and is a broken invariant under a dense one.
+    One pass labels each residue mod n once: over Q the label of a depends
+    only on a mod n (gcd(a, n) does, and so does the class of the cofactor
+    a/d mod n/d).  Over the pairs of one class the gcd of |a - b| is the
+    gcd of each member's distance to the class's first member.  A scan
+    that does not stabilize refuses under an explicit support and is a
+    broken invariant under a dense one.
     """
     if f.field is not None:
         raise InputError("the toric line lives over the rationals")
-    bound = 4 * f.finite
+    n = f.finite
+    bound = 4 * n
     first: dict[tuple, int] = {}
+    labels: dict[int, tuple] = {}  # per residue mod n
     m = m_bound = 0
     for a in range(1, 2 * bound + 1):
         if not support.supports_int(a):
             continue
-        m = gcd(m, a - first.setdefault(f_label(a, f, support), a))
+        label = labels.get(a % n)
+        if label is None:
+            label = labels[a % n] = f_label(a, f, support)
+        m = gcd(m, a - first.setdefault(label, a))
         if a <= bound:
             m_bound = m
             if m == 1:  # the gcd only shrinks, so the doubled scan ends at 1 too

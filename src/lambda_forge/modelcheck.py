@@ -9,8 +9,10 @@ agree on the stable core anyway.
 The procedures: the ramification ideal r from per-prime image chains,
 conductors of sub-actions, existence of an integral model at a given cycle
 (the lcm criterion, cross-checked against a direct factorization test
-through the ray class monoid), the minimal cycle, and the induced monoid
-action.  A local variant handles a single prime with explicit inertia.
+through the ray class monoid), the minimal cycle (the lcm bound f0,
+re-derived on every divisor cycle of f0 from one joint image built at f0
+and projected to each divisor's monoid), and the induced monoid action.
+A local variant handles a single prime with explicit inertia.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
-from .intlinalg import divisors, factor
-from .rayclass import ALL_PRIMES, Cycle, cycle_lcm, divisor_cycles, dr_monoid
+from .intlinalg import divisors, factor, is_prime
+from .rayclass import ALL_PRIMES, Cycle, DRMonoid, cycle_lcm, divisor_cycles, dr_monoid
 
 
 def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """(f o g)(x) = f(g(x))."""
-    return tuple(f[g[x]] for x in range(len(g)))
+    return tuple([f[x] for x in g])
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -37,8 +39,9 @@ class FiniteIdSet:
     """A finite set with an action of (Z/m)* and special prime maps.
 
     ``galois`` maps each unit residue mod m to a permutation; ``special``
-    maps each prime in B (which must contain every prime dividing m) to an
-    arbitrary self-map.  Permutations and maps are tuples of images.
+    maps each prime in B (which must contain every prime dividing m; a key
+    that is not a prime is refused) to an arbitrary self-map.  Permutations
+    and maps are tuples of images.
     """
 
     size: int
@@ -63,6 +66,9 @@ class FiniteIdSet:
                 if _compose(gal[u], gal[v]) != gal[(u * v) % self.m]:
                     raise InputError("galois data is not a group action")
         sp = dict(self.special)
+        for p in sp:
+            if not is_prime(p):
+                raise InputError(f"special map key {p} is not a prime")
         for p in factor(self.m).primes():
             if p not in sp:
                 raise InputError(f"special maps must cover the primes dividing m (missing {p})")
@@ -269,28 +275,30 @@ def decide_model(s: FiniteIdSet, f: Cycle) -> bool:
 
 def factors_through_dr(s: FiniteIdSet, f: Cycle) -> bool:
     """Direct test: the joint action of Galois and the ideals factors
-    through the ray class monoid of conductor f.
+    through the ray class monoid of conductor f, i.e. the projection of the
+    joint image J_f (see ``_joint_image``) to DR(f) is injective."""
+    return _single_valued(_joint_image(s, f)[0])
 
-    Generates the image of the joint map into Map(S,S) x DR(f) from finite
-    generator data (unit residues modulo lcm(m, n) stand in for the generic
-    primes realizing them) and checks the projection to DR(f) is injective
-    on the image.
+
+def _joint_image(s: FiniteIdSet, f: Cycle) -> tuple[set[tuple[tuple[int, ...], int]], DRMonoid]:
+    """The image J_f of the joint map into Map(S,S) x DR(f), and DR(f).
+
+    J_f is the monoid generated by finite data: the unit residues w modulo
+    lcm(m, n) stand in for the generic primes realizing them and give
+    (galois[w mod m], [w]); each special prime p gives (psi_p, [p]); each
+    other prime p | n gives (galois[p mod m], [p]), since every prime
+    dividing m is special.
     """
     if f.field is not None:
         raise InputError("model decisions run over the rationals")
     n = f.finite
     dr = dr_monoid(f, ALL_PRIMES)
     m = s.m
+    gal, sp = s.galois_map, s.special_map
     L_mod = lcm(m, n)
-    gens: set[tuple[tuple[int, ...], int]] = set()
-    for w in range(1, L_mod + 1):
-        if gcd(w, L_mod) == 1:
-            gens.add((s.galois_map[w % m], dr.class_of_ideal(w)))
-    for p, fmap in s.special:
-        gens.add((fmap, dr.class_of_ideal(p)))
-    for p in factor(n).primes():
-        if p not in s.special_map:
-            gens.add((s.psi_prime(p), dr.class_of_ideal(p)))
+    gens = {(gal[w % m], dr.class_of_ideal(w)) for w in range(1, L_mod + 1) if gcd(w, L_mod) == 1}
+    gens.update((fmap, dr.class_of_ideal(p)) for p, fmap in sp.items())
+    gens.update((gal[p % m], dr.class_of_ideal(p)) for p in factor(n).primes() if p not in sp)
     # monoid closure
     seen = set(gens)
     frontier = list(gens)
@@ -301,24 +309,47 @@ def factors_through_dr(s: FiniteIdSet, f: Cycle) -> bool:
             if item not in seen:
                 seen.add(item)
                 frontier.append(item)
-    by_class: dict[int, set] = {}
-    for fm, c in seen:
-        by_class.setdefault(c, set()).add(fm)
-    return all(len(v) == 1 for v in by_class.values())
+    return seen, dr
+
+
+def _projected_image(image: set[tuple[tuple[int, ...], int]], top: DRMonoid, g: Cycle) -> set[tuple[tuple[int, ...], int]]:
+    """(id x pi_g)(image) for image inside Map(S,S) x DR(F) and g | F:
+    pi_g sends the class c to the DR(g) class of the representative
+    top.reps[c]."""
+    dr = dr_monoid(g, ALL_PRIMES)
+    return {(fm, dr.class_of_ideal(top.reps[c])) for fm, c in image}
+
+
+def _single_valued(image: set[tuple[tuple[int, ...], int]]) -> bool:
+    """Each class of the image carries exactly one map."""
+    action: dict[int, tuple[int, ...]] = {}
+    return all(action.setdefault(c, fm) == fm for fm, c in image)
 
 
 def minimal_cycle(s: FiniteIdSet) -> Cycle:
     """The least cycle at which a model exists.
 
-    Computed by the lcm formula and re-derived by exhaustive search over
+    Computed by the lcm formula f0 and re-derived by exhaustive search over
     its divisor cycles with the direct factorization test: the action must
-    factor through the answer and through none of its proper divisors.
+    factor through f0 and through none of its proper divisors.
+
+    The joint image is built once, at F = f0, and the image at each divisor
+    g is its projection: (id x pi_g)(J_F) = J_g.  For g | F, F-equivalence
+    refines g-equivalence, so pi_g: DR(F) -> DR(g), the g-class of the
+    representative, is a monoid map, and it sends the F-class of an ideal
+    to its g-class.  So id x pi_g sends F's generator pairs onto g's:
+    every unit residue mod lcm(m, n_g) lifts to a unit residue mod
+    lcm(m, n_F); the special primes give the same pairs at both levels;
+    and a prime p of n_F that is not special is prime to m (every prime of
+    m is special), so when p does not divide n_g its pair
+    (galois[p mod m], [p]_g) is already one of g's unit generators.
     """
     if not has_integral_model(s):
         raise ModelRefusedError("no integral model exists at any cycle")
     f0 = model_cycle_bound(s)
+    image, top = _joint_image(s, f0)
     for g in divisor_cycles(f0):
-        if factors_through_dr(s, g) != f0.divides(g):
+        if _single_valued(_projected_image(image, top, g)) != f0.divides(g):
             raise AssertionError("lcm formula disagrees with divisor-cycle search")
     return f0
 

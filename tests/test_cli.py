@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,36 @@ def test_model_check_command(tmp_path):
     assert json.loads(out)["exists"] is False
     code, _ = run_cli(["model-check", "--input", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+# runs the verb in a child that reports how long main() took: a key of 1
+# used to loop forever in has_integral_model, so the parent must not wedge
+TIMED_MAIN = """
+import sys, time
+from lambda_forge.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"elapsed {time.perf_counter() - start:.6f}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("key", ["1", "0", "4", "6", "-3"])
+def test_model_check_refuses_special_keys_that_are_not_primes(key, tmp_path):
+    """1 used to hang, 0 to raise ZeroDivisionError, 4 and 6 to be answered,
+    and -3 to be refused late as a non-ideal."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {key: [0, 1]}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TIMED_MAIN, "model-check", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    error, elapsed = proc.stderr.splitlines()
+    assert error == f"error: special map key {key} is not a prime"
+    assert float(elapsed.removeprefix("elapsed ")) < 1.0
 
 
 def test_periodic_locus_commands():

@@ -532,6 +532,19 @@ def test_gm_periodic_exponent_matches_pairwise_scan():
     assert outcomes == {int, str}  # both answers and refusals were compared
 
 
+def test_gm_periodic_exponent_labels_each_residue_once(monkeypatch):
+    residues = []
+    label = lambdapoly.f_label
+
+    def counted(a, f, support):
+        residues.append(a % f.finite)
+        return label(a, f, support)
+
+    monkeypatch.setattr(lambdapoly, "f_label", counted)
+    assert gm_periodic_exponent(Cycle.parse("60*inf")) == 60
+    assert sorted(residues) == list(range(60))
+
+
 def test_ray_class_algebra_maps():
     u, v = ray_class_algebra_maps(2, 4)
     x_small = (0, 1)

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -26,7 +26,7 @@ from lambda_forge.modelcheck import (
     mu_n_pm_data,
     _subset_image,
 )
-from lambda_forge.rayclass import Cycle, dr_monoid
+from lambda_forge.rayclass import Cycle, divisor_cycles, dr_monoid
 
 
 def test_validation():
@@ -85,6 +85,47 @@ def test_minimal_cycle_search_refuses_a_wrong_bound(wrong, monkeypatch):
     monkeypatch.setattr(modelcheck, "model_cycle_bound", lambda _: Cycle.parse(wrong))
     with pytest.raises(AssertionError, match="^lcm formula disagrees with divisor-cycle search$"):
         minimal_cycle(s)
+
+
+def test_projected_image_equals_the_image_at_each_divisor():
+    """(id x pi_g)(J_F) = J_g for every divisor cycle g of F = the lcm
+    bound, so the verdict read off the projection is the direct test's."""
+    sets = _random_idsets(random.Random(27), 300)
+    sets += [mu_n_data(n) for n in range(1, 31)] + [mu_n_pm_data(n) for n in range(1, 31, 2)]
+    checked = 0
+    for s in sets:
+        f0 = model_cycle_bound(s)
+        image, top = modelcheck._joint_image(s, f0)
+        for g in divisor_cycles(f0):
+            projected = modelcheck._projected_image(image, top, g)
+            assert projected == modelcheck._joint_image(s, g)[0], (s, str(g))
+            assert modelcheck._single_valued(projected) == factors_through_dr(s, g), (s, str(g))
+            checked += 1
+    assert checked >= 2000
+
+
+def test_joint_image_holds_every_ideal():
+    """Each ideal (a) contributes (psi_(a), [a]) to J_f: the generator data
+    misses none of them, including the primes of f that are not special."""
+    rng = random.Random(5)
+    for s in _random_idsets(rng, 60):
+        for f in _candidate_cycles(rng, s):
+            image, dr = modelcheck._joint_image(s, f)
+            for a in range(1, 3 * lcm(s.m, f.finite) + 1):
+                assert (s.psi_ideal(a), dr.class_of_ideal(a)) in image, (s, str(f), a)
+
+
+def test_minimal_cycle_builds_one_joint_image(monkeypatch):
+    built = []
+    joint_image = modelcheck._joint_image
+
+    def counted(s, f):
+        built.append(f)
+        return joint_image(s, f)
+
+    monkeypatch.setattr(modelcheck, "_joint_image", counted)
+    assert minimal_cycle(mu_n_data(60)) == Cycle.parse("60*inf")
+    assert built == [Cycle.parse("60*inf")]
 
 
 def test_minimal_cycle_refusal():
