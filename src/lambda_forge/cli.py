@@ -8,22 +8,16 @@ for humans and carries no stability guarantee.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import lambdapoly, modelcheck, rayclass, witt
 from .errors import BoundExceededError, DensityRequiredError, InputError, ModelRefusedError
 from .intlinalg import divisors
 from .quadfield import QuadField, QuadIdeal
 from .rayclass import Cycle, PrimeSupport
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit 2; malformed input is 1
-        raise InputError(message)
 
 
 def _int(text: str, what: str) -> int:
@@ -99,14 +93,9 @@ def _cmd_f_equiv(args) -> str:
 
 def _cmd_ray_class(args) -> str:
     cl = rayclass.ray_class_group(_parse_cycle(args), PrimeSupport.parse(args.support))
-    data = {
-        "order": cl.order,
-        "reps": [str(r) for r in cl.reps],
-        "table": [list(row) for row in cl.table],
-        "is_full": cl.is_full,
-    }
-    text = f"ray class group of conductor {args.cycle}: order {cl.order}"
-    return _emit(args, data, text, csv_rows=[list(row) for row in cl.table])
+    table = [list(row) for row in cl.table]
+    data = {"order": cl.order, "reps": [str(r) for r in cl.reps], "table": table, "is_full": cl.is_full}
+    return _emit(args, data, f"ray class group of conductor {args.cycle}: order {cl.order}", csv_rows=table)
 
 
 def _cmd_model_check(args) -> str:
@@ -117,16 +106,10 @@ def _cmd_model_check(args) -> str:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from None
     s = modelcheck.FiniteIdSet.from_json(data)
     r = modelcheck.compute_r(s)
-    conductors = {
-        str(d): str(modelcheck.conductor(s, modelcheck._subset_image(s, d))) for d in divisors(r)
-    }
+    conductors = {str(d): str(c) for d, c in modelcheck.subset_conductors(s).items()}
     exists_any = modelcheck.has_integral_model(s)
     minimal = str(modelcheck.minimal_cycle(s)) if exists_any else None
-    if args.cycle:
-        cyc = Cycle.parse(args.cycle)
-        exists = modelcheck.decide_model(s, cyc)
-    else:
-        exists = exists_any
+    exists = modelcheck.decide_model(s, Cycle.parse(args.cycle)) if args.cycle else exists_any
     data = {"exists": exists, "minimal_cycle": minimal, "r": r, "conductors": conductors}
     text = f"exists: {exists}; minimal cycle: {minimal}; r = {r}"
     return _emit(args, data, text)
@@ -274,92 +257,107 @@ def _cmd_cotangent(args) -> str:
     return _emit(args, {"a": args.a, "q": args.q, "dimension": d}, str(d))
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="lambda-forge", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--field", default="Q")
-        sp.add_argument("--support", default="all")
-        sp.add_argument("--output", choices=["json", "csv", "text"], default="text")
-        sp.add_argument("--json", dest="output", action="store_const", const="json")
-
-    sp = sub.add_parser("dr-table")
-    common(sp)
-    sp.add_argument("--cycle", required=True)
-    sp.set_defaults(fn=_cmd_dr_table)
-
-    sp = sub.add_parser("dr-mul")
-    common(sp)
-    sp.add_argument("--cycle", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.set_defaults(fn=_cmd_dr_mul)
-
-    sp = sub.add_parser("f-equiv")
-    common(sp)
-    sp.add_argument("--cycle", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.set_defaults(fn=_cmd_f_equiv)
-
-    sp = sub.add_parser("ray-class")
-    common(sp)
-    sp.add_argument("--cycle", required=True)
-    sp.set_defaults(fn=_cmd_ray_class)
-
-    sp = sub.add_parser("model-check")
-    common(sp)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--cycle")
-    sp.set_defaults(fn=_cmd_model_check)
-
-    sp = sub.add_parser("chebyshev")
-    common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mod", type=int)
-    sp.set_defaults(fn=_cmd_chebyshev)
-
-    sp = sub.add_parser("periodic-locus")
-    common(sp)
-    sp.add_argument("--family", required=True, choices=["chebyshev", "toric"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--cycle")
-    sp.set_defaults(fn=_cmd_periodic_locus)
-
-    sp = sub.add_parser("witt")
-    common(sp)
-    sp.add_argument("witt_cmd", choices=["convert", "check", "periodic"])
-    sp.add_argument("--ring", default=None)
-    sp.add_argument("--frob", default="p:x^p", help="lift rule, validated only: the ring fixes the lifts (identity over Z, x -> x^p over x^k-1)")
-    sp.add_argument("--ghost")
-    sp.add_argument("--witt", dest="witt")
-    sp.add_argument("--trunc", help="div:N or upto:N (default div:6)")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--bound", type=int, default=64)
-    sp.set_defaults(fn=_cmd_witt)
-
-    sp = sub.add_parser("cotangent")
-    common(sp)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.set_defaults(fn=_cmd_cotangent)
-
-    return p
+# The verb table: each verb, its handler and its own flags; every verb also
+# takes _COMMON.  A flag is (name, type, required, choices, default): type is
+# str, int (read by _int) or None for the one switch, --json, which is
+# --output json.  witt's subcommand is the one positional, named without dashes.
+_OUTPUT = ("--output", str, False, ("json", "csv", "text"), "text")
+_COMMON = (("--field", str, False, None, "Q"), ("--support", str, False, None, "all"), _OUTPUT, ("--json", None, False, None, "json"))
+_CYCLE = ("--cycle", str, True, None, None)
+_IDEALS = (_CYCLE, ("--a", str, True, None, None), ("--b", str, True, None, None))
+_VERBS = (
+    ("dr-table", _cmd_dr_table, (_CYCLE,)),
+    ("dr-mul", _cmd_dr_mul, _IDEALS),
+    ("f-equiv", _cmd_f_equiv, _IDEALS),
+    ("ray-class", _cmd_ray_class, (_CYCLE,)),
+    ("model-check", _cmd_model_check, (("--input", str, True, None, None), ("--cycle", str, False, None, None))),
+    ("chebyshev", _cmd_chebyshev, (("--n", int, True, None, None), ("--mod", int, False, None, None))),
+    ("periodic-locus", _cmd_periodic_locus, (("--family", str, True, ("chebyshev", "toric"), None),
+                                             ("--n", int, False, None, None), ("--cycle", str, False, None, None))),
+    # --frob is validated only: the ring fixes the lifts (identity over Z,
+    # x -> x^p over x^k-1); --trunc is div:N or upto:N, div:6 when absent
+    ("witt", _cmd_witt, (("witt_cmd", str, True, ("convert", "check", "periodic"), None),
+                         ("--ring", str, False, None, None), ("--frob", str, False, None, "p:x^p"),
+                         ("--ghost", str, False, None, None), ("--witt", str, False, None, None),
+                         ("--trunc", str, False, None, None), ("--n", int, False, None, None),
+                         ("--bound", int, False, None, 64))),
+    ("cotangent", _cmd_cotangent, (("--a", int, True, None, None), ("--q", int, True, None, None))),
+)
+_HELP = ("-h", "--h", "--he", "--hel", "--help")  # --help and the prefixes that name it alone
 
 
-@lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    # built on the first call, not at import; parse_args keeps no state
-    # between calls, so in-process callers share one parser
-    return build_parser()
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The handler and values of one argv, or None for -h or --help.
+    ``--flag value`` takes the next token as the value, whatever it looks
+    like; a flag may be cut to a prefix no other flag of its verb has; the
+    last of repeats wins; each value is checked as it is read."""
+    if not argv:
+        raise InputError("a verb is required")
+    if argv[0] in _HELP:
+        return None
+    for verb, fn, own in _VERBS:
+        if verb == argv[0]:
+            break
+    else:
+        raise InputError(f"unknown verb {argv[0]!r}; use one of {', '.join(v for v, _, _ in _VERBS)}")
+    specs = own + _COMMON
+    positional = next((s for s in specs if s[0][0] != "-"), None)
+    values = {"command": verb, "fn": fn, **{s[0].lstrip("-"): s[4] for s in specs if s[1] is not None}}
+    seen, at, i = {None}, None, 1  # the specs read; a verb without a positional (None) has read it
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--":  # as in argparse: only witt's subcommand may stand just before or just after it
+            if at == i - 2 and i == len(argv):
+                break
+            if positional in seen or i != len(argv) - 1:
+                raise InputError("unrecognized argument '--'")
+            spec, text, i = positional, argv[i], i + 1
+        elif token in _HELP:
+            return None
+        elif token.startswith("--"):
+            name, eq, text = token.partition("=")
+            hits = [s for s in specs if s[0] == name] or [s for s in specs if s[0].startswith(name)]
+            if len(hits) != 1:
+                raise InputError(f"{'ambiguous' if hits else 'unknown'} flag {name}")
+            spec = hits[0]
+            if spec[1] is None:  # the switch
+                if eq:
+                    raise InputError(f"{name} takes no value")
+                spec, text = _OUTPUT, spec[4]
+            elif not eq:
+                if i == len(argv):
+                    raise InputError(f"{name} needs a value")
+                text, i = argv[i], i + 1
+        elif positional not in seen:
+            spec, text, at = positional, token, i - 1
+        else:
+            raise InputError(f"unrecognized argument {token!r}")
+        name, kind, _, choices, _ = spec
+        if choices and text not in choices:
+            raise InputError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
+        values[name.lstrip("-")] = text if kind is str else _int(text, name)
+        seen.add(spec)
+    missing = [s[0] for s in specs if s[2] and s not in seen]
+    if missing:
+        raise InputError(f"{verb} needs {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _usage() -> str:
+    def shown(specs):
+        for name, kind, required, choices, _ in specs:
+            value = "{" + ",".join(choices) + "}" if choices else name.lstrip("-").upper()
+            word = name if kind is None else value if name[0] != "-" else f"{name} {value}"
+            yield word if required else f"[{word}]"
+    verbs = "".join(f"  {verb} {' '.join(shown(own))}\n" for verb, _, own in _VERBS)
+    return f"usage: lambda-forge VERB [FLAG VALUE | FLAG=VALUE]...\n\n{__doc__}\nverbs:\n{verbs}every verb also takes {' '.join(shown(_COMMON))}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
-        sys.stdout.write(args.fn(args))
+        args = _parse(argv)
+        sys.stdout.write(_usage() if args is None else args.fn(args))
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,20 @@ def _identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def _unit_generators(m: int, units) -> list[int]:
+    """Units that generate the group of ``units`` mod m: in increasing
+    order, each one outside the subgroup the earlier ones generate, so at
+    most log2 of the group's order of them."""
+    gens, group = [], {1 % m}
+    for u in sorted(units):
+        if u not in group:
+            gens.append(u)
+            coset = group
+            while (coset := {x * u % m for x in coset}).isdisjoint(group):  # the cosets of group in group<u>
+                group |= coset
+    return gens
+
+
 @dataclass(frozen=True)
 class FiniteIdSet:
     """A finite set with an action of (Z/m)* and special prime maps.
@@ -50,6 +64,18 @@ class FiniteIdSet:
     special: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        """Checks the data, the action on generators g of (Z/m)* only:
+        gal(1) = id and gal(u g) = gal(u) o gal(g) for every unit u.  Then
+        gal(u v) = gal(u) o gal(v) for all units: the v for which it holds
+        for every u include 1 and each g, and are closed under products,
+        since gal(u v w) = gal(u v) o gal(w) = gal(u) o gal(v) o gal(w) =
+        gal(u) o gal(v w); so they are the whole finite group.  Likewise a
+        special map that commutes with each gal(g) commutes with every
+        gal(u), and the gal(u) commute with each other as (Z/m)* is
+        abelian.  Conversely the law over all pairs gives gal(1) o gal(1) =
+        gal(1), so gal(1) = id for a permutation.  So this refuses exactly
+        what checking every pair of units and of maps refuses, with
+        phi(m) * (number of generators) compositions in place of phi(m)^2."""
         if self.size < 0:
             raise InputError("size must be non-negative")
         if self.m < 1 or self.m > 10**4:
@@ -61,10 +87,11 @@ class FiniteIdSet:
         for u, perm in gal.items():
             if sorted(perm) != list(range(self.size)):
                 raise InputError(f"galois image of {u} is not a permutation")
-        for u in gal:
-            for v in gal:
-                if _compose(gal[u], gal[v]) != gal[(u * v) % self.m]:
-                    raise InputError("galois data is not a group action")
+        gens = _unit_generators(self.m, gal)
+        if gal[1 % self.m] != _identity(self.size) or any(
+            _compose(gal[u], gal[g]) != gal[u * g % self.m] for g in gens for u in gal
+        ):
+            raise InputError("galois data is not a group action")
         sp = dict(self.special)
         for p in sp:
             if not is_prime(p):
@@ -72,12 +99,12 @@ class FiniteIdSet:
         for p in factor(self.m).primes():
             if p not in sp:
                 raise InputError(f"special maps must cover the primes dividing m (missing {p})")
-        maps = list(sp.values()) + [gal[u] for u in gal]
-        for f in sp.values():
+        maps = list(sp.values())
+        for f in maps:
             if len(f) != self.size or any(not 0 <= x < self.size for x in f):
                 raise InputError("special map out of range")
         for i, f in enumerate(maps):
-            for g in maps[i + 1 :]:
+            for g in maps[i + 1 :] + [gal[g] for g in gens]:
                 if _compose(f, g) != _compose(g, f):
                     raise InputError("the prime maps and Galois action must all commute")
 
@@ -247,12 +274,15 @@ def has_integral_model(s: FiniteIdSet) -> bool:
     return True
 
 
+def subset_conductors(s: FiniteIdSet) -> dict[int, Cycle]:
+    """The conductor c(dS) of the image dS, for each d | r."""
+    return {d: conductor(s, _subset_image(s, d)) for d in divisors(compute_r(s))}
+
+
 def model_cycle_bound(s: FiniteIdSet) -> Cycle:
     """lcm over d | r of d * c(dS): the least candidate conductor cycle."""
-    r = compute_r(s)
     out = Cycle(None, 1, False)
-    for d in divisors(r):
-        c = conductor(s, _subset_image(s, d))
+    for d, c in subset_conductors(s).items():
         out = cycle_lcm(out, Cycle(None, d * c.finite, c.infinity))
     return out
 

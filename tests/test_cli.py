@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,9 +8,260 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_forge import witt
+from lambda_forge import cli, witt
 from lambda_forge.cli import main
+from lambda_forge.errors import InputError
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2; malformed input is 1
+        raise InputError(message)
+
+
+def build_parser() -> _Parser:
+    """The argparse front end the verb table replaced, kept as the
+    reference that ``cli._parse`` is checked against."""
+    p = _Parser(prog="lambda-forge", description=cli.__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--field", default="Q")
+        sp.add_argument("--support", default="all")
+        sp.add_argument("--output", choices=["json", "csv", "text"], default="text")
+        sp.add_argument("--json", dest="output", action="store_const", const="json")
+
+    sp = sub.add_parser("dr-table")
+    common(sp)
+    sp.add_argument("--cycle", required=True)
+    sp.set_defaults(fn=cli._cmd_dr_table)
+
+    sp = sub.add_parser("dr-mul")
+    common(sp)
+    sp.add_argument("--cycle", required=True)
+    sp.add_argument("--a", required=True)
+    sp.add_argument("--b", required=True)
+    sp.set_defaults(fn=cli._cmd_dr_mul)
+
+    sp = sub.add_parser("f-equiv")
+    common(sp)
+    sp.add_argument("--cycle", required=True)
+    sp.add_argument("--a", required=True)
+    sp.add_argument("--b", required=True)
+    sp.set_defaults(fn=cli._cmd_f_equiv)
+
+    sp = sub.add_parser("ray-class")
+    common(sp)
+    sp.add_argument("--cycle", required=True)
+    sp.set_defaults(fn=cli._cmd_ray_class)
+
+    sp = sub.add_parser("model-check")
+    common(sp)
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--cycle")
+    sp.set_defaults(fn=cli._cmd_model_check)
+
+    sp = sub.add_parser("chebyshev")
+    common(sp)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--mod", type=int)
+    sp.set_defaults(fn=cli._cmd_chebyshev)
+
+    sp = sub.add_parser("periodic-locus")
+    common(sp)
+    sp.add_argument("--family", required=True, choices=["chebyshev", "toric"])
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--cycle")
+    sp.set_defaults(fn=cli._cmd_periodic_locus)
+
+    sp = sub.add_parser("witt")
+    common(sp)
+    sp.add_argument("witt_cmd", choices=["convert", "check", "periodic"])
+    sp.add_argument("--ring", default=None)
+    sp.add_argument("--frob", default="p:x^p")
+    sp.add_argument("--ghost")
+    sp.add_argument("--witt", dest="witt")
+    sp.add_argument("--trunc")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--bound", type=int, default=64)
+    sp.set_defaults(fn=cli._cmd_witt)
+
+    sp = sub.add_parser("cotangent")
+    common(sp)
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--q", type=int, required=True)
+    sp.set_defaults(fn=cli._cmd_cotangent)
+
+    return p
+
+
+REFERENCE = build_parser()
+
+
+def _parsed(parse, argv):
+    """The attribute dict a parser gives argv, or None if it refuses it."""
+    try:
+        return vars(parse(argv))
+    except InputError:
+        return None
+
+
+def _reference_flags():
+    """verb -> its flags as (name, takes a value, type, choices, required),
+    and its positional's choices, read off the reference parser."""
+    out = {}
+    for verb, sp in REFERENCE._subparsers._group_actions[0].choices.items():
+        flags, choices = [], []
+        for action in sp._actions:
+            if not action.option_strings:
+                choices = list(action.choices)
+            elif action.option_strings != ["-h", "--help"]:
+                flags.append((action.option_strings[0], action.nargs != 0, action.type, action.choices, action.required))
+        out[verb] = (flags, choices)
+    return out
+
+
+FLAGS = _reference_flags()
+# values: ints, negatives, non-integers, choices, empty, spaces, and
+# tokens that look like flags; the value -- is pinned by its own test
+WILD = st.one_of(
+    st.sampled_from(["12*inf", "4", "0", "-3", "json", "toric", "convert", "Q", "x", "", "1 2", "-5 ", "5_0", "-5_0",
+                     "-1,2,3,4", "-x", "--json", "--cyc", "--f", "-", "-h", "--help", "a=b"]),
+    st.text(alphabet="-=0123456789x, ", max_size=6).filter(lambda text: text != "--"),
+)
+# tokens that are neither a flag taking a value nor help: each is refused,
+# save a -- next to witt's subcommand
+STRAYS = st.sampled_from(["stray", "--bogus", "-x", "-5", "--", "-", "--=1", "---n"])
+
+
+def _value(draw, kind, choices):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(WILD)
+    if choices:
+        return draw(st.sampled_from(choices))
+    return str(draw(st.integers(-99, 99))) if kind is int else draw(st.sampled_from(["12*inf", "7", "[5, 2+w, 1]", "div:6", "1,2"]))
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, the same argv with each spaced value that begins with - joined
+    to its flag by =), drawn from one verb's flags: its required ones most
+    of the time, full names and prefixes, both value forms, repeats,
+    switches, witt's subcommand anywhere, strays, and a flag left without
+    its value at the end."""
+    verb = draw(st.sampled_from(sorted(FLAGS) + ["bogus"]))
+    flags, choices = FLAGS.get(verb, ([("--cycle", True, None, None, True)], []))
+    picked = [f for f in flags if f[4] and draw(st.integers(0, 9))] + draw(st.lists(st.sampled_from(flags), max_size=4))
+    picked += [None] * (bool(choices) and draw(st.integers(0, 9)) > 0) + ["stray"] * (draw(st.integers(0, 3)) == 0)
+    argv, joined = [verb], [verb]
+    for flag in draw(st.permutations(picked)):
+        if flag is None or flag == "stray":
+            token = draw(st.sampled_from(choices + ["bogus"]) if flag is None else STRAYS)
+            argv.append(token)
+            joined.append(token)
+            continue
+        name, valued, kind, flag_choices, _ = flag
+        name = name[: draw(st.integers(3, len(name)))]
+        if not valued:
+            token = name + draw(st.sampled_from(["", "", "", "=x", "="]))
+            argv.append(token)
+            joined.append(token)
+        elif draw(st.booleans()):
+            value = _value(draw, kind, flag_choices)
+            argv += [name, value]
+            joined += [f"{name}={value}"] if value.startswith("-") else [name, value]
+        else:
+            token = f"{name}={_value(draw, kind, flag_choices)}"
+            argv.append(token)
+            joined.append(token)
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from([f[0] for f in flags if f[1]])))
+        joined.append(argv[-1])
+    if draw(st.integers(0, 19)) == 0:
+        return argv[1:], joined[1:]
+    return argv, joined
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_argvs())
+def test_parser_matches_argparse(argvs):
+    """The table parser accepts exactly the argv argparse accepts, with the
+    same values.  The one deliberate difference: argparse refuses a spaced
+    value that begins with - and is not a number ("expected one
+    argument"), which the table parser reads as argparse reads the same
+    value after = ."""
+    argv, joined = argvs
+    assert _parsed(cli._parse, argv) == _parsed(REFERENCE.parse_args, joined)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chebyshev", "--n", "7", "--output", "csv", "--json"],
+        ["chebyshev", "--n", "7", "--json", "--output", "csv"],
+        ["chebyshev", "--n=7", "--n", "8", "--j"],
+        ["dr-table", "--cyc", "12*inf", "--out=json", "--field=Q"],
+        ["witt", "--ghost", "2,4,8,64", "--trunc=div:6", "convert", "--json"],
+        ["witt", "--json", "--", "convert"],
+        ["witt", "convert", "--"],
+        ["cotangent", "--a", "-4", "--q", "2"],
+    ],
+)
+def test_parser_examples_match_argparse(argv):
+    assert _parsed(cli._parse, argv) == _parsed(REFERENCE.parse_args, argv) is not None
+
+
+def test_negative_values_after_a_space_are_read():
+    """argparse refused --ghost -1,2,3,4 ("expected one argument") yet
+    answered --ghost=-1,2,3,4; both forms now give the same answer."""
+    spaced = run_cli(["witt", "convert", "--ghost", "-1,2,3,4", "--trunc", "div:6", "--json"])
+    assert spaced == run_cli(["witt", "convert", "--ghost=-1,2,3,4", "--trunc", "div:6", "--json"])
+    assert spaced[0] == 0
+    assert _parsed(REFERENCE.parse_args, ["witt", "convert", "--ghost", "-1,2,3,4"]) is None
+
+
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["model-check", "--input", "s.json", "--cycle=--"], "cycle", "--"),
+        (["witt", "convert", "--ring=--"], "ring", "--"),
+        (["chebyshev", "--n=--"], "n", None),
+        (["chebyshev", "--n", "2", "--output=--"], "output", None),
+        (["periodic-locus", "--family=--"], "family", None),
+    ],
+)
+def test_double_dash_value_is_a_string(argv, name, value):
+    """argparse drops the -- of --flag=-- as its end-of-flags marker and
+    stores an empty list, skipping the type and the choices: the handlers
+    met it as a traceback, as no --cycle, as the ring Z or as text output.
+    The table parser reads the string --, which the flag's type, choices
+    or handler refuses."""
+    assert _parsed(REFERENCE.parse_args, argv)[name] == []
+    parsed = _parsed(cli._parse, argv)
+    assert (parsed if parsed is None else parsed[name]) == value
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["witt", "-h"], ["chebyshev", "--n", "2", "--help"]])
+def test_help_lists_every_verb(argv, capsys):
+    assert run_cli(argv)[0] == 0
+    assert capsys.readouterr().err == ""
+    out = run_cli(argv)[1]
+    assert out.startswith("usage: lambda-forge")
+    verbs = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert verbs == list(REFERENCE._subparsers._group_actions[0].choices)
+    for flags, choices in FLAGS.values():
+        assert all(flag[0] in out for flag in flags) and all(choice in out for choice in choices)
+
+
+def test_cli_does_not_import_argparse():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import lambda_forge.cli, sys; print('argparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def run_cli(argv):
@@ -455,6 +707,31 @@ if hasattr(sys, "get_int_max_str_digits"):
         (["model-check", "--input"], '{"size": -1, "m": 1, "galois": {"1": []}, "special": {}}'),
         (["witt", "check", "--trunc", "div:6"], None),
         *((list(argv), None) for argv in BOUND_MESSAGES),
+        # refused by the parser: each was refused by argparse too
+        *(
+            (argv, None)
+            for argv in [
+                [],
+                ["no-such-verb"],
+                ["--json", "chebyshev", "--n", "2"],
+                ["chebyshev"],
+                ["chebyshev", "--n"],
+                ["chebyshev", "--n", "x", "--n", "2"],
+                ["chebyshev", "--n", "2", "--mod", "1.5"],
+                ["cotangent", "--a", "4", "--q", "2e3"],
+                ["witt", "periodic", "--n", "2", "--bound", "big"],
+                ["periodic-locus", "--f", "toric"],
+                ["periodic-locus", "--family", "circle"],
+                ["chebyshev", "--n", "2", "--output", "xml"],
+                ["chebyshev", "--n", "2", "--json=yes"],
+                ["chebyshev", "--n", "2", "stray"],
+                ["chebyshev", "--n", "2", "--"],
+                ["witt", "convert", "check"],
+                ["witt", "convert", "--json", "--"],
+                ["witt", "--", "convert", "--json"],
+                ["witt", "--ghost", "1"],
+            ]
+        ),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

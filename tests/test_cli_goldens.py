@@ -43,8 +43,8 @@ def test_cli_golden(record, monkeypatch):
     ids=lambda argv: " ".join(argv) or "(empty)",
 )
 def test_parse_failure_then_golden(bad, monkeypatch):
-    """main reuses one parser per process: a call that fails to parse
-    leaves nothing behind for the next call."""
+    """A call that fails to parse leaves nothing behind for the next call
+    in the same process."""
     monkeypatch.chdir(ROOT)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -1,12 +1,14 @@
 import itertools
 import random
+import time
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
 from lambda_forge import modelcheck
 from lambda_forge.errors import InputError, ModelRefusedError
-from lambda_forge.intlinalg import factor
+from lambda_forge.intlinalg import divisors, factor, is_prime
 from lambda_forge.modelcheck import (
     FiniteIdSet,
     LocalIdSet,
@@ -24,6 +26,8 @@ from lambda_forge.modelcheck import (
     model_cycle_bound,
     mu_n_data,
     mu_n_pm_data,
+    subset_conductors,
+    _compose,
     _subset_image,
 )
 from lambda_forge.rayclass import Cycle, divisor_cycles, dr_monoid
@@ -37,6 +41,112 @@ def test_validation():
     # non-commuting maps rejected
     with pytest.raises(InputError):
         FiniteIdSet.make(3, 1, {1: [0, 1, 2]}, {2: [1, 0, 2], 3: [0, 2, 1]})
+
+
+def _all_pairs_refusal(size, m, galois, special):
+    """The message FiniteIdSet gave when it checked the group law on every
+    pair of units and commutation on every pair of maps, or None: the
+    oracle for the check on generators."""
+    if size < 0:
+        return "size must be non-negative"
+    if m < 1 or m > 10**4:
+        return "modulus must be positive and within the enumeration bound"
+    units = [u % m for u in range(1, m + 1) if gcd(u, m) == 1]
+    gal = {u % m: tuple(perm) for u, perm in galois.items()}
+    if sorted(gal) != sorted(set(units)):
+        return "galois data must list exactly the units mod m"
+    for u, perm in gal.items():
+        if sorted(perm) != list(range(size)):
+            return f"galois image of {u} is not a permutation"
+    for u in gal:
+        for v in gal:
+            if _compose(gal[u], gal[v]) != gal[(u * v) % m]:
+                return "galois data is not a group action"
+    sp = {p: tuple(f) for p, f in special.items()}
+    for p in sorted(sp):
+        if not is_prime(p):
+            return f"special map key {p} is not a prime"
+    for p in factor(m).primes():
+        if p not in sp:
+            return f"special maps must cover the primes dividing m (missing {p})"
+    maps = [sp[p] for p in sorted(sp)] + [gal[u] for u in sorted(gal)]
+    for f in sp.values():
+        if len(f) != size or any(not 0 <= x < size for x in f):
+            return "special map out of range"
+    for i, f in enumerate(maps):
+        for g in maps[i + 1 :]:
+            if _compose(f, g) != _compose(g, f):
+                return "the prime maps and Galois action must all commute"
+    return None
+
+
+def _corrupted(rng: random.Random, s: FiniteIdSet) -> tuple:
+    """(size, m, galois, special) of s with one random change: a unit's
+    permutation reshuffled, swapped with another's, moved to the inverse
+    unit (still an action), or put on 1; the permutations of a coset of a
+    cyclic subgroup <g> shifted by a unit, which keeps the law on g (g is
+    often the least unit past 1); a special map redrawn, made a Galois
+    permutation (still commuting), or given a non-prime key."""
+    gal, sp = {u: list(p) for u, p in s.galois}, {p: list(f) for p, f in s.special}
+    units, n = sorted(gal), s.size
+    kind = rng.randrange(8)
+    u = rng.choice(units)
+    if kind == 0:
+        rng.shuffle(gal[u])
+    elif kind == 1:
+        gal[u] = list(gal[rng.choice(units)])
+    elif kind == 2:
+        gal = {v: gal[pow(v, -1, s.m) if s.m > 1 else v] for v in units}
+    elif kind == 3:
+        gal[1 % s.m] = rng.sample(range(n), n)
+    elif kind == 4 and sp:
+        sp[rng.choice(sorted(sp))] = [rng.randrange(n) for _ in range(n)] if n else []
+    elif kind == 5 and sp:
+        sp[rng.choice(sorted(sp))] = list(gal[u])
+    elif kind == 6 and len(units) > 2:
+        g = units[1] if rng.random() < 0.5 else u
+        cyclic = {pow(g, k, s.m) for k in range(len(units))}
+        h, w = rng.choice([v for v in units if v not in cyclic] or units), rng.choice(units)
+        gal.update({h * x % s.m: gal[h * x * w % s.m] for x in cyclic})
+    else:
+        sp[rng.choice([1, 4, 9])] = list(range(n))
+    return n, s.m, gal, sp
+
+
+def test_generator_check_refuses_what_all_pairs_refuse():
+    rng = random.Random(28)
+    sets = _random_idsets(rng, 80) + [mu_n_data(n) for n in range(1, 31)] + [mu_n_pm_data(n) for n in range(1, 31, 2)]
+    outcomes = Counter()
+    for s in sets:
+        for _ in range(6):
+            size, m, galois, special = _corrupted(rng, s)
+            want = _all_pairs_refusal(size, m, galois, special)
+            try:
+                FiniteIdSet.make(size, m, galois, special)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == want, (size, m, galois, special)
+            outcomes[want] += 1
+    assert outcomes[None] >= 100 and outcomes["galois data is not a group action"] >= 100, outcomes
+    assert outcomes["the prime maps and Galois action must all commute"] >= 50, outcomes
+    assert outcomes["galois data is not a group action"] > outcomes[None] / 2, outcomes
+
+
+def test_mu_n_data_constructs_within_a_second():
+    """phi(1000) = 400 units: 400^2 compositions of length 1000 took 11 s;
+    on its 3 generators the checks take 1,200."""
+    start = time.perf_counter()
+    s = mu_n_data(1000)
+    assert time.perf_counter() - start < 1
+    assert s.size == 1000 and len(s.galois) == 400
+
+
+def test_subset_conductors_are_the_conductors_of_the_images():
+    for s in _random_idsets(random.Random(5), 40) + [mu_n_data(n) for n in (1, 4, 12, 30)]:
+        conductors = subset_conductors(s)
+        assert list(conductors) == divisors(compute_r(s))
+        assert all(c == conductor(s, _subset_image(s, d)) for d, c in conductors.items())
 
 
 def test_compute_r_examples():

@@ -1142,3 +1142,37 @@ def test_tracer_counts_group_and_monoid_builds():
     assert counts["groups"] == [4, 2]
     # a repeated request adds a request but no build
     assert counts["monoids"] == [[1, 1], [2, 2], [3, 2], [4, 2]]
+
+
+def test_label_miss_classifies_the_cofactor_without_a_coprimality_test(monkeypatch):
+    """gcd(a/d, f/d) = gcd(a, f)/d = 1: a ``_label`` miss classifies the
+    cofactor with no gcd beyond the label's own, through the cache that a
+    direct ``class_of_ideal`` reads; the direct call keeps its test and
+    message."""
+    f = Cycle(GAUSS, ideal_from_int(GAUSS, 15))
+    a = ideal_mul(ideal_from_int(GAUSS, 3), principal_ideal(QuadInt(GAUSS, 3, 2)))
+    d = ideal_from_int(GAUSS, 3)
+    group = rayclass._cofactor_group(f, d, ALL_PRIMES)
+    cofactor = ideal_div(a, d)
+    group._class_cache.pop(cofactor, None)
+    _label.cache_clear()
+    ideals, calls = f._ideals, []
+    gcd_of = ideals._gcd
+    monkeypatch.setattr(ideals, "_gcd", lambda x, y: calls.append((x, y)) or gcd_of(x, y))
+    label = f_label(a, f)
+    assert calls == [(a, f.finite)] and label[0] == d
+    assert group._class_cache[cofactor] == label[1] == group.class_of_ideal(cofactor)
+    b = principal_ideal(QuadInt(GAUSS, 4, 1))
+    group._class_cache.pop(b, None)
+    calls.clear()
+    assert group.class_of_ideal(b) == group._class_cache[b] and len(calls) == 1
+    with pytest.raises(InputError, match="^ideal not coprime to the conductor$"):
+        group.class_of_ideal(principal_ideal(QuadInt(GAUSS, 2, 1)))
+    # over Q the cofactor's class is read off its residue, with no gcd at all
+    fq = Cycle.parse("40*inf")
+    f_label(7, fq)
+    monkeypatch.setattr(rayclass, "gcd", lambda x, y: calls.append((x, y)) or gcd(x, y))
+    calls.clear()
+    assert f_label(3 * 47, fq)[0] == 1 and calls == []
+    with pytest.raises(InputError, match="^2 is not coprime to the conductor 40$"):
+        rayclass.ray_class_group(fq).class_of_ideal(2)
