@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Every verb maps to exactly one library operation; no mathematics lives
-here.  Exit codes: 0 success, 1 malformed input, 2 typed mathematical
-refusal.  JSON and CSV outputs are byte-stable for fixed inputs; text is
-for humans and carries no stability guarantee.
+here.  A verb, and each mode of witt and periodic-locus, takes only the
+flags it reads.  Exit codes: 0 success, 1 malformed input, 2 typed
+mathematical refusal.  JSON and CSV outputs are byte-stable for fixed
+inputs; text is for humans and carries no stability guarantee.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ def _cmd_dr_table(args) -> str:
     dr = rayclass.dr_monoid(_parse_cycle(args), PrimeSupport.parse(args.support))
     data = dr.to_json()
     table = data["table"]
-    text = f"ray class monoid of conductor {args.cycle}: {dr.size} elements\n" + "\n".join(
-        " ".join(f"{x:3d}" for x in row) for row in table
-    )
-    return _emit(args, data, text, csv_rows=table)
+    rows = "\n".join(" ".join(f"{x:3d}" for x in row) for row in table) if args.output == "text" else ""  # printed only as text
+    return _emit(args, data, f"ray class monoid of conductor {args.cycle}: {dr.size} elements\n{rows}", csv_rows=table)
 
 
 def _cmd_dr_mul(args) -> str:
@@ -93,9 +92,8 @@ def _cmd_f_equiv(args) -> str:
 
 def _cmd_ray_class(args) -> str:
     cl = rayclass.ray_class_group(_parse_cycle(args), PrimeSupport.parse(args.support))
-    table = [list(row) for row in cl.table]
-    data = {"order": cl.order, "reps": [str(r) for r in cl.reps], "table": table, "is_full": cl.is_full}
-    return _emit(args, data, f"ray class group of conductor {args.cycle}: order {cl.order}", csv_rows=table)
+    data = {"order": cl.order, "reps": [str(r) for r in cl.reps], "table": cl.table, "is_full": cl.is_full}
+    return _emit(args, data, f"ray class group of conductor {args.cycle}: order {cl.order}", csv_rows=cl.table)
 
 
 def _cmd_model_check(args) -> str:
@@ -127,25 +125,16 @@ def _cmd_chebyshev(args) -> str:
 
 def _cmd_periodic_locus(args) -> str:
     if args.family == "chebyshev":
-        if args.cycle is not None:
-            raise InputError("the chebyshev family takes --n, not --cycle")
-        if args.n is None:
-            raise InputError("the chebyshev family needs --n")
         rep = lambdapoly.chebyshev_image_lattice(args.n)
-        data = rep.to_json()
-        text = f"Q = {rep.generator}; cokernel order {rep.cokernel_order}"
-        return _emit(args, data, text)
-    if args.family == "toric":
-        if args.cycle is not None and args.n is not None:
-            raise InputError("the toric family takes --cycle or --n, not both")
-        if args.cycle is None and args.n is None:
-            raise InputError("the toric family needs --cycle or --n")
-        cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
-        m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse(args.support))
-        rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)
-        data = rep.to_json()
-        return _emit(args, data, f"periodic locus is the {rep.generator}-torsion", None)
-    raise InputError(f"unknown family {args.family!r}")
+        return _emit(args, rep.to_json(), f"Q = {rep.generator}; cokernel order {rep.cokernel_order}")
+    if args.cycle is not None and args.n is not None:
+        raise InputError("the toric family takes --cycle or --n, not both")
+    if args.cycle is None and args.n is None:
+        raise InputError("the toric family needs --cycle or --n")
+    cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
+    m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse("all" if args.support is None else args.support))
+    rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)
+    return _emit(args, rep.to_json(), f"periodic locus is the {rep.generator}-torsion")
 
 
 def _parse_ring(text: str) -> witt.CoeffRing:
@@ -190,10 +179,6 @@ def _parse_vector(ring: witt.CoeffRing, trunc: str | None, text: str) -> tuple[w
 
 def _cmd_witt(args) -> str:
     ring = _parse_ring(args.ring or "Z")
-    if args.frob not in ("p:x^p", "id", "identity"):
-        raise InputError("frobenius rule must be p:x^p or identity")
-    if ring.rank > 1 and args.frob in ("id", "identity"):
-        raise InputError("identity lifts are only valid over the integers")
     if args.witt_cmd == "convert":
         if args.ghost and args.witt:
             raise InputError("convert takes --ghost or --witt, not both")
@@ -224,32 +209,23 @@ def _cmd_witt(args) -> str:
             if limit:
                 sys.set_int_max_str_digits(limit)
     if args.witt_cmd == "check":
-        if not args.ghost or args.witt:
-            raise InputError("check takes --ghost, not --witt" if args.witt else "check needs --ghost")
-        g = witt.GhostVector.make(ring, *_parse_vector(ring, args.trunc, args.ghost))
-        ok = witt.dwork_check(g)
+        ok = witt.dwork_check(witt.GhostVector.make(ring, *_parse_vector(ring, args.trunc, args.ghost)))
         return _emit(args, {"witt_vector": ok}, "true" if ok else "false")
-    if args.witt_cmd == "periodic":
-        if (args.ghost, args.witt, args.trunc) != (None, None, None):
-            raise InputError("periodic takes no --ghost, --witt or --trunc")
-        if args.n is None:
-            raise InputError("witt periodic needs --n")
-        comparison = witt.ray_class_algebra_witt_iso_check(args.n, args.bound)
-        # the lattice ring defaults to the size-n group ring of the
-        # comparison, whose lattice is reused; pass --ring Z for scalar
-        # coefficients
-        lattice = comparison.lattice
-        if args.ring is not None and ring != lattice.ring:
-            lattice = witt.periodic_witt_lattice(args.n, ring, args.bound)
-        data = {
-            "lattice_basis": [list(r) for r in lattice.basis],
-            "class_reps": list(lattice.class_reps),
-            "stable": lattice.stable,
-            "comparison": comparison.to_json(),
-        }
-        text = f"rank {lattice.rank}, stable {lattice.stable}, comparison {comparison.verdict}"
-        return _emit(args, data, text)
-    raise InputError(f"unknown witt subcommand {args.witt_cmd!r}")
+    bound = 64 if args.bound is None else args.bound
+    comparison = witt.ray_class_algebra_witt_iso_check(args.n, bound)
+    # the lattice ring defaults to the size-n group ring of the comparison,
+    # whose lattice is reused; pass --ring Z for scalar coefficients
+    lattice = comparison.lattice
+    if args.ring is not None and ring != lattice.ring:
+        lattice = witt.periodic_witt_lattice(args.n, ring, bound)
+    data = {
+        "lattice_basis": [list(r) for r in lattice.basis],
+        "class_reps": list(lattice.class_reps),
+        "stable": lattice.stable,
+        "comparison": comparison.to_json(),
+    }
+    text = f"rank {lattice.rank}, stable {lattice.stable}, comparison {comparison.verdict}"
+    return _emit(args, data, text)
 
 
 def _cmd_cotangent(args) -> str:
@@ -257,31 +233,39 @@ def _cmd_cotangent(args) -> str:
     return _emit(args, {"a": args.a, "q": args.q, "dimension": d}, str(d))
 
 
-# The verb table: each verb, its handler and its own flags; every verb also
-# takes _COMMON.  A flag is (name, type, required, choices, default): type is
-# str, int (read by _int) or None for the one switch, --json, which is
-# --output json.  witt's subcommand is the one positional, named without dashes.
+# The verb table: each verb, its handler and the flags its handler reads,
+# the two output flags included; any other flag is unknown.  A flag is
+# (name, type, required, choices, default): type is str, int (read by _int)
+# or None for the one switch, --json, which is --output json.  witt's
+# subcommand is the one positional, named without dashes.
 _OUTPUT = ("--output", str, False, ("json", "csv", "text"), "text")
-_COMMON = (("--field", str, False, None, "Q"), ("--support", str, False, None, "all"), _OUTPUT, ("--json", None, False, None, "json"))
-_CYCLE = ("--cycle", str, True, None, None)
-_IDEALS = (_CYCLE, ("--a", str, True, None, None), ("--b", str, True, None, None))
+_COMMON = (_OUTPUT, ("--json", None, False, None, "json"))
+_CYCLE = (("--cycle", str, True, None, None), ("--field", str, False, None, "Q"), ("--support", str, False, None, "all"))
+_IDEALS = (*_CYCLE, ("--a", str, True, None, None), ("--b", str, True, None, None))
 _VERBS = (
-    ("dr-table", _cmd_dr_table, (_CYCLE,)),
+    ("dr-table", _cmd_dr_table, _CYCLE),
     ("dr-mul", _cmd_dr_mul, _IDEALS),
     ("f-equiv", _cmd_f_equiv, _IDEALS),
-    ("ray-class", _cmd_ray_class, (_CYCLE,)),
+    ("ray-class", _cmd_ray_class, _CYCLE),
     ("model-check", _cmd_model_check, (("--input", str, True, None, None), ("--cycle", str, False, None, None))),
     ("chebyshev", _cmd_chebyshev, (("--n", int, True, None, None), ("--mod", int, False, None, None))),
-    ("periodic-locus", _cmd_periodic_locus, (("--family", str, True, ("chebyshev", "toric"), None),
-                                             ("--n", int, False, None, None), ("--cycle", str, False, None, None))),
-    # --frob is validated only: the ring fixes the lifts (identity over Z,
-    # x -> x^p over x^k-1); --trunc is div:N or upto:N, div:6 when absent
+    ("periodic-locus", _cmd_periodic_locus, (("--family", str, True, ("chebyshev", "toric"), None), ("--n", int, False, None, None),
+                                             ("--cycle", str, False, None, None), ("--support", str, False, None, None))),
     ("witt", _cmd_witt, (("witt_cmd", str, True, ("convert", "check", "periodic"), None),
-                         ("--ring", str, False, None, None), ("--frob", str, False, None, "p:x^p"),
-                         ("--ghost", str, False, None, None), ("--witt", str, False, None, None),
-                         ("--trunc", str, False, None, None), ("--n", int, False, None, None),
-                         ("--bound", int, False, None, 64))),
+                         ("--ring", str, False, None, None), ("--ghost", str, False, None, None), ("--witt", str, False, None, None),
+                         ("--trunc", str, False, None, None), ("--n", int, False, None, None), ("--bound", int, False, None, None))),
     ("cotangent", _cmd_cotangent, (("--a", int, True, None, None), ("--q", int, True, None, None))),
+)
+# The modes, witt's subcommand and periodic-locus's family: (the verb's
+# attribute naming the mode, the mode, the flags it reads, the ones of them
+# it needs).  A mode takes none of its verb's other flags.  Absent, --ring
+# is Z, --trunc div:6, --bound 64 and --support all.
+_MODES = (
+    ("witt_cmd", "convert", ("--ring", "--trunc", "--ghost", "--witt"), ()),
+    ("witt_cmd", "check", ("--ring", "--trunc", "--ghost"), ("--ghost",)),
+    ("witt_cmd", "periodic", ("--ring", "--bound", "--n"), ("--n",)),
+    ("family", "chebyshev", ("--n",), ("--n",)),
+    ("family", "toric", ("--cycle", "--n", "--support"), ()),
 )
 _HELP = ("-h", "--h", "--he", "--hel", "--help")  # --help and the prefixes that name it alone
 
@@ -343,6 +327,17 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+def _check_mode(args: SimpleNamespace | None) -> None:
+    """Refuse a flag the mode of witt or periodic-locus does not read, then
+    one it needs that is absent; an absent flag is None."""
+    for key, mode, reads, needs in _MODES:
+        if getattr(args, key, None) == mode:
+            given = [f"--{k}" for k, v in vars(args).items() if v is not None and k not in ("command", "fn", "output", key)]
+            for word, flags in (("takes no", [f for f in given if f not in reads]), ("needs", [f for f in needs if f not in given])):
+                if flags:
+                    raise InputError(f"{args.command} {mode} {word} {', '.join(flags)}")
+
+
 def _usage() -> str:
     def shown(specs):
         for name, kind, required, choices, _ in specs:
@@ -357,6 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parse(argv)
+        _check_mode(args)
         sys.stdout.write(_usage() if args is None else args.fn(args))
         return 0
     except InputError as exc:

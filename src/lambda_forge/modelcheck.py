@@ -48,6 +48,12 @@ def _unit_generators(m: int, units) -> list[int]:
     return gens
 
 
+def _json_ints(values) -> list[int]:
+    if type(values) is not list or any(type(x) is not int for x in values):  # bool is a subclass of int
+        raise TypeError("size, m and each map must hold JSON integers")
+    return values
+
+
 @dataclass(frozen=True)
 class FiniteIdSet:
     """A finite set with an action of (Z/m)* and special prime maps.
@@ -152,10 +158,12 @@ class FiniteIdSet:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteIdSet":
+        """Keys are decimal strings; size, m and each map entry must be JSON
+        integers, so a float, a boolean or a string is refused, not coerced."""
         try:
-            size, m = int(data["size"]), int(data["m"])
-            galois = {int(u): list(map(int, p)) for u, p in data["galois"].items()}
-            special = {int(p): list(map(int, f)) for p, f in data["special"].items()}
+            size, m = _json_ints([data["size"], data["m"]])
+            galois = {int(u): _json_ints(p) for u, p in data["galois"].items()}
+            special = {int(p): _json_ints(f) for p, f in data["special"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed set data ({type(exc).__name__}: {exc})") from None
         return FiniteIdSet.make(size, m, galois, special)

@@ -145,6 +145,8 @@ class PrimeSupport:
             raise InputError(f"unknown support mode {self.mode!r}")
         if self.mode == "all" and self.primes:
             raise InputError("mode \"all\" takes no prime list")
+        if self.density_override and self.mode != "explicit":  # the other modes are dense already
+            raise InputError("a density override (!) goes only after an explicit prime list")
         object.__setattr__(self, "_hash", hash((self.mode, self.primes, self.density_override)))
 
     def __hash__(self):  # kept at construction, as on Cycle
@@ -799,7 +801,7 @@ def _dr_monoid(cycle: Cycle, support: PrimeSupport) -> DRMonoid:
 # Structural isomorphisms and change-of-conductor maps
 
 
-def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs=None, rng=None):
+def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES):
     """Explicit isomorphism DR_P((n)inf) = (Z/n_P)deg x (Z/n^P)* over Q.
 
     Returns (monoid, mapping) where mapping[i] is the (residue mod n_P,
@@ -808,8 +810,7 @@ def dr_iso_residue(cycle: Cycle, support: PrimeSupport = ALL_PRIMES, check_pairs
     mod n have a class, each with image (x mod n_P, x mod n^P).  By the CRT
     the classed residues are then the preimage of T, closed under products,
     and mul(i, j), the class of reps[i] * reps[j] mod n, maps to mapping[i] *
-    mapping[j]: a proof for every pair.  ``check_pairs`` and ``rng`` are
-    accepted and ignored.
+    mapping[j]: a proof for every pair.
     """
     _require_rational(cycle)
     if not cycle.infinity:

@@ -94,13 +94,9 @@ class _Budget:
 
 def test_criterion_01_dr_residue_description():
     """Monoid isomorphism DR((n)inf) = (Z/n)deg for n <= 500."""
-    rng = random.Random(20260809)
     with _Budget("1 (residue description n<=500)", 30):
-        for n in range(1, 101):
+        for n in range(1, 501):
             dr, _ = dr_iso_residue(Cycle(None, n, True))
-            assert dr.size == n
-        for n in range(101, 501):
-            dr, _ = dr_iso_residue(Cycle(None, n, True), check_pairs=10**4, rng=rng)
             assert dr.size == n
 
 

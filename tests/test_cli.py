@@ -27,9 +27,10 @@ def build_parser() -> _Parser:
     p = _Parser(prog="lambda-forge", description=cli.__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--field", default="Q")
-        sp.add_argument("--support", default="all")
+    def common(sp, located=True):  # --field and --support only on the verbs that read them
+        if located:
+            sp.add_argument("--field", default="Q")
+            sp.add_argument("--support", default="all")
         sp.add_argument("--output", choices=["json", "csv", "text"], default="text")
         sp.add_argument("--json", dest="output", action="store_const", const="json")
 
@@ -58,38 +59,38 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cli._cmd_ray_class)
 
     sp = sub.add_parser("model-check")
-    common(sp)
+    common(sp, located=False)
     sp.add_argument("--input", required=True)
     sp.add_argument("--cycle")
     sp.set_defaults(fn=cli._cmd_model_check)
 
     sp = sub.add_parser("chebyshev")
-    common(sp)
+    common(sp, located=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mod", type=int)
     sp.set_defaults(fn=cli._cmd_chebyshev)
 
     sp = sub.add_parser("periodic-locus")
-    common(sp)
+    common(sp, located=False)
     sp.add_argument("--family", required=True, choices=["chebyshev", "toric"])
     sp.add_argument("--n", type=int)
     sp.add_argument("--cycle")
+    sp.add_argument("--support")
     sp.set_defaults(fn=cli._cmd_periodic_locus)
 
     sp = sub.add_parser("witt")
-    common(sp)
+    common(sp, located=False)
     sp.add_argument("witt_cmd", choices=["convert", "check", "periodic"])
     sp.add_argument("--ring", default=None)
-    sp.add_argument("--frob", default="p:x^p")
     sp.add_argument("--ghost")
     sp.add_argument("--witt", dest="witt")
     sp.add_argument("--trunc")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--bound", type=int, default=64)
+    sp.add_argument("--bound", type=int)
     sp.set_defaults(fn=cli._cmd_witt)
 
     sp = sub.add_parser("cotangent")
-    common(sp)
+    common(sp, located=False)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.set_defaults(fn=cli._cmd_cotangent)
@@ -625,11 +626,11 @@ def test_witt_component_count_refused_from_the_truncation_spec(verb, capsys):
     [
         (["witt", "convert", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "convert takes --ghost or --witt, not both"),
         (["witt", "convert", "--witt", "2,1,0,0", "--ghost", "2,4,8,64", "--trunc", "div:6", "--json"], "convert takes --ghost or --witt, not both"),
-        (["witt", "check", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "check takes --ghost, not --witt"),
-        (["witt", "check", "--trunc", "div:2", "--witt", "1,2"], "check takes --ghost, not --witt"),
-        (["witt", "periodic", "--n", "2", "--bound", "16", "--ghost", "1,2"], "periodic takes no --ghost, --witt or --trunc"),
-        (["witt", "periodic", "--n", "2", "--bound", "16", "--witt", "1"], "periodic takes no --ghost, --witt or --trunc"),
-        (["witt", "periodic", "--n", "2", "--bound", "16", "--trunc", "div:6"], "periodic takes no --ghost, --witt or --trunc"),
+        (["witt", "check", "--trunc", "div:2", "--ghost", "1,2", "--witt", "1,2"], "witt check takes no --witt"),
+        (["witt", "check", "--trunc", "div:2", "--witt", "1,2"], "witt check takes no --witt"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--ghost", "1,2"], "witt periodic takes no --ghost"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--witt", "1"], "witt periodic takes no --witt"),
+        (["witt", "periodic", "--n", "2", "--bound", "16", "--trunc", "div:6"], "witt periodic takes no --trunc"),
     ],
 )
 def test_witt_input_the_verb_would_ignore_refused(argv, err, capsys):
@@ -643,8 +644,8 @@ def test_witt_input_the_verb_would_ignore_refused(argv, err, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["periodic-locus", "--family", "chebyshev", "--n", "12", "--cycle", "12"], "the chebyshev family takes --n, not --cycle"),
-        (["periodic-locus", "--family", "chebyshev", "--cycle", "12*inf", "--json"], "the chebyshev family takes --n, not --cycle"),
+        (["periodic-locus", "--family", "chebyshev", "--n", "12", "--cycle", "12"], "periodic-locus chebyshev takes no --cycle"),
+        (["periodic-locus", "--family", "chebyshev", "--cycle", "12*inf", "--json"], "periodic-locus chebyshev takes no --cycle"),
         (["periodic-locus", "--family", "toric", "--cycle", "12", "--n", "5", "--json"], "the toric family takes --cycle or --n, not both"),
     ],
 )
@@ -658,7 +659,7 @@ def test_periodic_locus_input_the_family_would_ignore_refused(argv, err, capsys)
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["periodic-locus", "--family", "chebyshev"], "the chebyshev family needs --n"),
+        (["periodic-locus", "--family", "chebyshev"], "periodic-locus chebyshev needs --n"),
         (["periodic-locus", "--family", "toric"], "the toric family needs --cycle or --n"),
         (["periodic-locus", "--family", "toric", "--json"], "the toric family needs --cycle or --n"),
     ],
@@ -732,6 +733,19 @@ if hasattr(sys, "get_int_max_str_digits"):
                 ["witt", "--ghost", "1"],
             ]
         ),
+        # JSON values that are not integers: each was coerced by int() and answered
+        *(
+            (["model-check", "--input"], text)
+            for text in [
+                '{"size": 2.9, "m": 1, "galois": {"1": [0, 1]}, "special": {}}',
+                '{"size": 2, "m": true, "galois": {"1": [0, 1]}, "special": {}}',
+                '{"size": "2", "m": 1, "galois": {"1": [0, 1]}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"1": [0, 1.5]}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"1": [0, true]}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"1": "01"}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {"2": [0.0, 1]}}',
+            ]
+        ),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):
@@ -769,3 +783,128 @@ def test_witt_convert_prints_integers_past_the_digit_limit(capsys):
         assert json.loads(outs[1])["ghost"]["4608"] == list(want)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# The flags each verb took at the parent commit, whatever its handler read,
+# written out by hand rather than read off the verb table.
+PARENT_FLAGS = {
+    "dr-table": ("--cycle", "--field", "--support", "--output", "--json"),
+    "dr-mul": ("--cycle", "--a", "--b", "--field", "--support", "--output", "--json"),
+    "f-equiv": ("--cycle", "--a", "--b", "--field", "--support", "--output", "--json"),
+    "ray-class": ("--cycle", "--field", "--support", "--output", "--json"),
+    "model-check": ("--input", "--cycle", "--field", "--support", "--output", "--json"),
+    "chebyshev": ("--n", "--mod", "--field", "--support", "--output", "--json"),
+    "periodic-locus": ("--family", "--n", "--cycle", "--field", "--support", "--output", "--json"),
+    "witt": ("--ring", "--frob", "--ghost", "--witt", "--trunc", "--n", "--bound", "--field", "--support", "--output", "--json"),
+    "cotangent": ("--a", "--q", "--field", "--support", "--output", "--json"),
+}
+MU12, MU5PM = (str(Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / name) for name in ("mu12.json", "mu5pm.json"))
+# verb or mode -> (an argv it answers, {each flag it reads besides --output
+# and --json: two tails that give two answers put after that argv})
+READS = {
+    "dr-table": (["dr-table", "--cycle", "6*inf"], {
+        "--cycle": (["--cycle", "6*inf"], ["--cycle", "10*inf"]),
+        "--field": (["--field", "Q"], ["--field", "d:-1"]),
+        "--support": (["--support", "all"], ["--support", "all-except:2"]),
+    }),
+    "dr-mul": (["dr-mul", "--cycle", "12*inf", "--a", "5", "--b", "7"], {
+        "--cycle": (["--cycle", "12*inf"], ["--cycle", "8*inf"]),
+        "--a": (["--a", "5"], ["--a", "7"]),
+        "--b": (["--b", "7"], ["--b", "11"]),
+        "--field": (["--field", "Q"], ["--field", "d:-1"]),
+        "--support": (["--support", "all"], ["--support", "all-except:5"]),
+    }),
+    "f-equiv": (["f-equiv", "--cycle", "4*inf", "--a", "2", "--b", "6"], {
+        "--cycle": (["--cycle", "4*inf"], ["--cycle", "5*inf"]),
+        "--a": (["--a", "2"], ["--a", "3"]),
+        "--b": (["--b", "6"], ["--b", "5"]),
+        "--field": (["--field", "Q"], ["--field", "d:-1"]),
+        "--support": (["--support", "all"], ["--support", "all-except:2"]),
+    }),
+    "ray-class": (["ray-class", "--cycle", "12*inf"], {
+        "--cycle": (["--cycle", "12*inf"], ["--cycle", "30*inf"]),
+        "--field": (["--field", "Q"], ["--field", "d:-1"]),
+        "--support": (["--support", "all"], ["--support", "explicit:5"]),
+    }),
+    "model-check": (["model-check", "--input", MU12], {
+        "--input": (["--input", MU12], ["--input", MU5PM]),
+        "--cycle": ([], ["--cycle", "12"]),
+    }),
+    "chebyshev": (["chebyshev", "--n", "5"], {
+        "--n": (["--n", "5"], ["--n", "7"]),
+        "--mod": (["--mod", "3"], ["--mod", "7"]),
+    }),
+    "periodic-locus chebyshev": (["periodic-locus", "--family", "chebyshev", "--n", "12"], {
+        "--family": (["--family", "chebyshev"], ["--family", "toric"]),
+        "--n": (["--n", "12"], ["--n", "10"]),
+    }),
+    "periodic-locus toric": (["periodic-locus", "--family", "toric", "--cycle", "12"], {
+        "--family": (["--family", "toric"], ["--family", "chebyshev", "--n", "12"]),
+        "--cycle": (["--cycle", "12"], ["--cycle", "30*inf"]),
+        "--n": ([], ["--n", "12"]),  # one of --cycle and --n
+        "--support": (["--support", "all"], ["--support", "explicit:5"]),
+    }),
+    "witt convert": (["witt", "convert", "--ghost", "1,2,3,4", "--trunc", "div:6"], {
+        "--ring": (["--ring", "Z"], ["--ring", "x^2-1"]),
+        "--ghost": (["--ghost", "1,2,3,4"], ["--ghost", "2,4,8,64"]),
+        "--witt": ([], ["--witt", "1,0,0,0"]),  # one of --ghost and --witt
+        "--trunc": (["--trunc", "div:6"], ["--trunc", "upto:4"]),
+    }),
+    "witt check": (["witt", "check", "--ghost", "1,3,1,9", "--trunc", "div:6"], {
+        "--ring": (["--ring", "Z"], ["--ring", "x^2-1"]),
+        "--ghost": (["--ghost", "1,3,1,9"], ["--ghost", "1,2,1,2"]),
+        "--trunc": (["--trunc", "div:6"], ["--trunc", "upto:4"]),
+    }),
+    "witt periodic": (["witt", "periodic", "--n", "2", "--bound", "16"], {
+        "--ring": ([], ["--ring", "Z"]),
+        "--n": (["--n", "2"], ["--n", "3"]),
+        "--bound": (["--bound", "16", "--json"], ["--bound", "32", "--json"]),  # the text omits it
+    }),
+    "cotangent": (["cotangent", "--a", "4", "--q", "2"], {
+        "--a": (["--a", "4"], ["--a", "5"]),
+        "--q": (["--q", "2"], ["--q", "3"]),
+    }),
+}
+# a value the parent answered for each flag some verb or mode does not read
+UNREAD_VALUES = {"--field": "Q", "--support": "all", "--frob": "p:x^p", "--cycle": "12", "--n": "4", "--bound": "64",
+                 "--ghost": "1,2,3,4", "--witt": "1,0,0,0", "--trunc": "div:6"}
+
+
+def _outcome(argv, capsys):
+    code, out = run_cli(argv)
+    return code, out, capsys.readouterr().err
+
+
+def test_every_accepted_flag_changes_an_answer(capsys):
+    """A flag a verb or mode reads changes the answer between two values; a
+    flag of the parent's verb that it does not read is refused, even at the
+    value the parent answered."""
+    for mode, (argv, reads) in READS.items():
+        assert _outcome(argv, capsys)[0] == 0, mode
+        reads = {**reads, "--output": (["--output", "json"], ["--output", "csv"]), "--json": ([], ["--json"])}
+        for flag in PARENT_FLAGS[mode.split()[0]]:
+            if flag in reads:
+                first, second = (_outcome(argv + tail, capsys)[:2] for tail in reads[flag])
+                assert first != second, (mode, flag)
+            else:
+                code, out, err = _outcome(argv + [flag, UNREAD_VALUES[flag]], capsys)
+                assert (code, out) == (1, ""), (mode, flag)
+                assert err.startswith("error: ") and err.count("\n") == 1, (mode, flag)
+
+
+DASH_VALUES = ("-", "-0", "-1", "-2", "-12", "-1*inf", "-1,2,3,4", "-x", "-h", "--", "--json", "--help", "---")
+
+
+def test_exit_code_grid(capsys):
+    """Every parent flag of every verb and mode, after an argv the mode
+    answers, with values that begin with - spaced and with --flag=--: an
+    exit of 0, 1 or 2, no traceback, and a refusal prints one line."""
+    start = time.perf_counter()
+    for mode, (argv, _) in READS.items():
+        for flag in PARENT_FLAGS[mode.split()[0]]:
+            for tail in [[flag, value] for value in DASH_VALUES] + [[f"{flag}=--"]]:
+                code, out, err = _outcome(argv + tail, capsys)
+                assert code in (0, 1, 2) and "Traceback" not in err, argv + tail
+                if code:
+                    assert out == "" and err.count("\n") == 1 and err.startswith(("error: ", "refused: ")), argv + tail
+    assert time.perf_counter() - start < 5

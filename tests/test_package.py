@@ -3,10 +3,12 @@
 import ast
 import json
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import lambda_forge
+from lambda_forge import cli
 
 SRC = Path(lambda_forge.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +136,18 @@ def test_every_public_name_is_reached():
     ]
     assert not unreached, unreached
     assert documented <= {f"{module}.{node.name}" for module, node in public}, "README lists a name src/ does not define"
+
+
+def test_readme_cli_examples_parse():
+    """Each ``lambda-forge`` line of README's CLI example block is accepted
+    by the parser and the mode rule; no handler runs."""
+    section = (ROOT / "README.md").read_text().partition("\n## CLI\n")[2].partition("\n## ")[0]
+    lines = [line for line in section.partition("```sh\n")[2].partition("```")[0].splitlines() if line.startswith("lambda-forge ")]
+    assert lines
+    for line in lines:
+        args = cli._parse(shlex.split(line, comments=True)[1:])
+        assert args is not None, line
+        cli._check_mode(args)
 
 
 def test_bench_records_load():

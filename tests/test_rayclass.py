@@ -125,6 +125,16 @@ def test_support_parsing():
     assert not s.supports_int(6) and s.supports_int(35)
 
 
+@pytest.mark.parametrize("text", ["all-except:2!", "all-except:3,5!"])
+def test_density_override_only_after_an_explicit_list(text):
+    """all-except is dense already: the override would answer as the bare
+    support does, under a second cache key."""
+    with pytest.raises(InputError, match=r"density override \(!\) goes only after an explicit prime list"):
+        PrimeSupport.parse(text)
+    with pytest.raises(InputError):
+        PrimeSupport("all-except", frozenset({2}), True)
+
+
 SUPPORTS = ("all", "all-except:2", "all-except:2,3", "explicit:5,7", "explicit:2,3!", "all-except:4", "explicit:1,4,6")
 
 
