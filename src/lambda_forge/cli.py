@@ -102,15 +102,10 @@ def _cmd_model_check(args) -> str:
             data = json.load(fh)
         except ValueError as exc:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from None
-    s = modelcheck.FiniteIdSet.from_json(data)
-    r = modelcheck.compute_r(s)
-    conductors = {str(d): str(c) for d, c in modelcheck.subset_conductors(s).items()}
-    exists_any = modelcheck.has_integral_model(s)
-    minimal = str(modelcheck.minimal_cycle(s)) if exists_any else None
-    exists = modelcheck.decide_model(s, Cycle.parse(args.cycle)) if args.cycle else exists_any
-    data = {"exists": exists, "minimal_cycle": minimal, "r": r, "conductors": conductors}
-    text = f"exists: {exists}; minimal cycle: {minimal}; r = {r}"
-    return _emit(args, data, text)
+    exists, f0, r, conductors = modelcheck.model_check(modelcheck.FiniteIdSet.from_json(data), args.cycle or None)
+    conductors = {str(d): str(c) for d, c in conductors.items()}
+    data = {"exists": exists, "minimal_cycle": None if f0 is None else str(f0), "r": r, "conductors": conductors}
+    return _emit(args, data, f"exists: {exists}; minimal cycle: {f0}; r = {r}")
 
 
 def _cmd_chebyshev(args) -> str:

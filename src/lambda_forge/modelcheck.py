@@ -10,14 +10,17 @@ The procedures: the ramification ideal r from per-prime image chains,
 conductors of sub-actions, existence of an integral model at a given cycle
 (the lcm criterion, cross-checked against a direct factorization test
 through the ray class monoid), the minimal cycle (the lcm bound f0,
-re-derived on every divisor cycle of f0 from one joint image built at f0
-and projected to each divisor's monoid), and the induced monoid action.
+re-derived on every divisor cycle of f0 from one joint image J_f0 built at
+f0 and projected to each divisor's monoid), and the induced monoid action;
+``model_check`` runs them once each, its cross-check at f0 read off J_f0.
 A local variant handles a single prime with explicit inertia.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
 
 from .errors import InputError, ModelRefusedError
@@ -58,10 +61,10 @@ def _json_ints(values) -> list[int]:
 class FiniteIdSet:
     """A finite set with an action of (Z/m)* and special prime maps.
 
-    ``galois`` maps each unit residue mod m to a permutation; ``special``
-    maps each prime in B (which must contain every prime dividing m; a key
-    that is not a prime is refused) to an arbitrary self-map.  Permutations
-    and maps are tuples of images.
+    ``galois`` maps each unit residue mod m, listed once and in increasing
+    order, to a permutation; ``special`` maps each prime in B (which must
+    contain every prime dividing m; a key that is not a prime is refused)
+    to an arbitrary self-map.  Permutations and maps are tuples of images.
     """
 
     size: int
@@ -87,9 +90,9 @@ class FiniteIdSet:
         if self.m < 1 or self.m > 10**4:
             raise InputError("modulus must be positive and within the enumeration bound")
         units = [u % self.m for u in range(1, self.m + 1) if gcd(u, self.m) == 1]
-        gal = dict(self.galois)
-        if sorted(gal) != sorted(set(units)):
+        if [u for u, _ in self.galois] != units:
             raise InputError("galois data must list exactly the units mod m")
+        gal = dict(self.galois)
         for u, perm in gal.items():
             if sorted(perm) != list(range(self.size)):
                 raise InputError(f"galois image of {u} is not a permutation")
@@ -116,12 +119,12 @@ class FiniteIdSet:
 
     @staticmethod
     def make(size: int, m: int, galois: dict[int, list[int]], special: dict[int, list[int]]) -> "FiniteIdSet":
-        return FiniteIdSet(
-            size,
-            m,
-            tuple(sorted((u % m, tuple(p)) for u, p in galois.items())),
-            tuple(sorted((p, tuple(f)) for p, f in special.items())),
-        )
+        """Galois keys are read mod m; two keys for one unit are refused."""
+        gal = sorted((u % m if m > 0 else u, u, tuple(p)) for u, p in galois.items())
+        for (r, u, _), (q, v, _) in zip(gal, gal[1:]):
+            if r == q:
+                raise InputError(f"galois keys {u} and {v} are the same unit mod {m}")
+        return FiniteIdSet(size, m, tuple((r, p) for r, _, p in gal), tuple(sorted((p, tuple(f)) for p, f in special.items())))
 
     @property
     def galois_map(self) -> dict[int, tuple[int, ...]]:
@@ -132,12 +135,12 @@ class FiniteIdSet:
         return dict(self.special)
 
     def psi_prime(self, p: int) -> tuple[int, ...]:
-        sp = self.special_map
-        if p in sp:
-            return sp[p]
+        for q, f in self.special:
+            if q == p:
+                return f
         if gcd(p, self.m) != 1:
             raise InputError(f"prime {p} divides m but is not special")
-        return self.galois_map[p % self.m]
+        return self.galois[bisect_left(self.galois, (p % self.m,))][1]
 
     def psi_ideal(self, a: int) -> tuple[int, ...]:
         """The action of the ideal (a), composed over the factorization."""
@@ -158,12 +161,15 @@ class FiniteIdSet:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteIdSet":
-        """Keys are decimal strings; size, m and each map entry must be JSON
+        """Keys are canonical decimal strings (no plus sign, space,
+        underscore or leading zero); size, m and each map entry must be JSON
         integers, so a float, a boolean or a string is refused, not coerced."""
         try:
             size, m = _json_ints([data["size"], data["m"]])
             galois = {int(u): _json_ints(p) for u, p in data["galois"].items()}
             special = {int(p): _json_ints(f) for p, f in data["special"].items()}
+            if bad := [k for k in [*data["galois"], *data["special"]] if str(int(k)) != k]:
+                raise ValueError(f"key {bad[0]!r} is not a canonical decimal")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed set data ({type(exc).__name__}: {exc})") from None
         return FiniteIdSet.make(size, m, galois, special)
@@ -233,25 +239,17 @@ def conductor(s: FiniteIdSet, subset: frozenset[int] | None = None) -> Cycle:
     n still acts nontrivially.
     """
     T = frozenset(range(s.size)) if subset is None else subset
-    gal = s.galois_map
-    for u, perm in gal.items():
+    moving = []  # the units that move a point of T
+    for u, perm in s.galois:
         if not all(perm[x] in T for x in T):
             raise InputError("subset is not closed under the Galois action")
-
-    def acts_trivially(us) -> bool:
-        return all(all(gal[u][x] == x for x in T) for u in us)
-
-    n0 = None
-    for n in divisors(s.m):
-        kernel = [u for u in gal if u % n == 1 % max(n, 1)]
-        if acts_trivially(kernel):
-            n0 = n
-            break
-    if n0 is None:  # n = m has trivial kernel
+        if any(perm[x] != x for x in T):
+            moving.append(u)
+    # n = m has trivial kernel, as gal(1) = id
+    n0 = next((n for n in divisors(s.m) if all(u % n != 1 % n for u in moving)), None)
+    if n0 is None:
         raise AssertionError("the kernel at level m acts nontrivially")
-    minus_coset = [u for u in gal if u % n0 == (-1) % n0]
-    infinity = not acts_trivially(minus_coset)
-    return Cycle(None, n0, infinity)
+    return Cycle(None, n0, any(u % n0 == -1 % n0 for u in moving))
 
 
 def _subset_image(s: FiniteIdSet, d: int) -> frozenset[int]:
@@ -266,18 +264,12 @@ def has_integral_model(s: FiniteIdSet) -> bool:
     gal = s.galois_map
     for p, f in s.special:
         img, _ = _stable_core(f, s.size)
-        # inertia at p inside (Z/m)*: units congruent to 1 away from p
         mp = s.m
         while mp % p == 0:
             mp //= p
-        inertia = [u for u in gal if u % mp == 1 % max(mp, 1)]
-        if not all(all(gal[u][x] == x for x in img) for u in inertia):
-            return False
-        frob_coset = [u for u in gal if u % mp == p % max(mp, 1)]
-        if not frob_coset:
-            return False
-        w = frob_coset[0]
-        if not all(f[x] == gal[w][x] for x in img):
+        # inertia: the units = 1 mod mp; Frobenius: = p mod mp, a unit mod mp
+        w = next(u for u in gal if u % mp == p % mp)
+        if any(gal[u][x] != x for u in gal if u % mp == 1 % mp for x in img) or any(f[x] != gal[w][x] for x in img):
             return False
     return True
 
@@ -289,10 +281,11 @@ def subset_conductors(s: FiniteIdSet) -> dict[int, Cycle]:
 
 def model_cycle_bound(s: FiniteIdSet) -> Cycle:
     """lcm over d | r of d * c(dS): the least candidate conductor cycle."""
-    out = Cycle(None, 1, False)
-    for d, c in subset_conductors(s).items():
-        out = cycle_lcm(out, Cycle(None, d * c.finite, c.infinity))
-    return out
+    return _lcm_bound(subset_conductors(s))
+
+
+def _lcm_bound(conductors: dict[int, Cycle]) -> Cycle:
+    return reduce(cycle_lcm, (Cycle(None, d * c.finite, c.infinity) for d, c in conductors.items()))
 
 
 def decide_model(s: FiniteIdSet, f: Cycle) -> bool:
@@ -355,7 +348,8 @@ def _projected_image(image: set[tuple[tuple[int, ...], int]], top: DRMonoid, g: 
     pi_g sends the class c to the DR(g) class of the representative
     top.reps[c]."""
     dr = dr_monoid(g, ALL_PRIMES)
-    return {(fm, dr.class_of_ideal(top.reps[c])) for fm, c in image}
+    pi = [dr.class_of_ideal(a) for a in top.reps]
+    return {(fm, pi[c]) for fm, c in image}
 
 
 def _single_valued(image: set[tuple[tuple[int, ...], int]]) -> bool:
@@ -384,12 +378,33 @@ def minimal_cycle(s: FiniteIdSet) -> Cycle:
     """
     if not has_integral_model(s):
         raise ModelRefusedError("no integral model exists at any cycle")
-    f0 = model_cycle_bound(s)
+    return _searched(s, model_cycle_bound(s))
+
+
+def _searched(s: FiniteIdSet, f0: Cycle) -> Cycle:
+    """f0, once the direct test read off J_f0 holds at g | f0 iff g = f0."""
     image, top = _joint_image(s, f0)
     for g in divisor_cycles(f0):
         if _single_valued(_projected_image(image, top, g)) != f0.divides(g):
             raise AssertionError("lcm formula disagrees with divisor-cycle search")
     return f0
+
+
+def model_check(s: FiniteIdSet, cycle: str | None = None) -> tuple[bool, Cycle | None, int, dict[int, Cycle]]:
+    """model-check's (exists, minimal cycle or None, r, c(dS) per d | r),
+    each computed once, with the answers and refusals of the public
+    functions; ``decide_model`` at ``cycle``, parsed after the search.
+    At f = f0 the search's step g = f0 was already the direct test."""
+    conductors = subset_conductors(s)
+    r = max(conductors)  # the keys are the divisors of r
+    exists = has_integral_model(s)
+    f0 = _searched(s, _lcm_bound(conductors)) if exists else None
+    if cycle is not None:
+        f = Cycle.parse(cycle)
+        exists = exists and f0.divides(f)
+        if exists and f != f0 and not factors_through_dr(s, f):
+            raise AssertionError("lcm criterion and direct factorization disagree")
+    return exists, f0, r, conductors
 
 
 def dr_action(s: FiniteIdSet, f: Cycle) -> list[tuple[int, ...]]:

@@ -406,8 +406,11 @@ def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLa
     p^(v_p(m)+1) is keyed by (cls(pm), cls(m), p mod k) and tagged with
     its modulus and the least p*m giving it; a key's rows are projected
     from K's columns once, and the half sweep keeps the tags with
-    p*m <= bound // 2.  Instability between the two is reported, not
-    raised.
+    p*m <= bound // 2.  Each half congruence is a full one whose modulus
+    divides the full one's, so the half solutions T_half contain T_full:
+    the full congruences are tested on a basis of T_half, and only if one
+    fails (t -> t.K being injective, the lattice is then unstable) is the
+    full system solved.  Instability is reported, not raised.
     """
     _check_lattice_size(n, ring.rank, bound)
     dr = dr_monoid(Cycle(None, n, True))
@@ -434,8 +437,11 @@ def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLa
         for proj in projs:
             _merge_congruence(full, proj, every)
             _merge_congruence(halved, proj, within_half)
-    basis = _solve_in_kernel(kernel, full, nvars)
-    stable = basis == _solve_in_kernel(kernel, halved, nvars)
+    ts = _kernel_solutions(kernel, halved)
+    stable = all(sum(c * t for c, t in zip(key, sol)) % m == 0 for key, m in full.items() for sol in ts)
+    ts = ts if stable else _kernel_solutions(kernel, full)
+    # each t.K summed over the kernel rows with t_i != 0, column by column
+    basis = hnf_rows([list(map(sum, zip(*([t * y for y in krow] for t, krow in zip(sol, kernel) if t)))) for sol in ts], nvars)
     return PeriodicWittLattice(n, ring, bound, tuple(dr.reps), tuple(map(tuple, basis)), stable)
 
 
@@ -509,21 +515,14 @@ def _merge_congruence(merged: dict[tuple[int, ...], int], proj: list[int], modul
         merged[key] = lcm(merged.get(key, 1), *moduli)
 
 
-def _solve_in_kernel(kernel: list[list[int]], merged: dict[tuple[int, ...], int], nvars: int) -> list[list[int]]:
-    """HNF basis of {t.K : c.t = 0 mod m for each merged (c, m)}, for K
-    the kernel rows; t.K is summed from the rows scaled by the nonzero t_i."""
-    # integer solutions of C t + diag(m) s = 0, projected to t
+def _kernel_solutions(kernel: list[list[int]], merged: dict[tuple[int, ...], int]) -> list[list[int]]:
+    """A basis of {t : c.t = 0 mod m for each merged (c, m)}, t indexing
+    the kernel rows: the integer solutions of C t + diag(m) s = 0,
+    projected to t (s is fixed by t, so the projection keeps a basis)."""
     ncong = len(merged)
     system = [[c[i] for c in merged] for i in range(len(kernel))]
     system += [[m if j == i else 0 for j in range(ncong)] for i, m in enumerate(merged.values())]
-    rows = []
-    for sol in left_kernel(system, ncong):
-        row = [0] * nvars
-        for t, krow in zip(sol, kernel):  # the first len(kernel) entries are t
-            if t:
-                row = [x + t * y for x, y in zip(row, krow)]
-        rows.append(row)
-    return hnf_rows(rows, nvars)
+    return [sol[: len(kernel)] for sol in left_kernel(system, ncong)]
 
 
 # ---------------------------------------------------------------------------

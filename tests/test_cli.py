@@ -746,6 +746,21 @@ if hasattr(sys, "get_int_max_str_digits"):
                 '{"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {"2": [0.0, 1]}}',
             ]
         ),
+        # keys that are not canonical decimals, two keys for one unit, m = 0:
+        # each of the first five was answered, the last raised ZeroDivisionError
+        *(
+            (["model-check", "--input"], text)
+            for text in [
+                '{"size": 2, "m": 1, "galois": {" +1_0": [0, 1]}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"01": [0, 1]}, "special": {}}',
+                '{"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {"02": [0, 1]}}',
+                '{"size": 3, "m": 5, "galois": {"1": [0, 1, 2], "2": [0, 2, 1], "3": [0, 2, 1], "4": [0, 1, 2], "9": [0, 1, 2]}, '
+                '"special": {"5": [0, 0, 0]}}',
+                '{"size": 3, "m": 5, "galois": {"1": [0, 1, 2], "2": [0, 2, 1], "3": [0, 2, 1], "4": [0, 1, 2], "-4": [0, 1, 2]}, '
+                '"special": {"5": [0, 0, 0]}}',
+                '{"size": 1, "m": 0, "galois": {"1": [0]}, "special": {}}',
+            ]
+        ),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -6,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from lambda_forge import modelcheck
+from lambda_forge import cli, modelcheck
 from lambda_forge.errors import InputError, ModelRefusedError
 from lambda_forge.intlinalg import divisors, factor, is_prime
 from lambda_forge.modelcheck import (
@@ -41,6 +42,25 @@ def test_validation():
     # non-commuting maps rejected
     with pytest.raises(InputError):
         FiniteIdSet.make(3, 1, {1: [0, 1, 2]}, {2: [1, 0, 2], 3: [0, 2, 1]})
+
+
+def test_galois_lists_each_unit_once_in_increasing_order():
+    """psi_prime finds a unit's permutation by bisection, so a tuple that
+    repeats a unit or lists the units out of order is refused."""
+    s = mu_n_pm_data(5)
+    for galois in (s.galois[::-1], s.galois + s.galois[:1]):
+        with pytest.raises(InputError, match="^galois data must list exactly the units mod m$"):
+            FiniteIdSet(s.size, s.m, galois, s.special)
+    assert [s.psi_prime(p) for p in (2, 3, 7, 11)] == [s.galois_map[p % 5] for p in (2, 3, 7, 11)]
+
+
+@pytest.mark.parametrize("key, message", [(9, "galois keys 4 and 9"), (-4, "galois keys -4 and 1")])
+def test_make_refuses_two_keys_for_one_unit(key, message):
+    """mu5pm with a second key for a unit mod 5: one of the two maps used
+    to be dropped without a word."""
+    galois = {1: [0, 1, 2], 2: [0, 2, 1], 3: [0, 2, 1], 4: [0, 1, 2], key: [0, 1, 2]}
+    with pytest.raises(InputError, match=f"^{message} are the same unit mod 5$"):
+        FiniteIdSet.make(3, 5, galois, {5: [0, 0, 0]})
 
 
 def _all_pairs_refusal(size, m, galois, special):
@@ -236,6 +256,89 @@ def test_minimal_cycle_builds_one_joint_image(monkeypatch):
     monkeypatch.setattr(modelcheck, "_joint_image", counted)
     assert minimal_cycle(mu_n_data(60)) == Cycle.parse("60*inf")
     assert built == [Cycle.parse("60*inf")]
+
+
+def _verb_reference(s: FiniteIdSet, cycle: str | None) -> dict:
+    """model-check's JSON read off the public functions, in the verb's
+    order: r, each c(dS), the local conditions, the minimal cycle, then
+    decide_model at the cycle, parsed last."""
+    r = compute_r(s)
+    conductors = {str(d): str(c) for d, c in subset_conductors(s).items()}
+    exists = has_integral_model(s)
+    minimal = str(minimal_cycle(s)) if exists else None
+    if cycle is not None:
+        exists = decide_model(s, Cycle.parse(cycle))
+    return {"exists": exists, "minimal_cycle": minimal, "r": r, "conductors": conductors}
+
+
+def _outcome(fn, *args):
+    """fn's answer, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _one_pass_answer(s: FiniteIdSet, cycle: str | None) -> dict:
+    exists, f0, r, conductors = modelcheck.model_check(s, cycle)
+    minimal = None if f0 is None else str(f0)
+    return {"exists": exists, "minimal_cycle": minimal, "r": r, "conductors": {str(d): str(c) for d, c in conductors.items()}}
+
+
+def test_model_check_matches_the_public_functions(tmp_path, capsys):
+    """The one-pass verb answers, and refuses with the same type and
+    message, as the public functions called one by one: on random sets and
+    mu_n, mu_n/+-1, at no cycle, f0, 2 f0, f0 without the real place, a
+    non-multiple of f0 (f0 + 1, when f0 > 1) and a cycle that is no ideal.
+    The CLI's JSON is that answer; its error line is that message."""
+    sets = _random_idsets(random.Random(30), 300)
+    sets += [mu_n_data(n) for n in range(1, 31)] + [mu_n_pm_data(n) for n in range(1, 30, 2)]
+    path = tmp_path / "s.json"
+    kinds = Counter()
+    for s in sets:
+        f0 = model_cycle_bound(s)
+        path.write_text(json.dumps(s.to_json()))
+        for cycle in (None, f0, Cycle(None, 2 * f0.finite, f0.infinity), Cycle(None, f0.finite, False), Cycle(None, f0.finite + 1, f0.infinity), "0"):
+            cycle = None if cycle is None else str(cycle)
+            want = _outcome(_verb_reference, s, cycle)
+            assert _outcome(_one_pass_answer, s, cycle) == want, (s, cycle)
+            code = cli.main(["model-check", "--input", str(path), "--json"] + ([] if cycle is None else ["--cycle", cycle]))
+            out, err = capsys.readouterr()
+            if isinstance(want, dict):
+                assert (code, json.loads(out), err) == (0, want, ""), (s, cycle)
+                kinds[want["exists"]] += 1
+            else:
+                assert want[0] is InputError and (code, out, err) == (1, "", f"error: {want[1]}\n"), (s, cycle)
+                kinds[want[1]] += 1
+    assert kinds[True] > 500 and kinds[False] > 500
+    assert kinds["a rational ideal must be a positive integer"] == len(sets)
+
+
+def test_model_check_at_f0_builds_one_joint_image(tmp_path, monkeypatch, capsys):
+    """At --cycle f0 the divisor search's image serves the decision, and
+    each c(dS) is computed once; another multiple of f0 gets its own image."""
+    built, conducted = [], []
+    joint_image, conductor_ = modelcheck._joint_image, modelcheck.conductor
+
+    def counted_image(s, f):
+        built.append(str(f))
+        return joint_image(s, f)
+
+    def counted_conductor(s, subset=None):
+        conducted.append(subset)
+        return conductor_(s, subset)
+
+    monkeypatch.setattr(modelcheck, "_joint_image", counted_image)
+    monkeypatch.setattr(modelcheck, "conductor", counted_conductor)
+    path = tmp_path / "mu60.json"
+    path.write_text(json.dumps(mu_n_data(60).to_json()))
+    for cycle, images in (("60*inf", ["60*inf"]), ("120*inf", ["60*inf", "120*inf"]), ("60", ["60*inf"])):
+        built.clear()
+        conducted.clear()
+        assert cli.main(["model-check", "--input", str(path), "--cycle", cycle, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exists"] is (cycle != "60")
+        assert built == images
+        assert len(conducted) == len(divisors(60))  # r = 60
 
 
 def test_minimal_cycle_refusal():

@@ -913,7 +913,67 @@ def test_congruence_merge_matches_dense_solve(data):
             expected[key] = math.lcm(expected.get(key, 1), m)
     assert merged == expected
     assert all(next(x for x in key if x) > 0 for key in merged)
-    assert witt._solve_in_kernel(kernel, merged, nvars) == _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
+    solved = hnf_rows([[sum(t * y for t, y in zip(sol, col)) for col in zip(*kernel)] for sol in witt._kernel_solutions(kernel, merged)], nvars)
+    assert solved == _solve_dense_reference(eq_rows, cong_rows, moduli, nvars)
+
+
+def _two_solve_lattice(n: int, ring: CoeffRing, bound: int):
+    """(basis, stable) by the earlier path of ``periodic_witt_lattice``:
+    the merged congruences solved at the bound and again at bound // 2,
+    and the two bases compared."""
+    dr = dr_monoid(Cycle(None, n, True))
+    k = ring.rank
+    nvars = dr.size * k
+    cls = [0] * n
+    for a in range(1, n + 1):
+        cls[a % n] = dr.class_of_ideal(a)
+    kernel = witt._equality_kernel(n, k, dr.reps, cls, nvars)
+    tags = {}
+    for p in witt.primes_upto(bound):
+        for m in range(1, bound // p + 1):
+            key = (cls[p * m % n], cls[m % n], p % k)
+            tags.setdefault(key, {}).setdefault(p ** (witt._valuation(m, p) + 1), p * m)
+    columns = list(zip(*kernel))
+    full, halved = {}, {}
+    for (c_to, c_from, e), moduli in tags.items() if kernel else ():
+        projs = [list(columns[c_to * k + j]) for j in range(k)]
+        for i in range(k):
+            projs[i * e % k] = [x - y for x, y in zip(projs[i * e % k], columns[c_from * k + i])]
+        every, within_half = list(moduli), [m for m, pm in moduli.items() if pm <= bound // 2]
+        for proj in projs:
+            witt._merge_congruence(full, proj, every)
+            witt._merge_congruence(halved, proj, within_half)
+
+    def solve(merged):
+        ncong = len(merged)
+        system = [[c[i] for c in merged] for i in range(len(kernel))]
+        system += [[m if j == i else 0 for j in range(ncong)] for i, m in enumerate(merged.values())]
+        rows = []
+        for sol in left_kernel(system, ncong):
+            row = [0] * nvars
+            for t, krow in zip(sol, kernel):
+                if t:
+                    row = [x + t * y for x, y in zip(row, krow)]
+            rows.append(row)
+        return hnf_rows(rows, nvars)
+
+    basis = solve(full)
+    return tuple(map(tuple, basis)), basis == solve(halved)
+
+
+def test_one_solve_stability_matches_two_solves():
+    """Stability decided from the half solve (each full congruence tested
+    on its solutions, a second solve only when one fails) gives the basis
+    and flag of solving both sweeps, over n <= 8, rings of rank 1, n and 4
+    and bounds 16, 32 and 64, unstable lattices included."""
+    unstable = 0
+    for n in range(1, 9):
+        for ring in (INTEGERS, CoeffRing(n), CoeffRing(4)):
+            for bound in (16, 32, 64):
+                lattice = periodic_witt_lattice(n, ring, bound)
+                assert (lattice.basis, lattice.stable) == _two_solve_lattice(n, ring, bound), (n, ring.rank, bound)
+                unstable += not lattice.stable
+    assert unstable == 12
 
 
 def test_lattice_bound_refuses_before_any_monoid(monkeypatch):
