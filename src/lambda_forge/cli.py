@@ -102,7 +102,7 @@ def _cmd_model_check(args) -> str:
             data = json.load(fh)
         except ValueError as exc:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from None
-    exists, f0, r, conductors = modelcheck.model_check(modelcheck.FiniteIdSet.from_json(data), args.cycle or None)
+    exists, f0, r, conductors = modelcheck.model_check(modelcheck.FiniteIdSet.from_json(data), args.cycle)
     conductors = {str(d): str(c) for d, c in conductors.items()}
     data = {"exists": exists, "minimal_cycle": None if f0 is None else str(f0), "r": r, "conductors": conductors}
     return _emit(args, data, f"exists: {exists}; minimal cycle: {f0}; r = {r}")
@@ -126,7 +126,7 @@ def _cmd_periodic_locus(args) -> str:
         raise InputError("the toric family takes --cycle or --n, not both")
     if args.cycle is None and args.n is None:
         raise InputError("the toric family needs --cycle or --n")
-    cyc = Cycle.parse(args.cycle) if args.cycle else Cycle(None, args.n, False)
+    cyc = Cycle(None, args.n, False) if args.cycle is None else Cycle.parse(args.cycle)
     m = lambdapoly.gm_periodic_exponent(cyc, PrimeSupport.parse("all" if args.support is None else args.support))
     rep = lambdapoly.PeriodicLocusReport(cyc, "toric", m, None, None)
     return _emit(args, rep.to_json(), f"periodic locus is the {rep.generator}-torsion")
@@ -173,14 +173,14 @@ def _parse_vector(ring: witt.CoeffRing, trunc: str | None, text: str) -> tuple[w
 
 
 def _cmd_witt(args) -> str:
-    ring = _parse_ring(args.ring or "Z")
+    ring = _parse_ring("Z" if args.ring is None else args.ring)
     if args.witt_cmd == "convert":
-        if args.ghost and args.witt:
+        if args.ghost is not None and args.witt is not None:
             raise InputError("convert takes --ghost or --witt, not both")
-        if not (args.ghost or args.witt):
+        if args.ghost is None and args.witt is None:
             raise InputError("convert needs --ghost or --witt")
-        trunc, comps = _parse_vector(ring, args.trunc, args.ghost or args.witt)
-        if args.ghost:
+        trunc, comps = _parse_vector(ring, args.trunc, args.witt if args.ghost is None else args.ghost)
+        if args.ghost is not None:
             coords, flags = witt.witt_from_ghost(witt.GhostVector.make(ring, trunc, comps))
         else:
             g = witt.ghost_from_witt(witt.WittCoords.make(ring, trunc, comps))
@@ -190,7 +190,7 @@ def _cmd_witt(args) -> str:
         if limit:
             sys.set_int_max_str_digits(0)
         try:
-            if args.ghost:
+            if args.ghost is not None:
                 data = {
                     "coordinates": {str(d): [str(c) for c in coords.coord(d)] for d in trunc.sorted()},
                     "integral": {str(d): flags[d] for d in trunc.sorted()},

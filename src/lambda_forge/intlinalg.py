@@ -40,8 +40,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
+    # every caller's base lies in [2, n - 2]
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -135,8 +134,6 @@ def factor(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -90,25 +90,22 @@ class IntPoly:
         return IntPoly(_trim(tuple(c % p for c in self.coeffs)))
 
     def __str__(self):
-        return _format_terms(((i, self[i]) for i in range(self.degree, -1, -1)), "y")
-
-
-def _format_terms(terms, var: str) -> str:
-    """Text of a sum of (exponent, coefficient) terms, highest first;
-    zero terms are skipped and the empty sum is "0"."""
-    parts = []
-    for k, c in terms:
-        if not c:
-            continue
-        term = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        mag = abs(c)
-        body = str(mag) if (k == 0 or mag != 1) else ""
-        piece = body + ("*" if body and term else "") + term
-        if not parts:
-            parts.append(("-" if c < 0 else "") + piece)
-        else:
-            parts.append((" - " if c < 0 else " + ") + piece)
-    return "".join(parts) or "0"
+        """Text of the polynomial in y, highest term first; zero terms are
+        skipped and the zero polynomial is "0"."""
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self[k]
+            if not c:
+                continue
+            term = "" if k == 0 else ("y" if k == 1 else f"y^{k}")
+            mag = abs(c)
+            body = str(mag) if (k == 0 or mag != 1) else ""
+            piece = body + ("*" if body and term else "") + term
+            if not parts:
+                parts.append(("-" if c < 0 else "") + piece)
+            else:
+                parts.append((" - " if c < 0 else " + ") + piece)
+        return "".join(parts) or "0"
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,11 +195,7 @@ class LaurentPoly:
 
     @staticmethod
     def x_power_minus_one(k: int) -> "LaurentPoly":
-        if k == 0:
-            return LaurentPoly(0, ())
-        if k > 0:
-            return LaurentPoly.of(0, (-1,) + (0,) * (k - 1) + (1,))
-        return LaurentPoly.of(k, (1,) + (0,) * (-k - 1) + (-1,))
+        return LaurentPoly.monomial(k) - LaurentPoly.monomial(0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -220,8 +213,6 @@ class LaurentPoly:
         return self + o.scale(-1)
 
     def scale(self, k: int) -> "LaurentPoly":
-        if k == 0:
-            return LaurentPoly(0, ())
         return LaurentPoly.of(self.low, tuple(k * c for c in self.coeffs))
 
     def __mul__(self, o: "LaurentPoly") -> "LaurentPoly":
@@ -248,9 +239,6 @@ class LaurentPoly:
         if self.is_zero() or o.is_zero():
             return self.is_zero() and o.is_zero()
         return self.coeffs == o.coeffs or self.coeffs == tuple(-c for c in o.coeffs)
-
-    def __str__(self):
-        return _format_terms(((self.low + i, self.coeffs[i]) for i in range(len(self.coeffs) - 1, -1, -1)), "x")
 
 
 def substitute_x_plus_xinv(p: IntPoly) -> LaurentPoly:

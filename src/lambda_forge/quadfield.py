@@ -115,14 +115,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bw = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
-        if self.a == 0:
-            return bw
-        return f"{self.a}{'+' if self.b > 0 else ''}{bw}"
-
 
 def unit_group(field: QuadField) -> list[QuadInt]:
     """All roots of unity in the field: order 4 for d=-1, 6 for d=-3,

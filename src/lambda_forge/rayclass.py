@@ -406,9 +406,10 @@ class RationalRayClassGroup(RayClassGroup):
         r <= n/2 without the real place (the sign folds r with n - r), all with it."""
         n = self.cycle.finite
         folded = not self.cycle.infinity
+        bound = _rational_residue_bound(n)
         primes = factor(n).primes()
         phi = _phi(n, primes)
-        if phi > residue_bound():
+        if phi > bound:
             raise BoundExceededError(f"{phi} unit residues mod {n} over residue bound")
         unit = bytearray(b"\1") * n
         for p in primes:
@@ -594,6 +595,16 @@ def _coprime_class_rep(cl: qf.ClassGroup, k: int, nf: int) -> QuadIdeal:
     raise BoundExceededError("no coprime class representative found")
 
 
+def _rational_residue_bound(n: int) -> int:
+    """The residue bound, once a rational conductor n whose unit residues
+    outnumber it for certain is refused without factoring n: phi(n) >=
+    sqrt(n/2), so n > 2 * bound**2 has phi(n) > bound."""
+    bound = residue_bound()
+    if n > 2 * bound * bound:
+        raise BoundExceededError(f"unit residues mod {n} over residue bound (phi(n) >= sqrt(n/2))")
+    return bound
+
+
 def _phi(n: int, primes) -> int:
     """Euler's phi of n, given a list of primes that holds n's."""
     for p in primes:
@@ -692,8 +703,10 @@ class DRMonoid:
         ideals = cycle._ideals
         self.cycle = cycle
         self.support = support
-        self.divisors = ideals._divisors(cycle.finite, support)
         n, bound = cycle.finite, monoid_bound()
+        if cycle.field is None:  # refused before _divisors factors n
+            residues = _rational_residue_bound(n)
+        self.divisors = ideals._divisors(n, support)
         if cycle.field is None and support.mode != "explicit" and sum(n // d for d in self.divisors) > bound:
             # a dense support's monoid is counted before the O(n) builds: the
             # group mod k has phi(k) <= k classes, halved by the sign for
@@ -702,7 +715,7 @@ class DRMonoid:
             # build refuses first, with its own message.
             primes = factor(n).primes()
             orders = [_phi(k, primes) // (1 if cycle.infinity or k <= 2 else 2) for k in (n // d for d in self.divisors)]
-            if _phi(n, primes) <= residue_bound() and sum(orders) > bound:
+            if _phi(n, primes) <= residues and sum(orders) > bound:
                 raise BoundExceededError("ray class monoid larger than monoid bound")
         self.class_groups = {}
         self._offsets = {}  # index of the first element with each divisor

@@ -670,15 +670,6 @@ class FieldProductReport:
             and sorted(self.factor_degrees) == expected
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dimension": self.dimension,
-            "idempotents": self.idempotents,
-            "factor_degrees": list(self.factor_degrees),
-            "passes": self.passes(),
-        }
-
 
 def periodic_witt_field_product_check(n: int) -> FieldProductReport:
     """Decompose the rational algebra spanned by the group ring's ghost

@@ -2,9 +2,11 @@ import argparse
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -503,6 +505,72 @@ def test_oversized_rational_conductor_refused_before_enumerating(argv, capsys):
     assert err == "refused: 66663457344 unit residues mod 99999999999 over residue bound\n"
 
 
+# (10**14 + 31) * (2 * 10**14 + 27), and the product of the least primes
+# past 10**30 and 3 * 10**30: factoring took 12-14 s on the first and ran
+# past 20 s on the second
+SEMIPRIMES = ("20000000000008900000000000837", "3000000000000000000000000000262000000000000000000000000005187")
+
+
+@pytest.mark.parametrize("n", SEMIPRIMES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ray-class", "--cycle", "{n}*inf"],
+        ["f-equiv", "--cycle", "{n}", "--a", "2", "--b", "3"],
+        ["periodic-locus", "--family", "toric", "--cycle", "{n}"],
+        ["dr-mul", "--cycle", "{n}", "--a", "2", "--b", "3"],
+        ["dr-table", "--cycle", "{n}*inf"],
+    ],
+)
+def test_oversized_rational_conductor_refused_before_factoring(argv, n, capsys):
+    """n > 2 * (residue bound)**2 has phi(n) >= sqrt(n/2) over the bound:
+    refused before n is factored."""
+    start = time.perf_counter()
+    code, out = run_cli([arg.format(n=n) for arg in argv])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"refused: unit residues mod {n} over residue bound (phi(n) >= sqrt(n/2))\n"
+    assert elapsed < 1, elapsed
+
+
+def test_f_equiv_of_an_oversized_conductor_with_itself():
+    """(n) and (n) share their gcd n with the cycle: the cofactor group is
+    the one mod 1, and no group mod n is built."""
+    n = SEMIPRIMES[0]
+    assert run_cli(["f-equiv", "--cycle", n, "--a", n, "--b", n]) == (0, "true\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["model-check", "--cycle=", "--input"], "cannot parse cycle ''; expected \"12\" or \"12*inf\""),
+        (["periodic-locus", "--family", "toric", "--cycle="], "cannot parse cycle ''; expected \"12\" or \"12*inf\""),
+        (["witt", "convert", "--ghost=", "--witt", "1,2,3,4", "--trunc", "div:6"], "convert takes --ghost or --witt, not both"),
+        (["witt", "convert", "--ring=", "--witt", "1,2,3,4", "--trunc", "div:6"], "ring must be Z or x^k-1"),
+        (["witt", "periodic", "--ring=", "--n", "3"], "ring must be Z or x^k-1"),
+    ],
+)
+def test_empty_flag_value_reaches_its_parser(argv, err, tmp_path, capsys):
+    """--flag= gives the empty string, which the flag's own parser refuses;
+    it is never read as the flag left out."""
+    if argv[-1] == "--input":
+        path = tmp_path / "s.json"
+        path.write_text('{"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {}}')
+        argv = argv + [str(path)]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_module_entry_point_exits_with_main_code(monkeypatch, capsys):
+    """python -m lambda_forge.cli exits with the code main returns."""
+    monkeypatch.setattr(sys, "argv", ["lambda_forge.cli", "chebyshev", "--n", "2"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("ignore", RuntimeWarning)  # the module is imported already
+        runpy.run_module("lambda_forge.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "y^2 - 2\n"
+
+
 @pytest.mark.parametrize("cycle", ["999983*inf", "10007*inf", "1000000"])
 def test_oversized_monoid_refused_before_building(cycle, capsys):
     """phi(n) unit residues within the residue bound but a monoid over the
@@ -761,6 +829,16 @@ if hasattr(sys, "get_int_max_str_digits"):
                 '{"size": 1, "m": 0, "galois": {"1": [0]}, "special": {}}',
             ]
         ),
+        # a component of the wrong length for the ring, and convert with neither vector
+        (["witt", "convert", "--ring", "x^2-1", "--ghost", "1,2;3", "--trunc", "div:2"], None),
+        (["witt", "convert", "--trunc", "div:6"], None),
+        # an empty value is parsed, not read as an absent flag: each of the
+        # first four was answered, and the toric cycle was refused as an ideal
+        (["model-check", "--cycle=", "--input"], '{"size": 2, "m": 1, "galois": {"1": [0, 1]}, "special": {}}'),
+        (["witt", "convert", "--ghost=", "--witt", "1,2,3,4", "--trunc", "div:6"], None),
+        (["witt", "convert", "--ring=", "--witt", "1,2,3,4", "--trunc", "div:6"], None),
+        (["witt", "periodic", "--ring=", "--n", "3"], None),
+        (["periodic-locus", "--family", "toric", "--cycle="], None),
     ],
 )
 def test_parse_failures_exit_1(argv, input_text, tmp_path, capsys):

@@ -270,3 +270,10 @@ def test_xgcd():
     for a, b in [(12, 18), (-5, 7), (0, 4), (9, 0)]:
         x, y, g = xgcd(a, b)
         assert x * a + y * b == g >= 0
+
+
+def test_factor_square_of_a_prime_past_trial_division():
+    """A square past trial division is split by its integer square root."""
+    p = 2**31 - 1
+    assert factor(p * p).factors == ((p, 2),)
+    assert factor(3 * p * p).factors == ((3, 1), (p, 2))

@@ -33,6 +33,7 @@ from lambda_forge.lambdapoly import (
     toric_psi,
     torsion_locus_contains_periodic,
 )
+from lambda_forge.quadfield import QuadField, ideal_from_int
 from lambda_forge.rayclass import Cycle, PrimeSupport, f_equiv
 
 
@@ -642,3 +643,39 @@ def test_cotangent_certificate_refuses_a_corrupt_clause(monkeypatch, fake, messa
         cyclotomic_cotangent_dim(a, 2)
     monkeypatch.undo()
     assert cyclotomic_cotangent_dim(a, 2) == int(a % 2 == 0)
+
+
+LAMBDAPOLY_REFUSALS = [
+    (poly_divmod, (IntPoly.of(1), IntPoly(())), InputError("division by the zero polynomial")),
+    (LaurentPoly.monomial(1).substitute_power, (0,), InputError("substituting x^0 is not a ring map here")),
+    (toric_psi, (0, LaurentPoly.monomial(1)), InputError("positive exponent required")),
+    (frobenius_lift_check, ("circle", 3), InputError("unknown family 'circle'")),
+    (gm_periodic_exponent, (Cycle(QuadField(-1), ideal_from_int(QuadField(-1), 2)),), InputError("the toric line lives over the rationals")),
+    (exponent_gcd_combination, (0, 0), InputError("need positive exponents")),
+    (torsion_locus_contains_periodic, ("toric", 3, 4), InputError("the torsion comparison is for the chebyshev family")),
+]
+
+
+@pytest.mark.parametrize("call, args, error", LAMBDAPOLY_REFUSALS, ids=[row[0].__name__ for row in LAMBDAPOLY_REFUSALS])
+def test_refusals(call, args, error):
+    """Each refusal a caller can send, with its type and message."""
+    with pytest.raises(type(error)) as exc:
+        call(*args)
+    assert str(exc.value) == str(error)
+
+
+def test_laurent_zero_cases():
+    """Trailing zeros are trimmed, zero stays zero under substitution and
+    scaling, and is equal up to a unit only to zero; x^k - 1 is zero at
+    k = 0 and x^k (1 - x^(-k)) below it."""
+    zero = LaurentPoly(0, ())
+    assert LaurentPoly.of(3, (1, 0, 0)) == LaurentPoly(3, (1,))
+    assert LaurentPoly.of(3, (0, 0)) == zero
+    assert zero.substitute_power(5) == zero
+    assert LaurentPoly.monomial(2, 7).scale(0) == zero
+    assert zero.equal_up_to_unit(zero)
+    assert not zero.equal_up_to_unit(LaurentPoly.monomial(0))
+    assert not LaurentPoly.monomial(0).equal_up_to_unit(zero)
+    assert LaurentPoly.x_power_minus_one(0) == zero
+    assert LaurentPoly.x_power_minus_one(-2) == LaurentPoly(-2, (1, 0, -1))
+    assert LaurentPoly.x_power_minus_one(2) == LaurentPoly(0, (-1, 0, 1))

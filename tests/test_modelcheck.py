@@ -31,6 +31,7 @@ from lambda_forge.modelcheck import (
     _compose,
     _subset_image,
 )
+from lambda_forge.quadfield import QuadField, ideal_from_int
 from lambda_forge.rayclass import Cycle, divisor_cycles, dr_monoid
 
 
@@ -508,3 +509,44 @@ def test_local_quotient_monoid():
         size = mon.size
         for a, b, c in itertools.product(range(size), repeat=3):
             assert mon.table[mon.table[a][b]][c] == mon.table[a][mon.table[b][c]]
+
+
+Z2 = ((0, 1), (1, 0))
+SWAP = ((0, 1), (1, 0))  # Z/2 acting on two points, 1 by the swap
+S3_PERMS = list(itertools.permutations(range(3)))
+S3 = tuple(tuple(S3_PERMS.index(_compose(f, g)) for g in S3_PERMS) for f in S3_PERMS)
+# a Galois unit that swaps the two points, and the quadratic cycle (2) of Q(i)
+SWAPPED = FiniteIdSet.make(2, 3, {1: [0, 1], 2: [1, 0]}, {3: [0, 1]})
+GAUSS_CYCLE = Cycle(QuadField(-1), ideal_from_int(QuadField(-1), 2))
+
+MODELCHECK_REFUSALS = [
+    (FiniteIdSet.make, (2, 1, {1: [0, 1]}, {2: [0, 2]}), InputError("special map out of range")),
+    (FiniteIdSet.make(2, 2, {1: [0, 1]}, {2: [0, 1]}).psi_prime, (4,), InputError("prime 4 divides m but is not special")),
+    (conductor, (SWAPPED, frozenset({0})), InputError("subset is not closed under the Galois action")),
+    (decide_model, (SWAPPED, GAUSS_CYCLE), InputError("model decisions run over the rationals")),
+    (factors_through_dr, (SWAPPED, GAUSS_CYCLE), InputError("model decisions run over the rationals")),
+    # LocalIdSet's checks, in order: (size, group, inertia, frobenius, action, psi)
+    (LocalIdSet, (1, ((0, 1), (1, 1)), frozenset({0}), frozenset({0}), ((0,), (0,)), (0,)), InputError("group table rows must be permutations")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0}), ((1, 0), (1, 0)), (0, 1)), InputError("action is not a group action")),
+    (LocalIdSet, (2, ((0,),), frozenset({0}), frozenset({0}), ((0, 0),), (0, 1)), InputError("identity must act trivially")),
+    (LocalIdSet, (2, Z2, frozenset({1}), frozenset({1}), SWAP, (0, 1)), InputError("inertia is not a subgroup")),
+    (LocalIdSet, (1, S3, frozenset({0, 1}), frozenset({0, 1}), ((0,),) * 6, (0,)), InputError("inertia is not normal")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0, 1}), SWAP, (0, 1)), InputError("frobenius is not an inertia coset")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({1}), SWAP, (0, 0)), InputError("psi must commute with the group action")),
+    (local_quotient_monoid, (S3, frozenset({0, 1}), frozenset({0, 1}), 2), InputError("inertia must be a normal subgroup")),
+    (local_quotient_monoid, (Z2, frozenset({0}), frozenset({0, 1}), 2), InputError("frobenius must be an inertia coset")),
+]
+
+
+@pytest.mark.parametrize("call, args, error", MODELCHECK_REFUSALS, ids=[row[0].__name__ for row in MODELCHECK_REFUSALS])
+def test_refusals(call, args, error):
+    """Each refusal a caller can send, with its type and message."""
+    with pytest.raises(type(error)) as exc:
+        call(*args)
+    assert str(exc.value) == str(error)
+
+
+def test_local_model_refused_when_inertia_moves_the_core():
+    """psi = id makes every point core; inertia = the whole Z/2, which
+    swaps the two points, does not act trivially there."""
+    assert not local_model_exists(LocalIdSet(2, Z2, frozenset({0, 1}), frozenset({0, 1}), SWAP, (0, 1)))

@@ -694,3 +694,27 @@ def test_products_and_quotients_still_validate(monkeypatch):
     assert group.index_of_coords(1, 0) == group.index_of(GAUSS.one())
     for u, v in ((0, 0), (3, 0), (-6, 9), (3, 3)):
         assert _outcome(group.index_of_coords, u, v) == (InputError, "element is not a unit residue")
+
+
+QUADFIELD_REFUSALS = [
+    (QuadIdeal, (GAUSS, 0, 0, 1), InputError("ideal triple out of normal form")),
+    (ideal_mul, (ideal_from_int(GAUSS, 2), ideal_from_int(K5, 2)), InputError("ideals from different fields")),
+    (ideal_mul_conj, (ideal_from_int(GAUSS, 2), ideal_from_int(K5, 2)), InputError("ideals from different fields")),
+    (ideal_gcd, (ideal_from_int(GAUSS, 2), ideal_from_int(K5, 2)), InputError("ideals from different fields")),
+    (primes_above, (4, GAUSS), InputError("4 is not prime")),
+    (quadfield.check_group_table, (((1, 0), (0, 1)),), InputError("group table has no identity in slot 0")),
+]
+
+
+@pytest.mark.parametrize("call, args, error", QUADFIELD_REFUSALS, ids=[row[0].__name__ for row in QUADFIELD_REFUSALS])
+def test_refusals(call, args, error):
+    """Each refusal a caller can send, with its type and message."""
+    with pytest.raises(type(error)) as exc:
+        call(*args)
+    assert str(exc.value) == str(error)
+
+
+def test_reduced_forms_skip_imprimitive_forms():
+    """At the non-fundamental discriminant -12 the reduced form (2, 2, 2)
+    is imprimitive and left out."""
+    assert reduced_forms(-12) == [(1, 0, 3)]

@@ -27,6 +27,7 @@ from lambda_forge.quadfield import (
     ideal_from_int,
     ideal_mul,
     ideals_of_norm_up_to,
+    primes_above,
     principal_ideal,
     reduced_forms,
     unit_group,
@@ -1186,3 +1187,38 @@ def test_label_miss_classifies_the_cofactor_without_a_coprimality_test(monkeypat
     assert f_label(3 * 47, fq)[0] == 1 and calls == []
     with pytest.raises(InputError, match="^2 is not coprime to the conductor 40$"):
         rayclass.ray_class_group(fq).class_of_ideal(2)
+
+
+GAUSS_2 = Cycle(GAUSS, ideal_from_int(GAUSS, 2))
+EXCEPT_2 = PrimeSupport("all-except", frozenset({2}))
+
+RAYCLASS_REFUSALS = [
+    (Cycle, ("Q", 4), InputError("a cycle's field must be a QuadField, or None for the rationals")),
+    (Cycle, (GAUSS, ideal_from_int(GAUSS, 2), True), InputError("imaginary quadratic cycles have no real places")),
+    (Cycle(None, 4).divides, (GAUSS_2,), InputError("cycles over different fields")),
+    (PrimeSupport, ("some",), InputError("unknown support mode 'some'")),
+    (PrimeSupport, ("all", frozenset({2})), InputError('mode "all" takes no prime list')),
+    (cycle_lcm, (GAUSS_2, Cycle(None, 2)), InputError("this operation is rational-only")),
+    (ray_class_group, (GAUSS_2, EXCEPT_2), InputError('quadratic fields support only mode "all"')),
+    (f_label, (ideal_from_int(GAUSS, 3), GAUSS_2, EXCEPT_2), InputError('quadratic fields support only mode "all"')),
+    (ray_class_group, (Cycle(GAUSS, ideal_from_int(GAUSS, 1001)),), BoundExceededError("conductor norm 1002001 over residue bound")),
+    (dr_pushout_check, (Cycle(None, 4), PrimeSupport("explicit", frozenset({3}))), DensityRequiredError("the pushout description needs a dense support")),
+]
+
+
+@pytest.mark.parametrize("call, args, error", RAYCLASS_REFUSALS, ids=[row[0].__name__ for row in RAYCLASS_REFUSALS])
+def test_refusals(call, args, error):
+    """Each refusal a caller can send, with its type and message."""
+    with pytest.raises(type(error)) as exc:
+        call(*args)
+    assert str(exc.value) == str(error)
+
+
+def test_quadratic_group_over_the_monoid_bound_refused(monkeypatch):
+    """Under a bound of 100, a prime of norm 71 in Q(sqrt-23) passes the
+    norm check, but its 3 * 35 classes do not."""
+    field = QuadField(-23)
+    prime = next(P for P, _, _ in primes_above(71, field))
+    monkeypatch.setenv("LAMBDA_FORGE_BOUND", "100")
+    with pytest.raises(BoundExceededError, match="^ray class group larger than monoid bound$"):
+        ray_class_group(Cycle(field, prime))

@@ -997,3 +997,31 @@ def test_lattice_bound_refuses_before_any_monoid(monkeypatch):
     expected = periodic_witt_lattice(8, CoeffRing(8), 64)
     monkeypatch.setenv("LAMBDA_FORGE_BOUND", "64")  # both limits are inclusive
     assert periodic_witt_lattice(8, CoeffRing(8), 64) == expected
+
+
+WITT_REFUSALS = [
+    (INTEGERS.gen, (), InputError("the integer ring has no generator")),
+    (INTEGERS.exact_div, ((3,), 2), InputError("inexact division in the coefficient ring")),
+    (is_irreducible_smalldeg, (IntPoly.of(1, 2),), InputError("monic input required")),
+]
+
+
+@pytest.mark.parametrize("call, args, error", WITT_REFUSALS, ids=[row[0].__name__ for row in WITT_REFUSALS])
+def test_refusals(call, args, error):
+    """Each refusal a caller can send, with its type and message."""
+    with pytest.raises(type(error)) as exc:
+        call(*args)
+    assert str(exc.value) == str(error)
+
+
+def test_frobenius_congruence_on_a_window_without_multiples():
+    """On the truncation set {1} no a has p*a in the set: nothing to check."""
+    g = GhostVector.make(INTEGERS, TruncationSet.divisors_of(1), {1: (5,)})
+    assert frobenius_congruence_check(g, 2)
+
+
+def test_unstable_lattice_gives_an_inconclusive_verdict():
+    """At n = 3 the sweep to 4 does not stabilize: the verdict is neither
+    true nor false."""
+    rep = ray_class_algebra_witt_iso_check(3, 4)
+    assert not rep.stable and rep.verdict == "inconclusive"
