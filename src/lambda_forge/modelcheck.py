@@ -438,10 +438,13 @@ class LocalIdSet:
 
     def __post_init__(self):
         g = len(self.group)
-        ident = self.identity
-        for i in range(g):
-            if sorted(self.group[i]) != list(range(g)):
-                raise InputError("group table rows must be permutations")
+        ident = _group_identity(self.group, self.inertia, self.frobenius)
+        if self.size < 0:
+            raise InputError("need size >= 0")
+        if len(self.action) != g or not all(_is_self_map(a, self.size) for a in self.action):
+            raise InputError("action must map the set to itself, once per group element")
+        if not _is_self_map(self.psi, self.size):
+            raise InputError("psi must map the set to itself")
         for i in range(g):
             for j in range(g):
                 a = self.action[self.group[i][j]]
@@ -459,10 +462,6 @@ class LocalIdSet:
             if _compose(self.psi, self.action[i]) != _compose(self.action[i], self.psi):
                 raise InputError("psi must commute with the group action")
 
-    @property
-    def identity(self) -> int:
-        return _find_identity(self.group)
-
 
 def _is_subgroup(table, subset) -> bool:
     return all(table[i][j] in subset for i in subset for j in subset) and bool(subset)
@@ -470,14 +469,27 @@ def _is_subgroup(table, subset) -> bool:
 
 def _is_normal(table, subset) -> bool:
     g = len(table)
-    e = _find_identity(table)
+    e = _group_identity(table)
     inv = [next(j for j in range(g) if table[i][j] == e) for i in range(g)]
     return all(table[table[x][i]][inv[x]] in subset for x in range(g) for i in subset)
 
 
-def _find_identity(table) -> int:
+def _group_identity(table, *subsets) -> int:
+    """The identity of a group table whose rows are permutations; each of
+    the subsets must hold elements of the group."""
     g = len(table)
-    return next(i for i in range(g) if all(table[i][j] == j for j in range(g)))
+    if any(sorted(row) != list(range(g)) for row in table):
+        raise InputError("group table rows must be permutations")
+    if not all(0 <= x < g for subset in subsets for x in subset):
+        raise InputError("inertia and frobenius must be group elements")
+    e = next((i for i in range(g) if all(table[i][j] == j for j in range(g))), None)
+    if e is None:
+        raise InputError("group table has no identity row")
+    return e
+
+
+def _is_self_map(f, size: int) -> bool:
+    return len(f) == size and all(0 <= x < size for x in f)
 
 
 def _is_coset(table, subgroup, coset) -> bool:
@@ -507,27 +519,13 @@ def local_retraction(s: LocalIdSet) -> tuple[int, ...]:
     """The retraction onto the core: a point at level i maps to the unique
     core point with the same i-th psi-image."""
     core, levels = local_unramified_core(s)
-    core_list = sorted(core)
-    psi_core = {x: s.psi[x] for x in core}
-    if sorted(psi_core.values()) != core_list:
-        raise InputError("psi is not a bijection on the core (corrupt input)")
-    # invert psi on the core
-    inv = {v: k for k, v in psi_core.items()}
+    inv = {s.psi[x]: x for x in core}  # psi permutes its stable image
+    # level by level: ret(x) = psi^-i(psi^i(x)) = psi^-1(ret(psi(x)))
     ret = list(range(s.size))
-    for i, level in enumerate(levels):
+    for level in levels[1:]:
         for x in level:
-            y = x
-            for _ in range(i):
-                y = s.psi[y]
-            # y is in the core; pull back i times
-            z = y
-            for _ in range(i):
-                z = inv[z]
-            ret[x] = z
-    ret = tuple(ret)
-    if any(ret[x] != x for x in core):
-        raise AssertionError("the retraction moves a point of the core")
-    return ret
+            ret[x] = inv[ret[s.psi[x]]]
+    return tuple(ret)
 
 
 def local_model_exists(s: LocalIdSet) -> bool:
@@ -562,6 +560,9 @@ def local_quotient_monoid(group: tuple[tuple[int, ...], ...], inertia: frozenset
     """Quotient of (group x nonneg levels) identifying everything at level
     >= n along the Frobenius-twisted inertia cosets."""
     g = len(group)
+    _group_identity(group, inertia, frobenius)
+    if n < 0:
+        raise InputError("need n >= 0")
     if not _is_subgroup(group, inertia) or not _is_normal(group, inertia):
         raise InputError("inertia must be a normal subgroup")
     if not _is_coset(group, inertia, frobenius):

@@ -64,13 +64,6 @@ class QuadField:
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
 
-    def to_json(self) -> dict:
-        return {"d": self.d}
-
-    @staticmethod
-    def from_json(data: dict) -> "QuadField":
-        return QuadField(int(data["d"]))
-
 
 @dataclass(frozen=True, eq=True)
 class QuadInt:
@@ -184,14 +177,6 @@ class QuadIdeal:
 
     def __str__(self):
         return f"[{self.a}, {self.b}+w, {self.c}]"
-
-    def to_json(self) -> list[int]:
-        return [self.a, self.b, self.c]
-
-    @staticmethod
-    def from_json(field: QuadField, data: list) -> "QuadIdeal":
-        a, b, c = (int(x) for x in data)
-        return QuadIdeal(field, a, b, c)
 
     @staticmethod
     def parse(field: QuadField, text: str) -> "QuadIdeal":
@@ -351,14 +336,9 @@ def generator_pairs(ideal: QuadIdeal) -> tuple[tuple[int, int], ...]:
     return tuple(gens)
 
 
-def ideal_generators(ideal: QuadIdeal) -> tuple[QuadInt, ...]:
-    """``generator_pairs`` as elements."""
-    return tuple(QuadInt(ideal.field, u, v) for u, v in generator_pairs(ideal))
-
-
 def is_principal(ideal: QuadIdeal) -> QuadInt | None:
-    """The first of ``ideal_generators`` if the ideal is principal, else
-    None."""
+    """The first of ``generator_pairs``, as an element, if the ideal is
+    principal, else None."""
     pairs = generator_pairs(ideal)
     return QuadInt(ideal.field, *pairs[0]) if pairs else None
 

@@ -85,9 +85,6 @@ class Cycle:
         # differ between processes
         return type(self), (self.field, self.finite, self.infinity)
 
-    def norm(self) -> int:
-        return self.finite if self.field is None else self.finite.norm()
-
     def divides(self, other: "Cycle") -> bool:
         if self.field != other.field:
             raise InputError("cycles over different fields")
@@ -548,14 +545,12 @@ class QuadRayClassGroup(RayClassGroup):
         return [reps[k] for k in range(size)]
 
     def class_of_ideal(self, ideal: QuadIdeal) -> int:
-        k = self._class_cache.get(ideal)
-        if k is None:
+        if ideal not in self._class_cache:
             ideals = self.cycle._ideals
             ideals._check(ideal)
             if ideals._gcd(ideal, self.cycle.finite) != ideals._one:
                 raise InputError("ideal not coprime to the conductor")
-            k = self._class_cache[ideal] = self._classify(ideal)
-        return k
+        return self._class_of_coprime(ideal)
 
     def _class_of_coprime(self, ideal: QuadIdeal) -> int:
         """``class_of_ideal`` of an ideal of the field known to be coprime to f."""

@@ -403,10 +403,10 @@ def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLa
     One solve serves the sweeps to bound and to bound // 2.  The
     equalities do not depend on the bound, so their kernel K is found
     once.  Each congruence y[cls(pm)] = x -> x^p (y[cls(m)]) mod
-    p^(v_p(m)+1) is keyed by (cls(pm), cls(m), p mod k) and tagged with
-    its modulus and the least p*m giving it; a key's rows are projected
-    from K's columns once, and the half sweep keeps the tags with
-    p*m <= bound // 2.  Each half congruence is a full one whose modulus
+    p^(v_p(m)+1) is keyed by (cls(pm), cls(m), p mod k); the key holds
+    the lcm of its moduli over p*m <= bound and the lcm over
+    2*p*m <= bound (the half sweep), and its rows are projected from K's
+    columns once.  Each half congruence is a full one whose modulus
     divides the full one's, so the half solutions T_half contain T_full:
     the full congruences are tested on a basis of T_half, and only if one
     fails (t -> t.K being injective, the lattice is then unstable) is the
@@ -420,20 +420,21 @@ def periodic_witt_lattice(n: int, ring: CoeffRing, bound: int) -> PeriodicWittLa
     for a in range(1, n + 1):
         cls[a % n] = dr.class_of_ideal(a)
     kernel = _equality_kernel(n, k, dr.reps, cls, nvars)
-    tags: dict[tuple[int, int, int], dict[int, int]] = {}
+    tags: dict[tuple[int, int, int], tuple[int, int]] = {}
     for p in primes_upto(bound):
         for m in range(1, bound // p + 1):
             key = (cls[p * m % n], cls[m % n], p % k)
-            tags.setdefault(key, {}).setdefault(p ** (_valuation(m, p) + 1), p * m)
+            every, within_half = tags.get(key, (1, 1))
+            q = p ** (_valuation(m, p) + 1)
+            tags[key] = lcm(every, q), lcm(within_half, q) if 2 * p * m <= bound else within_half
     columns = list(zip(*kernel))
     full: dict[tuple[int, ...], int] = {}
     halved: dict[tuple[int, ...], int] = {}
-    for (c_to, c_from, e), moduli in tags.items() if kernel else ():
+    for (c_to, c_from, e), (every, within_half) in tags.items() if kernel else ():
         # row j is y[c_to][j] - sum over i*e = j mod k of y[c_from][i]
         projs = [list(columns[c_to * k + j]) for j in range(k)]
         for i in range(k):
             projs[i * e % k] = [x - y for x, y in zip(projs[i * e % k], columns[c_from * k + i])]
-        every, within_half = list(moduli), [m for m, pm in moduli.items() if pm <= bound // 2]
         for proj in projs:
             _merge_congruence(full, proj, every)
             _merge_congruence(halved, proj, within_half)
@@ -504,15 +505,15 @@ def _equality_kernel(n: int, k: int, reps: list[int], cls: list[int], nvars: int
     return hnf_rows([[z[s] for s in slot] for z in kernel], nvars)
 
 
-def _merge_congruence(merged: dict[tuple[int, ...], int], proj: list[int], moduli: list[int]) -> None:
-    """Fold the congruences proj.t = 0 mod m, one per m in ``moduli``, into
-    ``merged``: congruences with the same proj up to sign merge into one
-    modulo the lcm of their moduli, and each key leads with a positive
-    entry.  A zero proj holds for every t and drops out."""
+def _merge_congruence(merged: dict[tuple[int, ...], int], proj: list[int], m: int) -> None:
+    """Fold the congruence proj.t = 0 mod m into ``merged``: congruences
+    with the same proj up to sign merge into one modulo the lcm of their
+    moduli, and each key leads with a positive entry.  A zero proj, or
+    m = 1, holds for every t and drops out."""
     lead = next((x for x in proj if x), 0)
-    if lead and moduli:
+    if lead and m > 1:
         key = tuple(proj) if lead > 0 else tuple(-x for x in proj)
-        merged[key] = lcm(merged.get(key, 1), *moduli)
+        merged[key] = lcm(merged.get(key, 1), m)
 
 
 def _kernel_solutions(kernel: list[list[int]], merged: dict[tuple[int, ...], int]) -> list[list[int]]:
@@ -604,7 +605,7 @@ def ray_class_algebra_witt_iso_check(n: int, bound: int = 64) -> RayClassWittCom
 def is_irreducible_smalldeg(p: IntPoly) -> bool:
     """Exact irreducibility over Q for small monic integer polynomials.
 
-    First tries the mod-q Rabin test for a few primes (irreducible mod q
+    First tries Ben-Or's mod-q test for a few primes (irreducible mod q
     implies irreducible over Q).  A polynomial reducible modulo every tried
     prime falls back to a search over the monic integer divisors of degree
     m <= deg/2 within Mignotte's bound: such a divisor g has |g_k| <=
@@ -616,7 +617,7 @@ def is_irreducible_smalldeg(p: IntPoly) -> bool:
     if p.degree <= 1:
         return p.degree == 1
     for q in (2, 3, 5, 7, 11, 13):
-        if _rabin_irreducible_mod(p, q):
+        if _irreducible_mod(p, q):
             return True
     if p.degree > 8:
         raise InputError("irreducibility fallback limited to degree 8")
@@ -632,27 +633,25 @@ def is_irreducible_smalldeg(p: IntPoly) -> bool:
     return True
 
 
-def _rabin_irreducible_mod(p: IntPoly, q: int) -> bool:
-    """Rabin's criterion for the monic p mod q: x^(q^k) = x mod p, and
-    x^(q^(k/r)) - x is coprime to p for each prime r dividing k = deg p.
-    Residues mod (p, q) are the remainders of ``poly_divmod`` by the monic
-    reduction f of p, with coefficients taken mod q."""
-    f, k, x = p.mod_coeffs(q), p.degree, IntPoly.x()
-
-    def reduce(g: IntPoly) -> IntPoly:
-        return poly_divmod(g, f)[1].mod_coeffs(q)
-
-    def frobenius_gap(j: int) -> IntPoly:
-        """x^(q^j) - x mod (f, q), by square and multiply."""
-        e, out, base = q**j, IntPoly.of(1), reduce(x)
+def _irreducible_mod(p: IntPoly, q: int) -> bool:
+    """Ben-Or's test for the monic p mod q: gcd(p, x^(q^i) - x) is the
+    product of the irreducible factors whose degree divides i, and a
+    reducible p has one of degree at most deg(p) / 2, so p is irreducible
+    iff that gcd is 1 for each i <= deg(p) / 2.  Residues mod (p, q) are
+    the remainders of ``poly_divmod`` by the monic reduction f of p, with
+    coefficients taken mod q; h = x^(q^i) by square and multiply."""
+    f, x = p.mod_coeffs(q), IntPoly.x()
+    h = x
+    for _ in range(p.degree // 2):
+        e, base, h = q, h, IntPoly.of(1)
         while e:
             if e & 1:
-                out = reduce(out * base)
-            base = reduce(base * base)
+                h = poly_divmod(h * base, f)[1].mod_coeffs(q)
+            base = poly_divmod(base * base, f)[1].mod_coeffs(q)
             e >>= 1
-        return (out - x).mod_coeffs(q)
-
-    return frobenius_gap(k).is_zero() and all(_gcd_mod(f, frobenius_gap(k // r), q).degree == 0 for r in factor(k).primes())
+        if _gcd_mod(f, h - x, q).degree:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

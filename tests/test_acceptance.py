@@ -342,7 +342,7 @@ def test_criterion_11b_field_product():
     with _Budget("11b (field product decomposition)", 120):
         for n in range(1, 13):
             rep = periodic_witt_field_product_check(n)
-            assert rep.passes(), (n, rep.to_json())
+            assert rep.passes(), (n, rep)
 
 
 def test_criterion_12_cotangent():

@@ -9,7 +9,8 @@ import pytest
 
 from lambda_forge import cli, modelcheck
 from lambda_forge.errors import InputError, ModelRefusedError
-from lambda_forge.intlinalg import divisors, factor, is_prime
+from lambda_forge.intlinalg import divisors, factor, is_prime, primes_upto
+from lambda_forge.lambdapoly import chebyshev_periodic_generator
 from lambda_forge.modelcheck import (
     FiniteIdSet,
     LocalIdSet,
@@ -535,6 +536,24 @@ MODELCHECK_REFUSALS = [
     (LocalIdSet, (2, Z2, frozenset({0}), frozenset({1}), SWAP, (0, 0)), InputError("psi must commute with the group action")),
     (local_quotient_monoid, (S3, frozenset({0, 1}), frozenset({0, 1}), 2), InputError("inertia must be a normal subgroup")),
     (local_quotient_monoid, (Z2, frozenset({0}), frozenset({0, 1}), 2), InputError("frobenius must be an inertia coset")),
+    # malformed group data: a table entry out of range, an empty group, rows
+    # that are permutations with none the identity, short or out-of-range
+    # action and psi, inertia or frobenius outside the group, n or size < 0
+    (LocalIdSet, (2, ((0, 2), (1, 0)), frozenset({0}), frozenset({0}), SWAP, (0, 1)), InputError("group table rows must be permutations")),
+    (LocalIdSet, (0, (), frozenset(), frozenset(), (), ()), InputError("group table has no identity row")),
+    (LocalIdSet, (1, ((1, 0), (1, 0)), frozenset({0}), frozenset({0}), ((0,), (0,)), (0,)), InputError("group table has no identity row")),
+    (local_quotient_monoid, ((), frozenset(), frozenset(), 1), InputError("group table has no identity row")),
+    (local_quotient_monoid, (((1, 0), (1, 0)), frozenset({0, 1}), frozenset({0, 1}), 2), InputError("group table has no identity row")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0}), ((0, 1),), (0, 1)), InputError("action must map the set to itself, once per group element")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0}), ((0, 1), (1, 2)), (0, 1)), InputError("action must map the set to itself, once per group element")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0}), SWAP, (0, 2)), InputError("psi must map the set to itself")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({0}), SWAP, (0,)), InputError("psi must map the set to itself")),
+    (LocalIdSet, (2, Z2, frozenset({0, 2}), frozenset({0, 2}), SWAP, (0, 1)), InputError("inertia and frobenius must be group elements")),
+    (LocalIdSet, (2, Z2, frozenset({0}), frozenset({2}), SWAP, (0, 1)), InputError("inertia and frobenius must be group elements")),
+    (local_quotient_monoid, (Z2, frozenset({0, 2}), frozenset({0, 2}), 1), InputError("inertia and frobenius must be group elements")),
+    (local_quotient_monoid, (Z2, frozenset({0}), frozenset({3}), 1), InputError("inertia and frobenius must be group elements")),
+    (local_quotient_monoid, (Z2, frozenset({0}), frozenset({0}), -1), InputError("need n >= 0")),
+    (LocalIdSet, (-1, ((0,),), frozenset({0}), frozenset({0}), ((),), ()), InputError("need size >= 0")),
 ]
 
 
@@ -550,3 +569,63 @@ def test_local_model_refused_when_inertia_moves_the_core():
     """psi = id makes every point core; inertia = the whole Z/2, which
     swaps the two points, does not act trivially there."""
     assert not local_model_exists(LocalIdSet(2, Z2, frozenset({0, 1}), frozenset({0, 1}), SWAP, (0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The paper's Frobenius theorem, by three routes: for p not dividing n the
+# mod-p factor degrees of a periodic locus's generator are the orbit
+# lengths of the class of p acting on the Deligne-Ribet monoid.
+
+
+def _cycle_lengths(perm) -> list[int]:
+    """The sorted cycle lengths of a permutation of range(len(perm))."""
+    assert sorted(perm) == list(range(len(perm))), perm
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        if start not in seen:
+            x, length = start, 0
+            while x not in seen:
+                seen.add(x)
+                x, length = perm[x], length + 1
+            lengths.append(length)
+    return sorted(lengths)
+
+
+def _orbit_lengths(dr, p: int) -> list[int]:
+    """The orbit lengths of the class of p acting by ``mul`` on dr."""
+    cp = dr.class_of_ideal(p)
+    return _cycle_lengths([dr.mul(cp, c) for c in range(dr.size)])
+
+
+def test_frobenius_factor_degrees_are_dr_orbit_lengths():
+    """For 1 <= n <= 30 and primes p < 120 with p not dividing n: the
+    degrees of the irreducible factors of x^n - 1 mod p are the orbit
+    lengths of [p] on DR(n*inf) and the cycle type of ``dr_action`` on
+    ``mu_n_data(n)`` at [p]; those of ``chebyshev_periodic_generator(n)``
+    are the orbit lengths of [p] on DR(n), whose size is its degree.
+    sympy's distinct-degree factorization over F_p is the oracle (a third
+    of the time of its full ``factor_list``); it needs, and checks, a
+    squarefree input."""
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def factor_degrees(coeffs, p):
+        f = galois.gf_from_int_poly(coeffs, p)
+        assert galois.gf_sqf_p(f, p, ZZ), (coeffs, p)
+        return sorted(d for g, d in galois.gf_ddf_zassenhaus(f, p, ZZ) for _ in range((len(g) - 1) // d))
+
+    cases = 0
+    for n in range(1, 31):
+        toric, chebyshev = dr_monoid(Cycle(None, n, True)), dr_monoid(Cycle(None, n, False))
+        gen = chebyshev_periodic_generator(n)
+        assert chebyshev.size == gen.degree, n
+        action = dr_action(mu_n_data(n), Cycle(None, n, True))
+        for p in primes_upto(119):
+            if n % p == 0:
+                continue
+            degrees = factor_degrees([1] + [0] * (n - 1) + [-1], p)
+            assert _orbit_lengths(toric, p) == degrees, (n, p)
+            assert _cycle_lengths(action[toric.class_of_ideal(p)]) == degrees, (n, p)
+            assert _orbit_lengths(chebyshev, p) == factor_degrees(list(reversed(gen.coeffs)), p), (n, p)
+            cases += 1
+    assert cases == 857

@@ -91,16 +91,14 @@ def test_no_module_level_mutable_containers():
 
 
 def _used_names(tree) -> set[str]:
-    """The names a tree uses: each Name and attribute in its code, and each
-    ``name`` cross-reference in its strings (docstrings)."""
+    """The names a tree uses in its code: each Name and attribute.  A
+    mention in a string or docstring is not a use."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"``(\w+)``", node.value))
     return names
 
 
@@ -113,11 +111,11 @@ def _readme_api_table() -> set[str]:
 
 def test_every_public_name_is_reached():
     """Every public top-level function or class in src/ is used in src/
-    outside its own definition (the CLI included; in code, or as a
-    ``name`` cross-reference in a docstring), is used by the acceptance
-    criteria, or is in README's table of library API, with the statement of
-    the paper it checks and the test that pins it: a new dead entry point
-    fails here.  Uses are matched by name, not resolved."""
+    outside its own definition (the CLI included; in code, not in a
+    docstring), is used by the acceptance criteria, or is in README's table
+    of library API, with the statement of the paper it checks and the test
+    that pins it: a new dead entry point fails here.  Uses are matched by
+    name, not resolved."""
     statements = [(path.stem, node) for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
     used = {id(node): _used_names(node) for _, node in statements}
     uses = Counter(name for names in used.values() for name in names)

@@ -65,7 +65,7 @@ def test_cycle_parsing():
     with pytest.raises(InputError):
         Cycle.parse("x*inf")
     q = Cycle.parse("[5, 2+w, 1]", GAUSS)
-    assert q.norm() == 5
+    assert q.finite.norm() == 5
 
 
 def test_cycle_arithmetic():

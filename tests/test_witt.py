@@ -707,7 +707,7 @@ _monic = st.lists(st.integers(-20, 20), min_size=2, max_size=8).map(lambda c: In
 @settings(max_examples=300, deadline=None)
 @given(p=_monic, q=st.sampled_from([2, 3, 5, 7, 11, 13]))
 def test_rabin_matches_sympy(sympy, p, q):
-    assert witt._rabin_irreducible_mod(p, q) == _monic_sympy_poly(sympy, p, modulus=q).is_irreducible
+    assert witt._irreducible_mod(p, q) == _monic_sympy_poly(sympy, p, modulus=q).is_irreducible
 
 
 def _has_small_monic_factor(coeffs: tuple[int, ...], q: int) -> bool:
@@ -737,7 +737,7 @@ def test_rabin_matches_factor_search(q):
         count = 0
         for tail in itertools.product(range(q), repeat=k):
             coeffs = tail + (1,)
-            irreducible = witt._rabin_irreducible_mod(IntPoly.of(*coeffs), q)
+            irreducible = witt._irreducible_mod(IntPoly.of(*coeffs), q)
             assert irreducible == (not _has_small_monic_factor(coeffs, q)), (coeffs, q)
             count += irreducible
         assert count == gauss[k], (k, q)
@@ -903,7 +903,7 @@ def test_congruence_merge_matches_dense_solve(data):
     merged = {}
     projections = [[sum(c * x for c, x in zip(row, krow)) for krow in kernel] for row in cong_rows]
     for proj, m in zip(projections, moduli):
-        witt._merge_congruence(merged, proj, [m])
+        witt._merge_congruence(merged, proj, m)
     # one key per nonzero projection up to sign, leading with a positive
     # entry, modulo the lcm of the moduli that projection came with
     expected = {}
@@ -939,7 +939,7 @@ def _two_solve_lattice(n: int, ring: CoeffRing, bound: int):
         projs = [list(columns[c_to * k + j]) for j in range(k)]
         for i in range(k):
             projs[i * e % k] = [x - y for x, y in zip(projs[i * e % k], columns[c_from * k + i])]
-        every, within_half = list(moduli), [m for m, pm in moduli.items() if pm <= bound // 2]
+        every, within_half = math.lcm(*moduli), math.lcm(*[m for m, pm in moduli.items() if pm <= bound // 2])
         for proj in projs:
             witt._merge_congruence(full, proj, every)
             witt._merge_congruence(halved, proj, within_half)
